@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -35,6 +34,7 @@ from .image import (
     crop,
     decode_ppm,
     encode_ppm,
+    write_atomic,
     write_imagef,
     write_pgm,
 )
@@ -61,12 +61,6 @@ class _Parser(argparse.ArgumentParser):
         raise PixmapError("bad-usage", message)
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
 def _write_run_manifest(path: Path, subcommand: str, flags: dict, seeds: dict, inputs, outputs, started: float) -> None:
     manifest = {
         "subcommand": subcommand,
@@ -78,7 +72,7 @@ def _write_run_manifest(path: Path, subcommand: str, flags: dict, seeds: dict, i
         "started_utc": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
         "duration_s": round(time.time() - started, 3),
     }
-    _write_atomic(path, (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode("ascii"))
+    write_atomic(path, (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode("ascii"))
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -209,7 +203,7 @@ def _cmd_map(args) -> int:
         write_imagef(out_path, npr_residual(img))
     elif args.mode == "shuffle":
         shuffled = patch_shuffle(img, args.patch, args.seed)
-        _write_atomic(out_path, encode_ppm(shuffled))
+        write_atomic(out_path, encode_ppm(shuffled))
     outputs = [out_path]
     if args.table_csv:
         if tables is None:
@@ -224,7 +218,7 @@ def _cmd_map(args) -> int:
                 f"{v},{tables[0].entries[v]!r},{tables[1].entries[v]!r},{tables[2].entries[v]!r}"
                 for v in range(256)
             ]
-        _write_atomic(csv_path, ("\n".join(lines) + "\n").encode("ascii"))
+        write_atomic(csv_path, ("\n".join(lines) + "\n").encode("ascii"))
         outputs.append(csv_path)
     _write_run_manifest(
         out_path.with_name(out_path.name + ".run.json"),
@@ -263,7 +257,7 @@ def _cmd_spectrum(args) -> int:
     spec = mean_spectrum(images)
     profile = azimuthal_profile(spec)
     out_path = Path(args.out)
-    _write_atomic(out_path, profile_csv(profile).encode("ascii"))
+    write_atomic(out_path, profile_csv(profile).encode("ascii"))
     outputs = [out_path]
     if args.heatmap:
         write_pgm(args.heatmap, heatmap_u8(spec))
@@ -353,7 +347,7 @@ def _cmd_eval(args) -> int:
     outputs = []
     if args.out:
         out_path = Path(args.out)
-        _write_atomic(out_path, _breakdown_csv(report).encode("ascii"))
+        write_atomic(out_path, _breakdown_csv(report).encode("ascii"))
         outputs.append(out_path)
         _write_run_manifest(
             out_path.with_name(out_path.name + ".run.json"),
@@ -425,7 +419,7 @@ def _cmd_report(args) -> int:
         weight_decay=args.weight_decay,
     )
     out_path = Path(args.out)
-    _write_atomic(out_path, csv_text.encode("ascii"))
+    write_atomic(out_path, csv_text.encode("ascii"))
     _write_run_manifest(
         out_path.with_name(out_path.name + ".run.json"),
         "report",

@@ -9,9 +9,10 @@ against finite differences and a full training run takes seconds:
 Convolutions are valid (no padding, stride 1). The mean pool uses stride-2
 windows that shrink to partial windows on odd edges, so any input of at
 least 7x7 flows through. The optimizer is Adam with decoupled weight decay
-(weights shrink by lr * wd before the moment update). Everything is plain
-float64 numpy with a fixed reduction order, so identical seeds give
-bit-identical weights.
+(weights shrink by lr * wd before the moment update). Each training step
+runs the forward pass once and takes the gradients from its cache.
+Everything is plain float64 numpy with a fixed reduction order, so
+identical seeds give bit-identical weights.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PixmapError
-from .image import CropSpec, Image8, crop, decode_ppm
+from .image import CropSpec, Image8, crop, decode_ppm, write_atomic
 from .reducers import ReducerSpec, apply_reducer
 from .rng import SplitMix64, derive_seed
 from .synthgen import ManifestEntry
@@ -123,30 +124,36 @@ class EvalReport:
 
 
 def _conv_forward(x, w, b):
+    """Valid 3x3 convolution via channel-major im2col.
+
+    ``cols`` is (n, cin*9, P) with rows ordered (cin, u, v) like the flattened
+    kernel, so ``W @ cols`` lands directly in NCHW and the backward matmuls
+    need no transposing copy.
+    """
     n, cin, h, wd = x.shape
     cout = w.shape[0]
     windows = np.lib.stride_tricks.sliding_window_view(x, (3, 3), axis=(2, 3))
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n, (h - 2) * (wd - 2), cin * 9
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(
+        n, cin * 9, (h - 2) * (wd - 2)
     )
-    out = cols @ w.reshape(cout, -1).T + b
-    out = out.transpose(0, 2, 1).reshape(n, cout, h - 2, wd - 2)
-    return out, cols
+    out = w.reshape(cout, -1) @ cols + b[:, None]
+    return out.reshape(n, cout, h - 2, wd - 2), cols
 
 
-def _conv_backward(grad_out, cols, x_shape, w):
+def _conv_backward(grad_out, cols, x_shape, w, input_grad=True):
+    """Gradients of _conv_forward; grad_x is None when input_grad is False."""
     n, cin, h, wd = x_shape
     cout, oh, ow = grad_out.shape[1], h - 2, wd - 2
-    gcols = grad_out.reshape(n, cout, oh * ow).transpose(0, 2, 1)  # (n, P, cout)
-    grad_w = np.tensordot(gcols, cols, axes=([0, 1], [0, 1])).reshape(cout, cin, 3, 3)
-    grad_b = gcols.sum(axis=(0, 1))
-    gpatch = (gcols @ w.reshape(cout, -1)).reshape(n, oh, ow, cin, 3, 3)
+    g = grad_out.reshape(n, cout, oh * ow)
+    grad_w = (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, 3, 3)
+    grad_b = g.sum(axis=(0, 2))
+    if not input_grad:
+        return None, grad_w, grad_b
+    gpatch = (w.reshape(cout, -1).T @ g).reshape(n, cin, 3, 3, oh, ow)
     grad_x = np.zeros(x_shape)
     for u in range(3):
         for v in range(3):
-            grad_x[:, :, u : u + oh, v : v + ow] += gpatch[:, :, :, :, u, v].transpose(
-                0, 3, 1, 2
-            )
+            grad_x[:, :, u : u + oh, v : v + ow] += gpatch[:, :, u, v]
     return grad_x, grad_w, grad_b
 
 
@@ -222,12 +229,13 @@ def loss(probs, labels) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def backward(params: DetectorParams, batch, labels) -> dict[str, np.ndarray]:
-    """Exact gradient of loss(forward(batch)) for every parameter tensor.
+def _forward_backward(params: DetectorParams, batch, labels):
+    """One forward pass plus the exact gradient; returns (probs, grads).
 
     Where the probability clamp is active the computed loss is locally
     constant in the logit, so those samples contribute zero gradient,
-    matching finite differences of the actual loss.
+    matching finite differences of the actual loss. conv1's input gradient
+    is never needed, so it is not computed.
     """
     probs, cache = _forward_full(params, batch)
     x, a1, r1, p1, counts, a2, r2, g, cols1, cols2 = cache
@@ -247,9 +255,11 @@ def backward(params: DetectorParams, batch, labels) -> dict[str, np.ndarray]:
     dp1, grad_conv2_w, grad_conv2_b = _conv_backward(da2, cols2, p1.shape, params.conv2_w)
     dr1 = _meanpool_backward(dp1, counts, r1.shape)
     da1 = np.where(a1 > 0, dr1, 0.0)
-    _, grad_conv1_w, grad_conv1_b = _conv_backward(da1, cols1, x.shape, params.conv1_w)
+    _, grad_conv1_w, grad_conv1_b = _conv_backward(
+        da1, cols1, x.shape, params.conv1_w, input_grad=False
+    )
 
-    return {
+    return probs, {
         "conv1_w": grad_conv1_w,
         "conv1_b": grad_conv1_b,
         "conv2_w": grad_conv2_w,
@@ -257,6 +267,11 @@ def backward(params: DetectorParams, batch, labels) -> dict[str, np.ndarray]:
         "linear_w": grad_linear_w,
         "linear_b": grad_linear_b,
     }
+
+
+def backward(params: DetectorParams, batch, labels) -> dict[str, np.ndarray]:
+    """Exact gradient of loss(forward(batch)) for every parameter tensor."""
+    return _forward_backward(params, batch, labels)[1]
 
 
 # --- optimizer ------------------------------------------------------------------
@@ -357,9 +372,8 @@ def train(
                 ys.append(entry.label)
             batch = np.stack(xs)
             y = np.array(ys, dtype=np.float64)
-            probs, _ = _forward_full(params, batch)
+            probs, grads = _forward_backward(params, batch, y)
             epoch_loss += loss(probs, y) * len(chunk)
-            grads = backward(params, batch, y)
             params, state = adam_step(params, grads, state, config)
         trace.append(epoch_loss / n)
     return params, trace
@@ -473,7 +487,7 @@ _W1_MAGIC = "PIXMAP-W1"
 
 
 def save_params(path, params: DetectorParams, reducer: ReducerSpec, reducer_seed: int, crop_size: int) -> None:
-    """Write weights as text: magic, preprocessing identity, then tensors.
+    """Write weights as text, atomically: magic, preprocessing identity, tensors.
 
     Values use shortest round-trip decimals, so load_params recovers the
     exact float64 bits.
@@ -490,46 +504,66 @@ def save_params(path, params: DetectorParams, reducer: ReducerSpec, reducer_seed
         flat = arr.reshape(arr.shape[0], -1)
         for row in flat:
             lines.append(" ".join(repr(x) for x in row.tolist()))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def load_params(path) -> tuple[DetectorParams, ReducerSpec, int, int]:
-    """Inverse of save_params; returns (params, reducer, reducer_seed, crop)."""
-    with open(path, "r", encoding="ascii") as fh:
-        if fh.readline().strip() != _W1_MAGIC:
-            raise PixmapError("unsupported-format", f"not a {_W1_MAGIC} file: {path}")
-        fields = {}
-        for key in ("reducer", "reducer_seed", "crop"):
-            tag, _, value = fh.readline().strip().partition(" ")
-            if tag != key:
-                raise PixmapError("malformed-header", f"expected {key!r} line, got {tag!r}")
-            fields[key] = value
-        tensors = {}
-        line = fh.readline()
-        while line:
-            parts = line.split()
-            if not parts:
-                line = fh.readline()
-                continue
-            if parts[0] != "tensor":
-                raise PixmapError("malformed-header", f"expected tensor line, got {line!r}")
-            name = parts[1]
-            shape = tuple(int(d) for d in parts[2:])
-            rows = []
-            for _ in range(shape[0]):
-                row_line = fh.readline()
-                if not row_line:
-                    raise PixmapError("truncated-payload", f"tensor {name} ended early")
-                rows.append([float(t) for t in row_line.split()])
-            tensors[name] = np.array(rows).reshape(shape)
-            line = fh.readline()
+    """Inverse of save_params; returns (params, reducer, reducer_seed, crop).
+
+    A bad file raises PixmapError with code ``unsupported-format`` (not an
+    ASCII weights file), ``malformed-header`` (a bad header or tensor line,
+    or an unknown, repeated or misshapen tensor), ``malformed-payload`` (a
+    value that is not a number, or a row of the wrong length),
+    ``truncated-payload`` (the file ends inside a tensor or lacks one) or
+    ``bad-params`` (a non-finite value).
+    """
+    try:
+        lines = iter(Path(path).read_text(encoding="ascii").splitlines())
+    except UnicodeDecodeError as exc:
+        raise PixmapError("unsupported-format", f"not a {_W1_MAGIC} file: {path}") from exc
+    if next(lines, "").strip() != _W1_MAGIC:
+        raise PixmapError("unsupported-format", f"not a {_W1_MAGIC} file: {path}")
+    fields = {}
+    for key in ("reducer", "reducer_seed", "crop"):
+        tag, _, value = next(lines, "").strip().partition(" ")
+        if tag != key:
+            raise PixmapError("malformed-header", f"expected {key!r} line, got {tag!r}")
+        fields[key] = value
+    try:
+        reducer_seed, crop_size = int(fields["reducer_seed"]), int(fields["crop"])
+    except ValueError as exc:
+        raise PixmapError("malformed-header", f"non-integer header value: {exc}") from exc
+    reducer = ReducerSpec.parse(fields["reducer"])
+    tensors = {}
+    for line in lines:
+        parts = line.split()
+        if not parts:
+            continue
+        if parts[0] != "tensor" or len(parts) < 2:
+            raise PixmapError("malformed-header", f"expected tensor line, got {line!r}")
+        name, dims = parts[1], " ".join(parts[2:])
+        if name not in _SHAPES or name in tensors:
+            raise PixmapError("malformed-header", f"unknown or repeated tensor {name!r}")
+        shape = _SHAPES[name]
+        if dims != " ".join(str(d) for d in shape):
+            raise PixmapError("malformed-header", f"tensor {name} must be {shape}, got {dims!r}")
+        width = int(np.prod(shape[1:]))
+        rows = []
+        for _ in range(shape[0]):
+            row_line = next(lines, None)
+            if row_line is None:
+                raise PixmapError("truncated-payload", f"tensor {name} ended early")
+            try:
+                row = [float(t) for t in row_line.split()]
+            except ValueError as exc:
+                raise PixmapError("malformed-payload", f"tensor {name}: {exc}") from exc
+            if len(row) != width:
+                raise PixmapError(
+                    "malformed-payload", f"tensor {name} row has {len(row)} values, want {width}"
+                )
+            rows.append(row)
+        tensors[name] = np.array(rows).reshape(shape)
     missing = set(_SHAPES) - set(tensors)
     if missing:
         raise PixmapError("truncated-payload", f"missing tensors: {sorted(missing)}")
-    return (
-        DetectorParams(**tensors),
-        ReducerSpec.parse(fields["reducer"]),
-        int(fields["reducer_seed"]),
-        int(fields["crop"]),
-    )
+    return DetectorParams(**tensors), reducer, reducer_seed, crop_size

@@ -12,16 +12,40 @@ File formats:
 * ``PIXMAP-IMF1`` is a plain-text container for ``ImageF`` using shortest
   round-trip decimals, exact under write/read.
 * PGM ``P5`` is write-only, for grayscale heatmap export.
+
+The file writers here, and the CLI's, go through :func:`write_atomic`, so
+a crash never leaves a partial file under the target name.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .errors import PixmapError
 from .rng import SplitMix64
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a unique temp file and ``os.replace``.
+
+    The temp file sits in the target's directory, so the rename is atomic:
+    readers see the old file or the new one, never a partial write, and
+    concurrent writers of one target never share a temp file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -167,8 +191,7 @@ def write_pgm(path, gray: np.ndarray) -> None:
     if gray.ndim != 2 or gray.dtype != np.uint8:
         raise PixmapError("bad-shape", "PGM writer needs a 2-D uint8 array")
     h, w = gray.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii") + gray.tobytes())
+    write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + gray.tobytes())
 
 
 # --- crop / float conversion -------------------------------------------------
@@ -217,8 +240,7 @@ def write_imagef(path, img: ImageF) -> None:
     flat = img.data.reshape(img.height, img.width * img.channels)
     for row in flat:
         lines.append(" ".join(repr(x) for x in row.tolist()))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_imagef(path) -> ImageF:

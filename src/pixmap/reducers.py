@@ -30,6 +30,15 @@ NPR_BLOCK = 2
 _REDUCER_KINDS = ("none", "fixed", "random", "highpass", "shuffle", "npr")
 
 
+def _parse_number(head: str, arg: str, cast):
+    try:
+        return cast(arg)
+    except ValueError as exc:
+        raise PixmapError(
+            "bad-reducer", f"{head} parameter {arg!r} is not a valid {cast.__name__}"
+        ) from exc
+
+
 @dataclass(frozen=True)
 class ReducerSpec:
     """Parsed reducer choice: kind plus its parameters."""
@@ -55,12 +64,12 @@ class ReducerSpec:
                 raise PixmapError("bad-reducer", f"{head} takes no parameter, got {arg!r}")
             return ReducerSpec(head)
         if head == "highpass":
-            cutoff = float(arg) if arg else DEFAULT_HIGHPASS_CUTOFF
+            cutoff = _parse_number(head, arg, float) if arg else DEFAULT_HIGHPASS_CUTOFF
             return ReducerSpec("highpass", cutoff=cutoff)
         if head == "shuffle":
             if not arg:
                 raise PixmapError("bad-reducer", "shuffle needs a patch size, e.g. shuffle:8")
-            return ReducerSpec("shuffle", patch=int(arg))
+            return ReducerSpec("shuffle", patch=_parse_number(head, arg, int))
         raise PixmapError("bad-reducer", f"unknown reducer {text!r}")
 
     def canonical(self) -> str:
@@ -110,6 +119,8 @@ def patch_shuffle(img: Image8, patch: int, seed: int) -> Image8:
     where perm is [0..n) shuffled in place. All channels move together.
     """
     h, w = img.height, img.width
+    if patch < 1:
+        raise PixmapError("bad-patch", f"patch must be >= 1, got {patch}")
     if h % patch != 0 or w % patch != 0:
         raise PixmapError("patch-mismatch", f"patch {patch} must divide {h}x{w}")
     gh, gw = h // patch, w // patch

@@ -1,0 +1,74 @@
+"""CLI error contract: one ``error: <code>: <detail>`` line and a nonzero exit."""
+
+import numpy as np
+import pytest
+
+from pixmap import cli
+from pixmap.detector import init_params, save_params
+from pixmap.image import Image8, encode_ppm
+from pixmap.reducers import ReducerSpec
+
+
+def run_cli_error(capsys, argv):
+    """Run the CLI, require the error contract, and return the stderr line."""
+    code = cli.main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert code != 0
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.fixture
+def ppm_path(tmp_path):
+    data = (np.arange(16 * 16 * 3) % 251).astype(np.uint8).reshape(16, 16, 3)
+    path = tmp_path / "in.ppm"
+    path.write_bytes(encode_ppm(Image8(data)))
+    return path
+
+
+@pytest.fixture
+def weights_text(tmp_path):
+    path = tmp_path / "good.w1"
+    save_params(path, init_params(3), ReducerSpec.parse("none"), reducer_seed=1, crop_size=32)
+    return path.read_text()
+
+
+def test_map_shuffle_zero_patch(capsys, tmp_path, ppm_path):
+    out = tmp_path / "out.ppm"
+    line = run_cli_error(
+        capsys,
+        ["map", "--mode", "shuffle", "--patch", 0, "--seed", 1, "--in", ppm_path, "--out", out],
+    )
+    assert line.startswith("error: bad-patch: ")
+    assert not out.exists()
+
+
+def test_non_numeric_reducer_parameter(capsys, tmp_path):
+    line = run_cli_error(
+        capsys,
+        ["train", "--data", tmp_path, "--reducer", "shuffle:abc", "--out", tmp_path / "m.w1"],
+    )
+    assert line.startswith("error: bad-reducer: ")
+
+
+def test_eval_model_with_extra_tensor(capsys, tmp_path, weights_text):
+    model = tmp_path / "extra.w1"
+    model.write_text(weights_text + "tensor extra_w 1 1\n0.5\n")
+    line = run_cli_error(
+        capsys, ["eval", "--model", model, "--data", tmp_path, "--reducer", "none"]
+    )
+    assert line.startswith("error: malformed-header: ")
+
+
+def test_eval_model_with_non_numeric_value(capsys, tmp_path, weights_text):
+    model = tmp_path / "nan.w1"
+    lines = weights_text.splitlines()
+    row = lines.index("tensor linear_w 1 16") + 1
+    lines[row] = "abc " + lines[row].split(" ", 1)[1]
+    model.write_text("\n".join(lines) + "\n")
+    line = run_cli_error(
+        capsys, ["eval", "--model", model, "--data", tmp_path, "--reducer", "none"]
+    )
+    assert line.startswith("error: malformed-payload: ")

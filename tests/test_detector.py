@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from pixmap import detector
 from pixmap.detector import (
     AdamState,
     DetectorParams,
     TrainConfig,
     _SHAPES,
+    _conv_backward,
+    _conv_forward,
+    _forward_backward,
     accuracy_at_half,
     adam_step,
     average_precision,
@@ -193,6 +197,68 @@ def test_duplicated_batch_same_gradient():
         assert np.allclose(g1[name], g2[name], atol=1e-15)
 
 
+def loop_conv_forward(x, w, b):
+    """Valid 3x3 convolution with one explicit loop per output element."""
+    n, _, h, wd = x.shape
+    out = np.zeros((n, w.shape[0], h - 2, wd - 2))
+    for k in range(n):
+        for co in range(w.shape[0]):
+            for i in range(h - 2):
+                for j in range(wd - 2):
+                    out[k, co, i, j] = b[co] + np.sum(w[co] * x[k, :, i : i + 3, j : j + 3])
+    return out
+
+
+def loop_conv_backward(grad_out, x, w):
+    """Gradients of loop_conv_forward by scattering each output's gradient."""
+    grad_x = np.zeros_like(x)
+    grad_w = np.zeros_like(w)
+    grad_b = np.zeros(w.shape[0])
+    n, cout, oh, ow = grad_out.shape
+    for k in range(n):
+        for co in range(cout):
+            for i in range(oh):
+                for j in range(ow):
+                    g = grad_out[k, co, i, j]
+                    grad_w[co] += g * x[k, :, i : i + 3, j : j + 3]
+                    grad_x[k, :, i : i + 3, j : j + 3] += g * w[co]
+                    grad_b[co] += g
+    return grad_x, grad_w, grad_b
+
+
+@pytest.mark.parametrize("cin,h,w", [(3, 7, 9), (8, 9, 8), (3, 9, 8), (8, 7, 9)])
+def test_conv_layer_matches_loop_oracle(cin, h, w):
+    rng = SplitMix64(derive_seed(17, cin, h, w))
+    cout = 5
+    x = rng.uniforms(2 * cin * h * w, -1.0, 1.0).reshape(2, cin, h, w)
+    wt = rng.uniforms(cout * cin * 9, -1.0, 1.0).reshape(cout, cin, 3, 3)
+    b = rng.uniforms(cout, -1.0, 1.0)
+    grad_out = rng.uniforms(2 * cout * (h - 2) * (w - 2), -1.0, 1.0).reshape(2, cout, h - 2, w - 2)
+
+    out, cols = _conv_forward(x, wt, b)
+    np.testing.assert_allclose(out, loop_conv_forward(x, wt, b), rtol=1e-12, atol=1e-12)
+
+    want_x, want_w, want_b = loop_conv_backward(grad_out, x, wt)
+    grad_x, grad_w, grad_b = _conv_backward(grad_out, cols, x.shape, wt)
+    for got, want in ((grad_x, want_x), (grad_w, want_w), (grad_b, want_b)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    skipped, grad_w2, grad_b2 = _conv_backward(grad_out, cols, x.shape, wt, input_grad=False)
+    assert skipped is None
+    assert np.array_equal(grad_w2, grad_w) and np.array_equal(grad_b2, grad_b)
+
+
+def test_fused_step_matches_public_backward():
+    params = init_params(12)
+    x = _rand_batch(13, n=3, h=11, w=10)
+    y = np.array([1.0, 0.0, 1.0])
+    probs, grads = _forward_backward(params, x, y)
+    assert np.array_equal(probs, forward(params, x))
+    public = backward(params, x, y)
+    for name in _SHAPES:
+        assert np.array_equal(grads[name], public[name])
+
+
 # --- adam -----------------------------------------------------------------------
 
 
@@ -347,6 +413,23 @@ def test_train_deterministic_and_label_sensitive(tiny_benchmark):
     )
 
 
+def test_train_runs_one_forward_pass_per_step(tiny_benchmark, monkeypatch):
+    root, train_entries, _ = tiny_benchmark
+    calls = []
+    real_forward_full = detector._forward_full
+
+    def counting_forward_full(params, batch):
+        calls.append(len(batch))
+        return real_forward_full(params, batch)
+
+    monkeypatch.setattr(detector, "_forward_full", counting_forward_full)
+    cfg = _config(epochs=3, batch_size=5, crop=8, seed=21)
+    train(train_entries, root, cfg)
+    steps_per_epoch = -(-len(train_entries) // cfg.batch_size)
+    assert len(calls) == cfg.epochs * steps_per_epoch
+    assert sum(calls) == cfg.epochs * len(train_entries)
+
+
 def test_train_rejects_single_class(tiny_benchmark):
     root, train_entries, _ = tiny_benchmark
     reals = [e for e in train_entries if e.label == 0]
@@ -409,3 +492,28 @@ def test_weights_reject_garbage(tmp_path):
     path.write_text("NOT-A-MODEL\n")
     with pytest.raises(PixmapError):
         load_params(path)
+
+    good = tmp_path / "good.w1"
+    save_params(good, init_params(34), ReducerSpec.parse("none"), reducer_seed=1, crop_size=32)
+    text = good.read_text()
+
+    path.write_text(text + "tensor extra_w 1 1\n0.5\n")
+    with pytest.raises(PixmapError) as err:
+        load_params(path)
+    assert err.value.code == "malformed-header"
+
+    lines = text.splitlines()
+    row = lines.index("tensor conv1_w 8 3 3 3") + 1
+    lines[row] = lines[row].replace(lines[row].split()[3], "abc", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(PixmapError) as err:
+        load_params(path)
+    assert err.value.code == "malformed-payload"
+
+
+def test_save_params_replaces_atomically(tmp_path):
+    path = tmp_path / "model.w1"
+    for seed in (35, 36):
+        save_params(path, init_params(seed), ReducerSpec.parse("npr"), reducer_seed=2, crop_size=16)
+        assert load_params(path)[0].conv1_w.tobytes() == init_params(seed).conv1_w.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["model.w1"]  # no temp file left

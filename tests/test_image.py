@@ -14,6 +14,7 @@ from pixmap.image import (
     quantize,
     read_imagef,
     to_float,
+    write_atomic,
     write_imagef,
 )
 from pixmap.rng import SplitMix64
@@ -192,3 +193,14 @@ def test_imagef_file_round_trip_exact(tmp_path):
     path2 = tmp_path / "y.imf"
     write_imagef(path2, img)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_write_atomic_keeps_old_file_on_failure(tmp_path):
+    path = tmp_path / "out.bin"
+    write_atomic(path, b"old")
+    with pytest.raises(TypeError):
+        write_atomic(path, "not bytes")
+    assert path.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]  # temp file removed
+    write_atomic(path, b"new")
+    assert path.read_bytes() == b"new"

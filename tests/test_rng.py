@@ -76,3 +76,67 @@ def test_generator_regression_values():
     assert mix64(0x123456789) == 5875498230111062770
     assert fnv1a64(b"crop") == 1330364610467660087
     assert SplitMix64(0).next_u64() == 16294208416658607535
+
+
+def _scalar_shuffle(seed, n):
+    """Reference Fisher-Yates: one scalar randrange(i + 1) per step."""
+    rng = SplitMix64(seed)
+    items = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items, rng._counter
+
+
+SHUFFLE_SEEDS = (0, 1, 99, 2**63 + 5, 2**64 - 1)
+
+
+def test_bulk_shuffle_matches_scalar_reference():
+    for seed in SHUFFLE_SEEDS:
+        for n in range(301):
+            items = list(range(n))
+            SplitMix64(seed).shuffle(items)
+            assert items == _scalar_shuffle(seed, n)[0], (seed, n)
+
+
+def test_bulk_shuffle_leaves_counter_where_scalar_does():
+    for seed in SHUFFLE_SEEDS:
+        for n in (0, 1, 2, 3, 17, 256, 300):
+            rng = SplitMix64(seed)
+            rng.shuffle(list(range(n)))
+            assert rng._counter == _scalar_shuffle(seed, n)[1]
+            # the next draw continues the same stream
+            ref = SplitMix64(seed)
+            ref._counter = rng._counter
+            assert rng.next_u64() == ref.next_u64()
+
+
+def test_forced_rejection_falls_back_to_reference(monkeypatch):
+    n = 300
+    refs = {seed: _scalar_shuffle(seed, n) for seed in SHUFFLE_SEEDS}
+    real_bulk = SplitMix64._bulk_u64
+    real_randrange = SplitMix64.randrange
+    scalar_draws = []
+
+    def counting_randrange(self, m):
+        scalar_draws.append(m)
+        return real_randrange(self, m)
+
+    monkeypatch.setattr(SplitMix64, "randrange", counting_randrange)
+    for position in (0, 1, 150, n - 3):
+        m = n - position  # the bound i + 1 at this step; not a power of 2
+        assert m & (m - 1) != 0
+
+        def bulk_with_reject(self, count, position=position):
+            words = real_bulk(self, count)
+            words[position] = np.uint64(2**64 - 1)  # above every non-power-of-2 bound
+            return words
+
+        monkeypatch.setattr(SplitMix64, "_bulk_u64", bulk_with_reject)
+        for seed in SHUFFLE_SEEDS:
+            scalar_draws.clear()
+            rng = SplitMix64(seed)
+            items = list(range(n))
+            rng.shuffle(items)
+            assert (items, rng._counter) == refs[seed]
+            assert scalar_draws == list(range(m, 1, -1))  # scalar path took over there
