@@ -60,6 +60,7 @@ from .detector import (
     evaluate,
     forward,
     init_params,
+    load_images,
     load_params,
     loss,
     save_params,

@@ -12,6 +12,7 @@ exit nonzero; exit code 0 means success.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -24,6 +25,7 @@ from . import __version__
 from .detector import (
     TrainConfig,
     evaluate,
+    load_images,
     load_params,
     save_params,
     train,
@@ -76,8 +78,12 @@ def _write_run_manifest(path: Path, subcommand: str, flags: dict, seeds: dict, i
 
 
 def _load_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise PixmapError("bad-config", f"{path} is not ASCII") from exc
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -88,55 +94,49 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-_CONFIG_KEYS = {
-    "lr": float,
-    "beta1": float,
-    "beta2": float,
-    "weight_decay": float,
-    "epochs": int,
-    "batch_size": int,
-    "crop": int,
-    "seed": int,
-}
+# Every TrainConfig field but the reducer is a flag and a config key; its
+# default's type casts config-file values.
+_SETTINGS = {f.name: f for f in dataclasses.fields(TrainConfig) if f.name != "reducer"}
+_REPORT_SETTINGS = ("seed", "epochs", "batch_size", "crop", "lr", "weight_decay")
 
-_TRAIN_DEFAULTS = {
-    "lr": 2e-4,
-    "beta1": 0.9,
-    "beta2": 0.999,
-    "weight_decay": 2e-4,
-    "epochs": 30,
-    "batch_size": 32,
-    "crop": 32,
-    "seed": 1,
-}
+
+def _add_setting_flags(parser, names) -> None:
+    """Add one flag per TrainConfig setting; unset flags stay None."""
+    for name in names:
+        f = _SETTINGS[name]
+        parser.add_argument(
+            "--" + name.replace("_", "-"), dest=name, type=type(f.default), default=None,
+            help=f"{f.metadata['help']} (default {f.default!r})",
+        )
 
 
 def _resolve_train_config(args, reducer: ReducerSpec) -> TrainConfig:
-    """Merge precedence: explicit flags > config file > built-in defaults."""
-    file_values = _load_config_file(args.config) if args.config else {}
+    """Merge precedence: explicit flags > config file > TrainConfig defaults."""
+    config_path = getattr(args, "config", None)
+    file_values = _load_config_file(config_path) if config_path else {}
+    unknown = set(file_values) - set(_SETTINGS)
+    if unknown:
+        raise PixmapError("bad-config", f"unknown config keys: {sorted(unknown)}")
     resolved = {}
-    for key, cast in _CONFIG_KEYS.items():
-        flag = getattr(args, key)
+    for key, f in _SETTINGS.items():
+        flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
         elif key in file_values:
             try:
-                resolved[key] = cast(file_values[key])
+                resolved[key] = type(f.default)(file_values[key])
             except ValueError as exc:
                 raise PixmapError("bad-config", f"config key {key}: {exc}") from exc
-        else:
-            resolved[key] = _TRAIN_DEFAULTS[key]
-        unknown = set(file_values) - set(_CONFIG_KEYS)
-    if args.config and unknown:
-        raise PixmapError("bad-config", f"unknown config keys: {sorted(unknown)}")
     return TrainConfig(reducer=reducer, **resolved)
 
 
 def _load_split(data_dir: str, split: str):
+    """Read a split's manifest and decode its images once: (entries, images)."""
     manifest_path = Path(data_dir) / f"{split}_manifest.csv"
     if not manifest_path.is_file():
         raise PixmapError("missing-file", f"no {split} manifest at {manifest_path}")
-    return read_manifest_csv(manifest_path), Path(data_dir)
+    entries = read_manifest_csv(manifest_path)
+    return entries, load_images(entries, data_dir)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -251,7 +251,7 @@ def _cmd_spectrum(args) -> int:
     images = []
     for p in paths:
         img = decode_ppm(p.read_bytes())
-        if args.crop:
+        if args.crop is not None:
             img = crop(img, CropSpec(args.crop, "center"))
         images.append(apply_reducer(reducer, img, reducer_root, p.relative_to(in_dir).as_posix()))
     spec = mean_spectrum(images)
@@ -285,8 +285,8 @@ def _cmd_train(args) -> int:
     started = time.time()
     reducer = ReducerSpec.parse(args.reducer)
     config = _resolve_train_config(args, reducer)
-    entries, root = _load_split(args.data, "train")
-    params, trace = train(entries, root, config)
+    entries, images = _load_split(args.data, "train")
+    params, trace = train(entries, images, config)
     reducer_seed = derive_seed(config.seed, "reducer")
     out_path = Path(args.out)
     save_params(out_path, params, reducer, reducer_seed, config.crop)
@@ -298,7 +298,7 @@ def _cmd_train(args) -> int:
             "reducer": reducer.canonical(),
             "out": args.out,
             "config": args.config,
-            **{k: getattr(config, k) for k in _CONFIG_KEYS},
+            **{k: getattr(config, k) for k in _SETTINGS},
         },
         {
             "root": config.seed,
@@ -340,8 +340,8 @@ def _cmd_eval(args) -> int:
             "reducer-mismatch",
             f"model was trained with {model_reducer.canonical()}, got {requested.canonical()}",
         )
-    entries, root = _load_split(args.data, args.split)
-    report = evaluate(params, entries, root, model_reducer, reducer_seed, crop_size)
+    entries, images = _load_split(args.data, args.split)
+    report = evaluate(params, entries, images, model_reducer, reducer_seed, crop_size)
     for line in _report_lines(report):
         print(line)
     outputs = []
@@ -367,39 +367,23 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def run_experiment(
-    data_dir,
-    seed: int = 1,
-    epochs: int = 30,
-    batch_size: int = 32,
-    crop_size: int = 32,
-    lr: float = 2e-4,
-    weight_decay: float = 2e-4,
-) -> str:
+def run_experiment(data_dir, config: TrainConfig) -> str:
     """Train and evaluate one detector per reducer on the same benchmark.
 
     Returns the comparison CSV (reducer, train_acc, test_acc, test_ap) with
-    one row per reducer in the documented fixed order. The same root seed
-    drives every run, so rows differ only by reducer.
+    one row per reducer in the documented fixed order. Each split is decoded
+    once, and every row uses ``config`` with only the reducer swapped, so
+    rows differ only by reducer.
     """
-    train_entries, root = _load_split(data_dir, "train")
-    test_entries, _ = _load_split(data_dir, "test")
+    train_entries, train_images = _load_split(data_dir, "train")
+    test_entries, test_images = _load_split(data_dir, "test")
+    reducer_seed = derive_seed(config.seed, "reducer")
     lines = ["reducer,train_acc,test_acc,test_ap"]
     for name in REPORT_REDUCERS:
-        reducer = ReducerSpec.parse(name)
-        config = TrainConfig(
-            reducer=reducer,
-            seed=seed,
-            lr=lr,
-            weight_decay=weight_decay,
-            epochs=epochs,
-            batch_size=batch_size,
-            crop=crop_size,
-        )
-        params, _ = train(train_entries, root, config)
-        reducer_seed = derive_seed(seed, "reducer")
-        train_report = evaluate(params, train_entries, root, reducer, reducer_seed, crop_size)
-        test_report = evaluate(params, test_entries, root, reducer, reducer_seed, crop_size)
+        run = dataclasses.replace(config, reducer=ReducerSpec.parse(name))
+        params, _ = train(train_entries, train_images, run)
+        train_report = evaluate(params, train_entries, train_images, run.reducer, reducer_seed, run.crop)
+        test_report = evaluate(params, test_entries, test_images, run.reducer, reducer_seed, run.crop)
         lines.append(
             f"{name},{train_report.accuracy!r},{test_report.accuracy!r},"
             f"{test_report.average_precision!r}"
@@ -409,15 +393,9 @@ def run_experiment(
 
 def _cmd_report(args) -> int:
     started = time.time()
-    csv_text = run_experiment(
-        args.data,
-        seed=args.seed,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        crop_size=args.crop,
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-    )
+    # run_experiment swaps in each reducer; the first one only fills the field.
+    config = _resolve_train_config(args, ReducerSpec.parse(REPORT_REDUCERS[0]))
+    csv_text = run_experiment(args.data, config)
     out_path = Path(args.out)
     write_atomic(out_path, csv_text.encode("ascii"))
     _write_run_manifest(
@@ -426,14 +404,9 @@ def _cmd_report(args) -> int:
         {
             "data": args.data,
             "out": args.out,
-            "seed": args.seed,
-            "epochs": args.epochs,
-            "batch_size": args.batch_size,
-            "crop": args.crop,
-            "lr": args.lr,
-            "weight_decay": args.weight_decay,
+            **{k: getattr(config, k) for k in _REPORT_SETTINGS},
         },
-        {"root": args.seed},
+        {"root": config.seed},
         [args.data],
         [out_path],
         started,
@@ -496,16 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="none|fixed|random|highpass[:c]|shuffle:N|npr")
     p.add_argument("--out", required=True, help="weights file to write")
     p.add_argument("--config", default=None, help="key=value config file; flags override")
-    p.add_argument("--lr", type=float, default=None, help="Adam learning rate (default 2e-4)")
-    p.add_argument("--beta1", type=float, default=None, help="Adam beta1 (default 0.9)")
-    p.add_argument("--beta2", type=float, default=None, help="Adam beta2 (default 0.999)")
-    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None,
-                   help="decoupled weight decay (default 2e-4)")
-    p.add_argument("--epochs", type=int, default=None, help="training epochs (default 30)")
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None,
-                   help="minibatch size (default 32)")
-    p.add_argument("--crop", type=int, default=None, help="random crop size (default 32)")
-    p.add_argument("--seed", type=int, default=None, help="root seed (default 1)")
+    _add_setting_flags(p, _SETTINGS)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate saved weights on a benchmark split")
@@ -520,12 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="train+eval every reducer, emit comparison CSV")
     p.add_argument("--data", required=True, help="benchmark directory")
     p.add_argument("--out", required=True, help="comparison CSV path")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=32)
-    p.add_argument("--crop", type=int, default=32)
-    p.add_argument("--lr", type=float, default=2e-4)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=2e-4)
+    _add_setting_flags(p, _REPORT_SETTINGS)
     p.set_defaults(func=_cmd_report)
 
     return parser

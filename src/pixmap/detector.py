@@ -17,13 +17,13 @@ identical seeds give bit-identical weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import PixmapError
-from .image import CropSpec, Image8, crop, decode_ppm, write_atomic
+from .image import CropSpec, Image8, crop, decode_ppm, format_rows, parse_rows, write_atomic
 from .reducers import ReducerSpec, apply_reducer
 from .rng import SplitMix64, derive_seed
 from .synthgen import ManifestEntry
@@ -80,17 +80,25 @@ def init_params(seed: int) -> DetectorParams:
     return DetectorParams(**out)
 
 
+def _setting(default, help_text):
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings. The only home of their defaults: the CLI's train
+    and report flags and the config-file keys are derived from these fields.
+    """
+
     reducer: ReducerSpec
-    seed: int
-    lr: float = 2e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    weight_decay: float = 2e-4
-    epochs: int = 30
-    batch_size: int = 32
-    crop: int = 32
+    lr: float = _setting(2e-4, "Adam learning rate")
+    beta1: float = _setting(0.9, "Adam beta1")
+    beta2: float = _setting(0.999, "Adam beta2")
+    weight_decay: float = _setting(2e-4, "decoupled weight decay")
+    epochs: int = _setting(30, "training epochs")
+    batch_size: int = _setting(32, "minibatch size")
+    crop: int = _setting(32, "crop size (random in training, center in eval)")
+    seed: int = _setting(1, "root seed")
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -315,7 +323,12 @@ def adam_step(
 # --- training / evaluation --------------------------------------------------------
 
 
-def _load_images(entries, root) -> list[Image8]:
+def load_images(entries, root) -> list[Image8]:
+    """Decode every entry's PPM under ``root``, in manifest order.
+
+    The commands decode each split once with this and hand the images to
+    :func:`train` and :func:`evaluate`.
+    """
     root = Path(root)
     images = []
     for e in entries:
@@ -326,14 +339,31 @@ def _load_images(entries, root) -> list[Image8]:
     return images
 
 
-def _to_chw(img_f) -> np.ndarray:
-    return img_f.data.transpose(2, 0, 1)
+def _sample_batch(images, entries, indices, reducer, reducer_root, crop_size, seed=None, epoch=None):
+    """Crop, reduce and stack the indexed samples into an N x 3 x H x W batch.
+
+    Training (``epoch`` given) takes a random crop seeded by
+    ``derive_seed(seed, "crop", epoch, path)`` and tags the reducer with
+    ``(path, epoch)``; evaluation takes a centre crop and the tag ``(path,)``.
+    """
+    center = CropSpec(crop_size, "center")
+    xs = []
+    for i in indices:
+        path = entries[i].path
+        if epoch is None:
+            spec, tags = center, (path,)
+        else:
+            spec = CropSpec(crop_size, "random", derive_seed(seed, "crop", epoch, path))
+            tags = (path, epoch)
+        reduced = apply_reducer(reducer, crop(images[i], spec), reducer_root, *tags)
+        xs.append(reduced.data.transpose(2, 0, 1))
+    return np.stack(xs)
 
 
 def train(
-    entries: list[ManifestEntry], root, config: TrainConfig
+    entries: list[ManifestEntry], images: list[Image8], config: TrainConfig
 ) -> tuple[DetectorParams, list[float]]:
-    """Train on a manifest; returns final weights and per-epoch mean loss.
+    """Train on decoded manifest images; returns final weights and per-epoch mean loss.
 
     Each epoch reshuffles the sample order, redraws every random crop, and
     redraws any stochastic reducer state, all from seeds derived off
@@ -347,7 +377,6 @@ def train(
         raise PixmapError("single-class", f"training needs both labels, got {labels_present}")
     config.reducer.validate_for_crop(config.crop)
 
-    images = _load_images(entries, root)
     params = init_params(derive_seed(config.seed, "init"))
     reducer_root = derive_seed(config.seed, "reducer")
     state = AdamState.zeros()
@@ -359,19 +388,10 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             chunk = order[start : start + config.batch_size]
-            xs = []
-            ys = []
-            for i in chunk:
-                entry = entries[i]
-                spec = CropSpec(
-                    config.crop, "random", derive_seed(config.seed, "crop", epoch, entry.path)
-                )
-                window = crop(images[i], spec)
-                reduced = apply_reducer(config.reducer, window, reducer_root, entry.path, epoch)
-                xs.append(_to_chw(reduced))
-                ys.append(entry.label)
-            batch = np.stack(xs)
-            y = np.array(ys, dtype=np.float64)
+            batch = _sample_batch(
+                images, entries, chunk, config.reducer, reducer_root, config.crop, config.seed, epoch
+            )
+            y = np.array([entries[i].label for i in chunk], dtype=np.float64)
             probs, grads = _forward_backward(params, batch, y)
             epoch_loss += loss(probs, y) * len(chunk)
             params, state = adam_step(params, grads, state, config)
@@ -423,13 +443,13 @@ def average_precision(scores, labels) -> float:
 def evaluate(
     params: DetectorParams,
     entries: list[ManifestEntry],
-    root,
+    images: list[Image8],
     reducer: ReducerSpec,
     reducer_seed: int,
     crop_size: int,
     batch_size: int = 64,
 ) -> EvalReport:
-    """Center-crop, reduce, and score a manifest; accuracy at 0.5 plus AP.
+    """Center-crop, reduce, and score decoded manifest images; accuracy at 0.5 plus AP.
 
     Stochastic reducers derive per-image state from the image path alone,
     so the report is invariant to manifest order.
@@ -437,20 +457,11 @@ def evaluate(
     if not entries:
         raise PixmapError("empty-manifest", "evaluation manifest has no entries")
     reducer.validate_for_crop(crop_size)
-    images = _load_images(entries, root)
-    spec = CropSpec(crop_size, "center")
     scores = np.empty(len(entries))
     for start in range(0, len(entries), batch_size):
-        chunk = list(range(start, min(start + batch_size, len(entries))))
-        batch = np.stack(
-            [
-                _to_chw(
-                    apply_reducer(reducer, crop(images[i], spec), reducer_seed, entries[i].path)
-                )
-                for i in chunk
-            ]
-        )
-        scores[chunk] = forward(params, batch)
+        chunk = range(start, min(start + batch_size, len(entries)))
+        batch = _sample_batch(images, entries, chunk, reducer, reducer_seed, crop_size)
+        scores[start : start + len(chunk)] = forward(params, batch)
     labels = np.array([e.label for e in entries])
 
     per_generator: dict[str, GeneratorStats] = {}
@@ -501,9 +512,7 @@ def save_params(path, params: DetectorParams, reducer: ReducerSpec, reducer_seed
     for name, arr in params.as_dict().items():
         dims = " ".join(str(d) for d in arr.shape)
         lines.append(f"tensor {name} {dims}")
-        flat = arr.reshape(arr.shape[0], -1)
-        for row in flat:
-            lines.append(" ".join(repr(x) for x in row.tolist()))
+        lines += format_rows(arr.reshape(arr.shape[0], -1))
     write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
@@ -548,21 +557,7 @@ def load_params(path) -> tuple[DetectorParams, ReducerSpec, int, int]:
         if dims != " ".join(str(d) for d in shape):
             raise PixmapError("malformed-header", f"tensor {name} must be {shape}, got {dims!r}")
         width = int(np.prod(shape[1:]))
-        rows = []
-        for _ in range(shape[0]):
-            row_line = next(lines, None)
-            if row_line is None:
-                raise PixmapError("truncated-payload", f"tensor {name} ended early")
-            try:
-                row = [float(t) for t in row_line.split()]
-            except ValueError as exc:
-                raise PixmapError("malformed-payload", f"tensor {name}: {exc}") from exc
-            if len(row) != width:
-                raise PixmapError(
-                    "malformed-payload", f"tensor {name} row has {len(row)} values, want {width}"
-                )
-            rows.append(row)
-        tensors[name] = np.array(rows).reshape(shape)
+        tensors[name] = parse_rows(lines, shape[0], width, f"tensor {name}").reshape(shape)
     missing = set(_SHAPES) - set(tensors)
     if missing:
         raise PixmapError("truncated-payload", f"missing tensors: {sorted(missing)}")

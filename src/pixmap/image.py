@@ -10,11 +10,12 @@ File formats:
   emits one canonical byte form (single-space tokens, newline before the
   payload) so identical images always produce identical files.
 * ``PIXMAP-IMF1`` is a plain-text container for ``ImageF`` using shortest
-  round-trip decimals, exact under write/read.
+  round-trip decimals, exact under write/read. Its rows, and the detector's
+  weights file, go through :func:`format_rows` and :func:`parse_rows`.
 * PGM ``P5`` is write-only, for grayscale heatmap export.
 
-The file writers here, and the CLI's, go through :func:`write_atomic`, so
-a crash never leaves a partial file under the target name.
+Every file writer in the package goes through :func:`write_atomic`, so a
+crash never leaves a partial file under the target name.
 """
 
 from __future__ import annotations
@@ -229,6 +230,36 @@ def quantize(img: ImageF, lo: float, hi: float) -> Image8:
     return Image8(np.rint(np.clip(scaled, 0.0, 255.0)).astype(np.uint8))
 
 
+# --- shortest-repr text rows -------------------------------------------------
+
+
+def format_rows(rows: np.ndarray) -> list[str]:
+    """One line per row of a 2-D array, in shortest round-trip decimals."""
+    return [" ".join(repr(x) for x in row) for row in rows.tolist()]
+
+
+def parse_rows(lines, n_rows: int, width: int, what: str) -> np.ndarray:
+    """Read ``n_rows`` lines of ``width`` decimals from the iterator ``lines``.
+
+    Exact inverse of :func:`format_rows`. Raises PixmapError with code
+    ``truncated-payload`` when the lines run out and ``malformed-payload``
+    for a value that is not a number or a row of the wrong length.
+    """
+    rows = []
+    for _ in range(n_rows):
+        line = next(lines, None)
+        if line is None:
+            raise PixmapError("truncated-payload", f"{what} ended early")
+        try:
+            row = [float(t) for t in line.split()]
+        except ValueError as exc:
+            raise PixmapError("malformed-payload", f"{what}: {exc}") from exc
+        if len(row) != width:
+            raise PixmapError("malformed-payload", f"{what} row has {len(row)} values, want {width}")
+        rows.append(row)
+    return np.array(rows, dtype=np.float64).reshape(n_rows, width)
+
+
 # --- ImageF text container ----------------------------------------------------
 
 _IMF_MAGIC = "PIXMAP-IMF1"
@@ -237,29 +268,30 @@ _IMF_MAGIC = "PIXMAP-IMF1"
 def write_imagef(path, img: ImageF) -> None:
     """Write an ImageF as text: magic, dims, one line of decimals per row."""
     lines = [_IMF_MAGIC, f"{img.height} {img.width} {img.channels}"]
-    flat = img.data.reshape(img.height, img.width * img.channels)
-    for row in flat:
-        lines.append(" ".join(repr(x) for x in row.tolist()))
+    lines += format_rows(img.data.reshape(img.height, img.width * img.channels))
     write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_imagef(path) -> ImageF:
-    """Read a PIXMAP-IMF1 file; exact inverse of :func:`write_imagef`."""
-    with open(path, "r", encoding="ascii") as fh:
-        magic = fh.readline().strip()
-        if magic != _IMF_MAGIC:
-            raise PixmapError("unsupported-format", f"expected {_IMF_MAGIC}, got {magic!r}")
-        try:
-            h, w, c = (int(t) for t in fh.readline().split())
-        except ValueError as exc:
-            raise PixmapError("malformed-header", f"bad IMF dimensions: {exc}") from exc
-        rows = []
-        for _ in range(h):
-            line = fh.readline()
-            if not line:
-                raise PixmapError("truncated-payload", "IMF file ended early")
-            row = np.array([float(t) for t in line.split()], dtype=np.float64)
-            if row.size != w * c:
-                raise PixmapError("truncated-payload", f"IMF row has {row.size} samples")
-            rows.append(row)
-    return ImageF(np.stack(rows).reshape(h, w, c))
+    """Read a PIXMAP-IMF1 file; exact inverse of :func:`write_imagef`.
+
+    A bad file raises PixmapError with code ``unsupported-format`` (not an
+    ASCII IMF file), ``malformed-header`` (a bad dimensions line),
+    ``malformed-payload`` (a value that is not a number, or a row of the
+    wrong length), ``truncated-payload`` (the file ends early) or
+    ``non-finite``.
+    """
+    try:
+        lines = iter(Path(path).read_text(encoding="ascii").splitlines())
+    except UnicodeDecodeError as exc:
+        raise PixmapError("unsupported-format", f"not a {_IMF_MAGIC} file: {path}") from exc
+    magic = next(lines, "").strip()
+    if magic != _IMF_MAGIC:
+        raise PixmapError("unsupported-format", f"expected {_IMF_MAGIC}, got {magic!r}")
+    try:
+        h, w, c = (int(t) for t in next(lines, "").split())
+    except ValueError as exc:
+        raise PixmapError("malformed-header", f"bad IMF dimensions: {exc}") from exc
+    if min(h, w, c) < 1:
+        raise PixmapError("malformed-header", f"bad IMF dimensions {h}x{w}x{c}")
+    return ImageF(parse_rows(lines, h, w * c, "IMF").reshape(h, w, c))

@@ -23,6 +23,7 @@ from .errors import PixmapError
 from .image import Image8, ImageF, to_float
 from .mapping import apply_mapping, build_fixed_table, build_random_tables
 from .rng import SplitMix64, derive_seed
+from .spectral import dc_distance
 
 DEFAULT_HIGHPASS_CUTOFF = 0.25
 NPR_BLOCK = 2
@@ -101,9 +102,7 @@ def highpass(img: Image8, cutoff_fraction: float) -> ImageF:
     if not 0.0 < cutoff_fraction < 1.0:
         raise PixmapError("bad-cutoff", f"cutoff must be in (0,1), got {cutoff_fraction}")
     h, w = img.height, img.width
-    cy, cx = h // 2, w // 2
-    yy, xx = np.ogrid[:h, :w]
-    keep = np.hypot(yy - cy, xx - cx) >= cutoff_fraction * (min(h, w) / 2.0)
+    keep = dc_distance(h, w) >= cutoff_fraction * (min(h, w) / 2.0)
     out = np.empty((h, w, 3), dtype=np.float64)
     data = img.data.astype(np.float64)
     for c in range(3):

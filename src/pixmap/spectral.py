@@ -121,6 +121,12 @@ def mean_spectrum(images: Sequence[ImageF] | Iterable[ImageF]) -> Spectrum2D:
     return Spectrum2D(acc / count)
 
 
+def dc_distance(h: int, w: int) -> np.ndarray:
+    """Euclidean distance of every bin of an H x W grid to the DC bin (H//2, W//2)."""
+    yy, xx = np.ogrid[:h, :w]
+    return np.hypot(yy - h // 2, xx - w // 2)
+
+
 def azimuthal_profile(spec: Spectrum2D) -> RadialProfile:
     """Collapse a centered spectrum into mean power per integer radius.
 
@@ -129,12 +135,8 @@ def azimuthal_profile(spec: Spectrum2D) -> RadialProfile:
     on a .5 tie. Corner bins past floor(min(H, W) / 2) fold into the top
     ring (see :class:`RadialProfile`).
     """
-    h, w = spec.height, spec.width
-    cy, cx = h // 2, w // 2
-    yy, xx = np.ogrid[:h, :w]
-    dist = np.hypot(yy - cy, xx - cx)
-    max_r = min(h, w) // 2
-    radii = np.minimum(np.rint(dist).astype(np.int64), max_r)
+    max_r = min(spec.height, spec.width) // 2
+    radii = np.minimum(np.rint(dc_distance(spec.height, spec.width)).astype(np.int64), max_r)
     counts = np.bincount(radii.ravel(), minlength=max_r + 1)
     sums = np.bincount(radii.ravel(), weights=spec.power.ravel(), minlength=max_r + 1)
     return RadialProfile(sums / counts, counts)

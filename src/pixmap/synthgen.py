@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from pathlib import Path, PurePosixPath
 
 import numpy as np
 
 from .errors import PixmapError
-from .image import Image8, ImageF, quantize
+from .image import Image8, ImageF, encode_ppm, quantize, write_atomic
 from .rng import SplitMix64, derive_seed
 
 UPSAMPLERS = ("nearest", "bilinear", "zero_insert_conv")
@@ -294,49 +295,56 @@ def build_benchmark(
 
 
 def materialize(manifest: DatasetManifest, out_dir) -> None:
-    """Write every manifest entry's image under ``out_dir``."""
-    from pathlib import Path
-
-    from .image import encode_ppm
-
+    """Write every manifest entry's image under ``out_dir``, each atomically."""
     root = Path(out_dir)
     size = manifest.spec_snapshot["size"]
     noise_sigma = manifest.spec_snapshot["noise_sigma"]
     for entry in manifest.entries:
         target = root / entry.path
         target.parent.mkdir(parents=True, exist_ok=True)
-        img = generate(entry_spec(entry, size, noise_sigma))
-        target.write_bytes(encode_ppm(img))
+        write_atomic(target, encode_ppm(generate(entry_spec(entry, size, noise_sigma))))
+
+
+_MANIFEST_HEADER = "path,label,generator,family,seed"
 
 
 def write_manifest_csv(path, manifest: DatasetManifest) -> None:
-    lines = ["path,label,generator,family,seed"]
+    lines = [_MANIFEST_HEADER]
     for e in manifest.entries:
         lines.append(f"{e.path},{e.label},{e.generator},{e.family},{e.seed}")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def read_manifest_csv(path) -> list[ManifestEntry]:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != "path,label,generator,family,seed":
-            raise PixmapError("bad-manifest", f"unexpected manifest header {header!r}")
-        entries = []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise PixmapError("bad-manifest", f"line {lineno}: expected 5 fields")
-            entries.append(
-                ManifestEntry(
-                    path=parts[0],
-                    label=int(parts[1]),
-                    generator=parts[2],
-                    family=parts[3],
-                    seed=int(parts[4]),
-                )
-            )
+    """Inverse of :func:`write_manifest_csv`.
+
+    Non-ASCII bytes, a wrong header or field count, a non-integer label or
+    seed, a label outside {0, 1}, and an absolute path or one with a ``..``
+    part all raise PixmapError("bad-manifest").
+    """
+    try:
+        lines = Path(path).read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise PixmapError("bad-manifest", f"{path} is not ASCII") from exc
+    header = lines[0].strip() if lines else ""
+    if header != _MANIFEST_HEADER:
+        raise PixmapError("bad-manifest", f"unexpected manifest header {header!r}")
+    entries = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise PixmapError("bad-manifest", f"line {lineno}: expected 5 fields")
+        rel, label, generator, family, seed = parts
+        try:
+            label, seed = int(label), int(seed)
+        except ValueError as exc:
+            raise PixmapError("bad-manifest", f"line {lineno}: {exc}") from exc
+        if label not in (0, 1):
+            raise PixmapError("bad-manifest", f"line {lineno}: label must be 0 or 1, got {label}")
+        if PurePosixPath(rel).is_absolute() or ".." in PurePosixPath(rel).parts:
+            raise PixmapError("bad-manifest", f"line {lineno}: unsafe path {rel!r}")
+        entries.append(ManifestEntry(rel, label, generator, family, seed))
     return entries

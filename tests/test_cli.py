@@ -72,3 +72,47 @@ def test_eval_model_with_non_numeric_value(capsys, tmp_path, weights_text):
         capsys, ["eval", "--model", model, "--data", tmp_path, "--reducer", "none"]
     )
     assert line.startswith("error: malformed-payload: ")
+
+
+@pytest.fixture
+def corpus_with_row(tmp_path):
+    """Write a train manifest with one extra, caller-supplied row."""
+
+    def write(row):
+        (tmp_path / "train_manifest.csv").write_text(
+            "path,label,generator,family,seed\ntrain/real_0000.ppm,0,real,A,1\n" + row + "\n"
+        )
+        return tmp_path
+
+    return write
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["train/fake_0000.ppm,x,nearest,B,2", "/etc/passwd,0,real,A,2"],
+    ids=["non-numeric-label", "absolute-path"],
+)
+def test_train_rejects_bad_manifest_row(capsys, tmp_path, corpus_with_row, row):
+    data = corpus_with_row(row)
+    line = run_cli_error(
+        capsys, ["train", "--data", data, "--reducer", "none", "--out", tmp_path / "m.w1"]
+    )
+    assert line.startswith("error: bad-manifest: ")
+
+
+def test_spectrum_zero_crop(capsys, tmp_path, ppm_path):
+    line = run_cli_error(
+        capsys, ["spectrum", "--in", tmp_path, "--crop", 0, "--out", tmp_path / "p.csv"]
+    )
+    assert line.startswith("error: bad-crop: ")
+
+
+def test_train_non_ascii_config(capsys, tmp_path):
+    config = tmp_path / "cfg.txt"
+    config.write_bytes(b"lr=0.001 \xe2\x80\x94 faster\n")
+    line = run_cli_error(
+        capsys,
+        ["train", "--data", tmp_path, "--reducer", "none", "--out", tmp_path / "m.w1",
+         "--config", config],
+    )
+    assert line.startswith("error: bad-config: ")

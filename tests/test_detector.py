@@ -21,6 +21,7 @@ from pixmap.detector import (
     evaluate,
     forward,
     init_params,
+    load_images,
     load_params,
     loss,
     save_params,
@@ -389,7 +390,7 @@ def test_train_overfits_two_samples(tiny_benchmark):
         e for e in train_entries if e.label == 1
     ][:1]
     cfg = _config(epochs=200, batch_size=2, crop=8, lr=0.02, weight_decay=0.0, seed=11)
-    params, trace = train(pair, root, cfg)
+    params, trace = train(pair, load_images(pair, root), cfg)
     assert trace[-1] < 0.01
     assert trace[-1] < trace[0]  # monotone improvement endpoint check
 
@@ -397,8 +398,8 @@ def test_train_overfits_two_samples(tiny_benchmark):
 def test_train_deterministic_and_label_sensitive(tiny_benchmark):
     root, train_entries, _ = tiny_benchmark
     cfg = _config(epochs=2, batch_size=4, crop=8, seed=21)
-    p1, t1 = train(train_entries, root, cfg)
-    p2, t2 = train(train_entries, root, cfg)
+    p1, t1 = train(train_entries, load_images(train_entries, root), cfg)
+    p2, t2 = train(train_entries, load_images(train_entries, root), cfg)
     assert t1 == t2
     for name in _SHAPES:
         assert getattr(p1, name).tobytes() == getattr(p2, name).tobytes()
@@ -407,7 +408,7 @@ def test_train_deterministic_and_label_sensitive(tiny_benchmark):
         type(e)(e.path, 1 - e.label, "real" if e.label else "nearest", e.family, e.seed)
         for e in train_entries
     ]
-    p3, _ = train(flipped, root, cfg)
+    p3, _ = train(flipped, load_images(flipped, root), cfg)
     assert any(
         getattr(p1, name).tobytes() != getattr(p3, name).tobytes() for name in _SHAPES
     )
@@ -424,7 +425,7 @@ def test_train_runs_one_forward_pass_per_step(tiny_benchmark, monkeypatch):
 
     monkeypatch.setattr(detector, "_forward_full", counting_forward_full)
     cfg = _config(epochs=3, batch_size=5, crop=8, seed=21)
-    train(train_entries, root, cfg)
+    train(train_entries, load_images(train_entries, root), cfg)
     steps_per_epoch = -(-len(train_entries) // cfg.batch_size)
     assert len(calls) == cfg.epochs * steps_per_epoch
     assert sum(calls) == cfg.epochs * len(train_entries)
@@ -434,7 +435,7 @@ def test_train_rejects_single_class(tiny_benchmark):
     root, train_entries, _ = tiny_benchmark
     reals = [e for e in train_entries if e.label == 0]
     with pytest.raises(PixmapError) as err:
-        train(reals, root, _config(crop=8))
+        train(reals, load_images(reals, root), _config(crop=8))
     assert err.value.code == "single-class"
 
 
@@ -442,17 +443,20 @@ def test_train_rejects_bad_shuffle_patch(tiny_benchmark):
     root, train_entries, _ = tiny_benchmark
     cfg = _config(reducer=ReducerSpec.parse("shuffle:3"), crop=8, epochs=1)
     with pytest.raises(PixmapError) as err:
-        train(train_entries, root, cfg)
+        train(train_entries, load_images(train_entries, root), cfg)
     assert err.value.code == "patch-mismatch"
 
 
 def test_evaluate_order_invariant_fixed_mapping(tiny_benchmark):
     root, train_entries, test_entries = tiny_benchmark
     cfg = _config(reducer=ReducerSpec.parse("fixed"), epochs=1, batch_size=4, crop=8, seed=5)
-    params, _ = train(train_entries, root, cfg)
+    params, _ = train(train_entries, load_images(train_entries, root), cfg)
     rs = derive_seed(cfg.seed, "reducer")
-    fwd = evaluate(params, test_entries, root, cfg.reducer, rs, 8)
-    rev = evaluate(params, list(reversed(test_entries)), root, cfg.reducer, rs, 8)
+    fwd = evaluate(params, test_entries, load_images(test_entries, root), cfg.reducer, rs, 8)
+    reversed_entries = list(reversed(test_entries))
+    rev = evaluate(
+        params, reversed_entries, load_images(reversed_entries, root), cfg.reducer, rs, 8
+    )
     assert fwd.accuracy == rev.accuracy
     assert fwd.average_precision == pytest.approx(rev.average_precision, rel=1e-12)
     assert fwd.per_generator == rev.per_generator
@@ -461,7 +465,9 @@ def test_evaluate_order_invariant_fixed_mapping(tiny_benchmark):
 def test_evaluate_report_fields(tiny_benchmark):
     root, train_entries, test_entries = tiny_benchmark
     params = init_params(1)
-    report = evaluate(params, test_entries, root, ReducerSpec.parse("none"), 0, 8)
+    report = evaluate(
+        params, test_entries, load_images(test_entries, root), ReducerSpec.parse("none"), 0, 8
+    )
     assert 0.0 <= report.accuracy <= 1.0
     assert 0.0 <= report.average_precision <= 1.0
     assert report.n == len(test_entries)

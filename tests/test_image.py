@@ -195,6 +195,22 @@ def test_imagef_file_round_trip_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        (b"PIXMAP-IMF1\n1 2 1\n0.5 abc\n", "malformed-payload"),
+        (b"PIXMAP-IMF1\n1 2 1\n0.5 \xff\n", "unsupported-format"),
+    ],
+    ids=["non-numeric", "non-ascii"],
+)
+def test_read_imagef_rejects_garbage(tmp_path, text, code):
+    path = tmp_path / "bad.imf"
+    path.write_bytes(text)
+    with pytest.raises(PixmapError) as err:
+        read_imagef(path)
+    assert err.value.code == code
+
 def test_write_atomic_keeps_old_file_on_failure(tmp_path):
     path = tmp_path / "out.bin"
     write_atomic(path, b"old")

@@ -252,3 +252,22 @@ def test_manifest_csv_round_trip(tmp_path):
     assert back == list(tr.entries)
     header = path.read_text().splitlines()[0]
     assert header == "path,label,generator,family,seed"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        b"train/real_0001.ppm,0,real,A,abc",
+        b"train/real_0001.ppm,2,real,A,1",
+        b"train/r\xc3\xa9al_0001.ppm,0,real,A,1",
+        b"train/../../secret.ppm,0,real,A,1",
+        b"/tmp/real_0001.ppm,0,real,A,1",
+    ],
+    ids=["non-numeric-seed", "label-2", "non-ascii", "dotdot-path", "absolute-path"],
+)
+def test_manifest_csv_rejects_bad_rows(tmp_path, row):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"path,label,generator,family,seed\ntrain/real_0000.ppm,0,real,A,1\n" + row + b"\n")
+    with pytest.raises(PixmapError) as err:
+        read_manifest_csv(path)
+    assert err.value.code == "bad-manifest"
