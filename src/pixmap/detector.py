@@ -8,9 +8,13 @@ against finite differences and a full training run takes seconds:
 
 Convolutions are valid (no padding, stride 1). The mean pool uses stride-2
 windows that shrink to partial windows on odd edges, so any input of at
-least 7x7 flows through. The optimizer is Adam with decoupled weight decay
-(weights shrink by lr * wd before the moment update). Each training step
-runs the forward pass once and takes the gradients from its cache.
+least 7x7 flows through. When conv1's output has even sides (30x30 at
+the default 32-px crop) every window is full: the pool sums one reshaped
+view, and its backward pass fuses with the ReLU mask into one broadcast.
+Odd sides take a loop over the four window taps with partial windows.
+The optimizer is Adam with decoupled weight decay (weights shrink by
+lr * wd before the moment update). Each training step runs the forward
+pass once and takes the gradients from its cache.
 Everything is plain float64 numpy with a fixed reduction order, so
 identical seeds give bit-identical weights.
 """
@@ -23,8 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PixmapError
-from .image import CropSpec, Image8, crop, decode_ppm, format_rows, parse_rows, write_atomic
-from .reducers import ReducerSpec, apply_reducer
+from .image import CropSpec, Image8, crop_origin, decode_ppm, format_rows, parse_rows, write_atomic
+from .reducers import ReducerSpec, reduce_batch
 from .rng import SplitMix64, derive_seed
 from .synthgen import ManifestEntry
 
@@ -165,15 +169,22 @@ def _conv_backward(grad_out, cols, x_shape, w, input_grad=True):
     return grad_x, grad_w, grad_b
 
 
-def _pool_dims(h, w):
-    return (h + 1) // 2, (w + 1) // 2
-
-
 def _meanpool_forward(x):
+    """2x2 mean pool; returns (pooled, counts), counts None when every window is full.
+
+    Both paths start from zeros and add the (0,0), (0,1), (1,0), (1,1)
+    taps in that order, so they agree bit for bit.
+    """
     n, c, h, w = x.shape
-    oh, ow = _pool_dims(h, w)
-    sums = np.zeros((n, c, oh, ow))
-    counts = np.zeros((oh, ow))
+    if h % 2 == 0 and w % 2 == 0:
+        windows = x.reshape(n, c, h // 2, 2, w // 2, 2)
+        sums = np.zeros((n, c, h // 2, w // 2))
+        for dy in (0, 1):
+            for dx in (0, 1):
+                sums += windows[:, :, :, dy, :, dx]
+        return sums / 4.0, None
+    sums = np.zeros((n, c, (h + 1) // 2, (w + 1) // 2))
+    counts = np.zeros(sums.shape[2:])
     for dy in (0, 1):
         for dx in (0, 1):
             sub = x[:, :, dy::2, dx::2]
@@ -182,14 +193,19 @@ def _meanpool_forward(x):
     return sums / counts, counts
 
 
-def _meanpool_backward(grad_out, counts, x_shape):
-    grad_x = np.zeros(x_shape)
+def _pool_relu_backward(grad_out, counts, a1):
+    """Gradient at conv1's pre-ReLU output ``a1`` from the pooled gradient."""
+    if counts is None:
+        n, c, h, w = a1.shape
+        live = (a1 > 0).reshape(n, c, h // 2, 2, w // 2, 2)
+        return np.where(live, (grad_out / 4.0)[:, :, :, None, :, None], 0.0).reshape(a1.shape)
+    grad = np.zeros(a1.shape)
     spread = grad_out / counts
     for dy in (0, 1):
         for dx in (0, 1):
-            sub = grad_x[:, :, dy::2, dx::2]
+            sub = grad[:, :, dy::2, dx::2]
             sub += spread[:, :, : sub.shape[2], : sub.shape[3]]
-    return grad_x
+    return np.where(a1 > 0, grad, 0.0)
 
 
 def _sigmoid(z):
@@ -261,8 +277,7 @@ def _forward_backward(params: DetectorParams, batch, labels):
     )
     da2 = np.where(a2 > 0, dr2, 0.0)
     dp1, grad_conv2_w, grad_conv2_b = _conv_backward(da2, cols2, p1.shape, params.conv2_w)
-    dr1 = _meanpool_backward(dp1, counts, r1.shape)
-    da1 = np.where(a1 > 0, dr1, 0.0)
+    da1 = _pool_relu_backward(dp1, counts, a1)
     _, grad_conv1_w, grad_conv1_b = _conv_backward(
         da1, cols1, x.shape, params.conv1_w, input_grad=False
     )
@@ -345,19 +360,27 @@ def _sample_batch(images, entries, indices, reducer, reducer_root, crop_size, se
     Training (``epoch`` given) takes a random crop seeded by
     ``derive_seed(seed, "crop", epoch, path)`` and tags the reducer with
     ``(path, epoch)``; evaluation takes a centre crop and the tag ``(path,)``.
+    The images may differ in size. Each crop is sliced straight into one
+    uint8 array, which is transposed once to NCHW and reduced as a whole by
+    :func:`reduce_batch`; the result equals stacking
+    ``apply_reducer(crop(...))`` per sample, bit for bit.
     """
     center = CropSpec(crop_size, "center")
-    xs = []
-    for i in indices:
+    crops = np.empty((len(indices), crop_size, crop_size, 3), dtype=np.uint8)
+    tags = []
+    for k, i in enumerate(indices):
         path = entries[i].path
         if epoch is None:
-            spec, tags = center, (path,)
+            spec = center
+            tags.append((path,))
         else:
             spec = CropSpec(crop_size, "random", derive_seed(seed, "crop", epoch, path))
-            tags = (path, epoch)
-        reduced = apply_reducer(reducer, crop(images[i], spec), reducer_root, *tags)
-        xs.append(reduced.data.transpose(2, 0, 1))
-    return np.stack(xs)
+            tags.append((path, epoch))
+        data = images[i].data
+        top, left = crop_origin(data.shape[0], data.shape[1], spec)
+        crops[k] = data[top : top + crop_size, left : left + crop_size]
+    batch = np.ascontiguousarray(crops.transpose(0, 3, 1, 2))
+    return reduce_batch(reducer, batch, reducer_root, tags)
 
 
 def train(

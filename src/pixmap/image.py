@@ -161,7 +161,10 @@ def decode_ppm(raw: bytes) -> Image8:
         tok, pos = _read_token(raw, pos)
         if not tok.isdigit():
             raise PixmapError("malformed-header", f"non-numeric header token {tok!r}")
-        fields.append(int(tok))
+        try:
+            fields.append(int(tok))
+        except ValueError as exc:  # past the interpreter's digit limit
+            raise PixmapError("malformed-header", f"{len(tok)}-digit header token") from exc
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise PixmapError("malformed-header", f"bad dimensions {width}x{height}")
@@ -198,21 +201,36 @@ def write_pgm(path, gray: np.ndarray) -> None:
 # --- crop / float conversion -------------------------------------------------
 
 
-def crop(img: Image8, spec: CropSpec) -> Image8:
-    """Cut a size x size window; center offsets are floor((dim - size) / 2)."""
+def crop_origin(height: int, width: int, spec: CropSpec) -> tuple[int, int]:
+    """Top-left corner of ``spec``'s window in a height x width image.
+
+    Centre offsets are floor((dim - size) / 2); a random crop draws the top,
+    then the left offset, with ``randrange`` from ``SplitMix64(spec.seed)``.
+    """
     s = spec.size
-    if s > min(img.height, img.width):
-        raise PixmapError(
-            "crop-too-large", f"crop {s} exceeds image {img.height}x{img.width}"
-        )
+    if s > min(height, width):
+        raise PixmapError("crop-too-large", f"crop {s} exceeds image {height}x{width}")
     if spec.mode == "center":
-        top = (img.height - s) // 2
-        left = (img.width - s) // 2
-    else:
-        rng = SplitMix64(spec.seed)
-        top = rng.randrange(img.height - s + 1)
-        left = rng.randrange(img.width - s + 1)
-    return Image8(img.data[top : top + s, left : left + s])
+        return (height - s) // 2, (width - s) // 2
+    rng = SplitMix64(spec.seed)
+    top = rng.randrange(height - s + 1)
+    return top, rng.randrange(width - s + 1)
+
+
+def crop(img: Image8, spec: CropSpec) -> Image8:
+    """Cut the size x size window at :func:`crop_origin`."""
+    top, left = crop_origin(img.height, img.width, spec)
+    return Image8(img.data[top : top + spec.size, left : left + spec.size])
+
+
+def as_batch(img) -> np.ndarray:
+    """An ``Image8`` or ``ImageF`` as a 1 x C x H x W view: a batch of one."""
+    return img.data.transpose(2, 0, 1)[None]
+
+
+def batch_image(batch: np.ndarray) -> np.ndarray:
+    """The H x W x C view of the single image in a 1 x C x H x W batch."""
+    return batch[0].transpose(1, 2, 0)
 
 
 def to_float(img: Image8) -> ImageF:

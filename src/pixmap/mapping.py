@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PixmapError
-from .image import Image8, ImageF
+from .image import Image8, ImageF, as_batch, batch_image
 from .rng import SplitMix64
 
 
@@ -64,26 +64,27 @@ def build_random_tables(seed: int) -> tuple[MappingTable, MappingTable, MappingT
     return tuple(MappingTable(draws[c * 256 : (c + 1) * 256]) for c in range(3))
 
 
+def map_batch(batch: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Look up every sample of an N x 3 x h x w uint8 batch in (N or 1) x (3 or 1) x 256 tables.
+
+    ``out[k, c, i, j] = entries[k, c, batch[k, c, i, j]]``, where a table
+    axis of length 1 is shared across the batch or the channels.
+    """
+    n, c, h, w = batch.shape
+    return np.take_along_axis(entries, batch.reshape(n, c, h * w), axis=2).reshape(batch.shape)
+
+
 def apply_mapping(img: Image8, tables) -> ImageF:
     """Look up every sample: out[x, y, c] = tables[c][img[x, y, c]].
 
     Pass a single table to share it across all three channels (fixed mode)
     or exactly three tables for per-channel mapping (random mode).
     """
-    if isinstance(tables, MappingTable):
-        tables = (tables,) * 3
-    else:
-        tables = tuple(tables)
-        if len(tables) == 1:
-            tables = tables * 3
-        elif len(tables) != 3:
-            raise PixmapError(
-                "bad-table-count", f"need 1 or 3 mapping tables, got {len(tables)}"
-            )
-    out = np.empty(img.data.shape, dtype=np.float64)
-    for c, table in enumerate(tables):
-        out[:, :, c] = table.entries[img.data[:, :, c]]
-    return ImageF(out)
+    tables = (tables,) if isinstance(tables, MappingTable) else tuple(tables)
+    if len(tables) not in (1, 3):
+        raise PixmapError("bad-table-count", f"need 1 or 3 mapping tables, got {len(tables)}")
+    entries = np.stack([t.entries for t in tables])[None]
+    return ImageF(batch_image(map_batch(as_batch(img), entries)))
 
 
 def adjacent_gap_profile(table: MappingTable) -> np.ndarray:

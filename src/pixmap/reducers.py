@@ -11,17 +11,27 @@ on, suppressing scene content by a different mechanism:
 
 Non-mapping reducers are rescaled by 1/127.5 so every variant feeds the
 detector values on a comparable, roughly unit range.
+
+Each kind has one implementation, :func:`reduce_batch`, which maps an
+``N x 3 x h x w`` uint8 batch (NCHW) to float64 of the same shape. The
+detector hands it whole batches; :func:`apply_reducer`, :func:`highpass`,
+:func:`patch_shuffle`, :func:`npr_residual` and ``mapping.apply_mapping``
+check their input and run the same code on a batch of one. Channels come
+before rows so the highpass FFT runs over the two trailing, contiguous
+axes: on 32 crops of 32 px, ``fft2`` over axes (2, 3) of NCHW took 3.4 ms,
+over axes (1, 2) of NHWC 5.6 ms (2-core x86 box, numpy 2.4, float64).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PixmapError
-from .image import Image8, ImageF, to_float
-from .mapping import apply_mapping, build_fixed_table, build_random_tables
+from .image import Image8, ImageF, as_batch, batch_image
+from .mapping import build_fixed_table, build_random_tables, map_batch
 from .rng import SplitMix64, derive_seed
 from .spectral import dc_distance
 
@@ -92,23 +102,61 @@ class ReducerSpec:
             )
 
 
+@functools.lru_cache(maxsize=64)
+def _highpass_keep(h: int, w: int, cutoff: float) -> np.ndarray:
+    """The highpass mask in unshifted DFT order: False inside the DC disk.
+
+    ``ifftshift(fftshift(F) * keep) == F * ifftshift(keep)`` exactly, since
+    both shifts only permute bins, so the spectrum itself is never shifted.
+    """
+    keep = np.fft.ifftshift(dc_distance(h, w) >= cutoff * (min(h, w) / 2.0))
+    keep.setflags(write=False)
+    return keep
+
+
+def _highpass(batch: np.ndarray, cutoff: float) -> np.ndarray:
+    h, w = batch.shape[2:]
+    freq = np.fft.fft2(batch.astype(np.float64), axes=(2, 3))
+    return np.fft.ifft2(freq * _highpass_keep(h, w, cutoff), axes=(2, 3)).real
+
+
+def _check_tiles(batch: np.ndarray, size: int, what: str) -> None:
+    h, w = batch.shape[2:]
+    if h % size != 0 or w % size != 0:
+        raise PixmapError("patch-mismatch", f"{what} {size} must divide {h}x{w}")
+
+
+def _shuffle(batch: np.ndarray, patch: int, seeds) -> np.ndarray:
+    _check_tiles(batch, patch, "patch")
+    n, c, h, w = batch.shape
+    gh, gw = h // patch, w // patch
+    perms = np.empty((n, gh * gw), dtype=np.intp)
+    for k, seed in enumerate(seeds):
+        perm = list(range(gh * gw))
+        SplitMix64(seed).shuffle(perm)
+        perms[k] = perm
+    tiles = batch.reshape(n, c, gh, patch, gw, patch).transpose(0, 2, 4, 1, 3, 5)
+    tiles = tiles.reshape(n, gh * gw, c, patch, patch)[np.arange(n)[:, None], perms]
+    return tiles.reshape(n, gh, gw, c, patch, patch).transpose(0, 3, 1, 4, 2, 5).reshape(n, c, h, w)
+
+
+def _npr(batch: np.ndarray, block: int) -> np.ndarray:
+    _check_tiles(batch, block, "block")
+    n, c, h, w = batch.shape
+    blocks = batch.astype(np.float64).reshape(n, c, h // block, block, w // block, block)
+    return (blocks - blocks[:, :, :, :1, :, :1]).reshape(n, c, h, w)
+
+
 def highpass(img: Image8, cutoff_fraction: float) -> ImageF:
     """Zero all frequencies within radius cutoff_fraction * min(H, W) / 2 of DC.
 
-    The mask is applied on the centered spectrum per channel; the inverse
+    The mask is the DC-centred disk, applied per channel; the inverse
     transform's real part is returned. DC always falls inside the disk, so
     the output is zero-mean per channel.
     """
     if not 0.0 < cutoff_fraction < 1.0:
         raise PixmapError("bad-cutoff", f"cutoff must be in (0,1), got {cutoff_fraction}")
-    h, w = img.height, img.width
-    keep = dc_distance(h, w) >= cutoff_fraction * (min(h, w) / 2.0)
-    out = np.empty((h, w, 3), dtype=np.float64)
-    data = img.data.astype(np.float64)
-    for c in range(3):
-        freq = np.fft.fftshift(np.fft.fft2(data[:, :, c]))
-        out[:, :, c] = np.fft.ifft2(np.fft.ifftshift(freq * keep)).real
-    return ImageF(out)
+    return ImageF(batch_image(_highpass(as_batch(img), cutoff_fraction)))
 
 
 def patch_shuffle(img: Image8, patch: int, seed: int) -> Image8:
@@ -117,47 +165,43 @@ def patch_shuffle(img: Image8, patch: int, seed: int) -> Image8:
     Output tile i (row-major over the tile grid) is input tile perm[i],
     where perm is [0..n) shuffled in place. All channels move together.
     """
-    h, w = img.height, img.width
     if patch < 1:
         raise PixmapError("bad-patch", f"patch must be >= 1, got {patch}")
-    if h % patch != 0 or w % patch != 0:
-        raise PixmapError("patch-mismatch", f"patch {patch} must divide {h}x{w}")
-    gh, gw = h // patch, w // patch
-    perm = list(range(gh * gw))
-    SplitMix64(seed).shuffle(perm)
-    tiles = (
-        img.data.reshape(gh, patch, gw, patch, 3)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(gh * gw, patch, patch, 3)
-    )
-    shuffled = tiles[np.array(perm)]
-    out = (
-        shuffled.reshape(gh, gw, patch, patch, 3)
-        .transpose(0, 2, 1, 3, 4)
-        .reshape(h, w, 3)
-    )
-    return Image8(out)
+    return Image8(batch_image(_shuffle(as_batch(img), patch, [seed])))
 
 
 def npr_residual(img: Image8, block: int = NPR_BLOCK) -> ImageF:
     """Subtract each block's top-left pixel from the whole block, per channel."""
-    h, w = img.height, img.width
-    if h % block != 0 or w % block != 0:
-        raise PixmapError("patch-mismatch", f"block {block} must divide {h}x{w}")
-    data = img.data.astype(np.float64)
-    anchors = data[::block, ::block, :]
-    tiled = np.repeat(np.repeat(anchors, block, axis=0), block, axis=1)
-    return ImageF(data - tiled)
+    return ImageF(batch_image(_npr(as_batch(img), block)))
 
 
-_FIXED_TABLE = None
-
-
+@functools.lru_cache(maxsize=1)
 def _fixed_table():
-    global _FIXED_TABLE
-    if _FIXED_TABLE is None:
-        _FIXED_TABLE = build_fixed_table()
-    return _FIXED_TABLE
+    return build_fixed_table()
+
+
+def reduce_batch(spec: ReducerSpec, batch: np.ndarray, seed_root: int, tags) -> np.ndarray:
+    """Run one reducer on an N x 3 x h x w uint8 batch; returns float64 NCHW.
+
+    ``tags[k]`` is sample k's tuple of seed tags, as :func:`apply_reducer`
+    takes them. ``shuffle`` and ``npr`` raise ``patch-mismatch`` unless
+    their tile divides both sides.
+    """
+    if spec.kind == "none":
+        return batch / 127.5 - 1.0
+    if spec.kind == "fixed":
+        return _fixed_table().entries[batch]
+    if spec.kind == "random":
+        seeds = [derive_seed(seed_root, "table", *tag) for tag in tags]
+        return map_batch(batch, np.array([[t.entries for t in build_random_tables(s)] for s in seeds]))
+    if spec.kind == "highpass":
+        return _highpass(batch, spec.cutoff) / 127.5
+    if spec.kind == "shuffle":
+        seeds = [derive_seed(seed_root, "perm", *tag) for tag in tags]
+        return _shuffle(batch, spec.patch, seeds) / 127.5 - 1.0
+    if spec.kind == "npr":
+        return _npr(batch, NPR_BLOCK) / 127.5
+    raise PixmapError("bad-reducer", f"unknown reducer {spec.kind!r}")
 
 
 def apply_reducer(spec: ReducerSpec, img: Image8, seed_root: int, *sample_tags) -> ImageF:
@@ -167,18 +211,4 @@ def apply_reducer(spec: ReducerSpec, img: Image8, seed_root: int, *sample_tags) 
     epoch during training) determine every stochastic choice, so any sample
     presentation can be regenerated in isolation.
     """
-    if spec.kind == "none":
-        return ImageF(img.data.astype(np.float64) / 127.5 - 1.0)
-    if spec.kind == "fixed":
-        return apply_mapping(img, _fixed_table())
-    if spec.kind == "random":
-        tables = build_random_tables(derive_seed(seed_root, "table", *sample_tags))
-        return apply_mapping(img, tables)
-    if spec.kind == "highpass":
-        return ImageF(highpass(img, spec.cutoff).data / 127.5)
-    if spec.kind == "shuffle":
-        shuffled = patch_shuffle(img, spec.patch, derive_seed(seed_root, "perm", *sample_tags))
-        return ImageF(shuffled.data.astype(np.float64) / 127.5 - 1.0)
-    if spec.kind == "npr":
-        return ImageF(npr_residual(img).data / 127.5)
-    raise PixmapError("bad-reducer", f"unknown reducer {spec.kind!r}")
+    return ImageF(batch_image(reduce_batch(spec, as_batch(img), seed_root, [sample_tags])))

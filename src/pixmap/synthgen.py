@@ -37,6 +37,9 @@ FIELD_CONTRAST = 35.0
 GRADIENT_AMPLITUDE = 24.0
 FAMILY_BRIGHTNESS = 18.0
 DEFAULT_NOISE_SIGMA = 2.0
+# Blur width in pixels of the field being blurred: full-resolution pixels
+# for reals, half-resolution pixels for fakes, whose field is blurred before
+# the 2x upsampling and so ends up twice as wide in the final image.
 BLUR_SIGMA_RANGE = (1.0, 3.0)
 
 # Uniform smoothing after zero insertion leaves phase-dependent gains
@@ -122,7 +125,11 @@ def _blur2d(field: np.ndarray, sigma: float) -> np.ndarray:
 
 
 def _smooth_field(rng: SplitMix64, size: int) -> np.ndarray:
-    """Zero-mean, unit-std smooth field; blur width drawn from the seed."""
+    """Zero-mean, unit-std size x size field; blur width drawn from the seed.
+
+    The width is drawn from BLUR_SIGMA_RANGE in pixels of this field, which
+    for a fake is the half-resolution base (see BLUR_SIGMA_RANGE).
+    """
     sigma = rng.uniform(*BLUR_SIGMA_RANGE)
     noise = rng.normals(size * size).reshape(size, size)
     f = _blur2d(noise, sigma)

@@ -116,3 +116,16 @@ def test_train_non_ascii_config(capsys, tmp_path):
          "--config", config],
     )
     assert line.startswith("error: bad-config: ")
+
+
+def test_report_checks_every_reducer_before_training(capsys, tmp_path, monkeypatch):
+    assert cli.main(["gen", "--out", str(tmp_path), "--confound", "--n", "2", "--size", "32"]) == 0
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(cli, "train", lambda *args: calls.append(args))
+    line = run_cli_error(
+        capsys, ["report", "--data", tmp_path, "--out", tmp_path / "r.csv", "--crop", 30]
+    )
+    assert line.startswith("error: patch-mismatch: ")
+    assert calls == []
+    assert not (tmp_path / "r.csv").exists()

@@ -14,6 +14,8 @@ from pixmap.detector import (
     _conv_backward,
     _conv_forward,
     _forward_backward,
+    _meanpool_forward,
+    _sample_batch,
     accuracy_at_half,
     adam_step,
     average_precision,
@@ -27,10 +29,12 @@ from pixmap.detector import (
     save_params,
     train,
 )
+from pixmap.cli import REPORT_REDUCERS
 from pixmap.errors import PixmapError
-from pixmap.reducers import ReducerSpec
+from pixmap.image import CropSpec, Image8, crop
+from pixmap.reducers import ReducerSpec, apply_reducer
 from pixmap.rng import SplitMix64, derive_seed
-from pixmap.synthgen import build_benchmark, materialize, write_manifest_csv
+from pixmap.synthgen import ManifestEntry, build_benchmark, materialize, write_manifest_csv
 
 
 def scalar_forward_oracle(params, x):
@@ -178,6 +182,13 @@ def test_gradient_matches_finite_differences():
         assert worst_rel < 1e-4
 
 
+@pytest.mark.parametrize("h,w", [(9, 9), (9, 8)])
+def test_gradient_matches_finite_differences_partial_pool_windows(h, w):
+    # conv1 output is 7x7 or 7x6: the pool takes its partial-window loop
+    worst_rel, _ = finite_difference_check(3, h=h, w=w)
+    assert worst_rel < 1e-4
+
+
 def test_zero_input_kills_kernel_gradients_not_bias():
     params = init_params(5)
     params.conv1_b[:] = 0.1
@@ -258,6 +269,80 @@ def test_fused_step_matches_public_backward():
     public = backward(params, x, y)
     for name in _SHAPES:
         assert np.array_equal(grads[name], public[name])
+
+
+def loop_meanpool(x):
+    """2x2 mean pool, one window at a time, summing from zero in (dy, dx) order."""
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, (h + 1) // 2, (w + 1) // 2))
+    for i in range(out.shape[2]):
+        for j in range(out.shape[3]):
+            acc, count = np.zeros((n, c)), 0
+            for dy in (0, 1):
+                for dx in (0, 1):
+                    if 2 * i + dy < h and 2 * j + dx < w:
+                        acc += x[:, :, 2 * i + dy, 2 * j + dx]
+                        count += 1
+            out[:, :, i, j] = acc / count
+    return out
+
+
+@pytest.mark.parametrize("h,w", [(6, 6), (8, 10), (7, 7), (7, 6), (6, 9)])
+def test_meanpool_matches_window_loop(h, w):
+    x = np.maximum(_rand_batch(derive_seed(31, h, w), n=2, h=h, w=w), 0.0)
+    pooled, counts = _meanpool_forward(x)
+    assert np.array_equal(pooled, loop_meanpool(x))
+    assert (counts is None) == (h % 2 == 0 and w % 2 == 0)
+
+
+def test_fused_pool_relu_backward_matches_window_loop(monkeypatch):
+    params = init_params(14)
+    x = _rand_batch(15, n=3, h=10, w=12)  # conv1 output 8x10: every window full
+    y = np.array([1.0, 0.0, 1.0])
+    probs, grads = _forward_backward(params, x, y)
+
+    def full_counts(r1):
+        pooled, counts = _meanpool_forward(r1)
+        assert counts is None
+        return pooled, np.full(pooled.shape[2:], 4.0)
+
+    monkeypatch.setattr(detector, "_meanpool_forward", full_counts)
+    loop_probs, loop_grads = _forward_backward(params, x, y)
+    assert np.array_equal(probs, loop_probs)
+    for name in _SHAPES:
+        assert np.array_equal(grads[name], loop_grads[name])
+
+
+# --- sample path ----------------------------------------------------------------
+
+
+def test_sample_batch_equals_per_image_reducers():
+    sizes = [(16, 16), (20, 18), (17, 24), (16, 16)]
+    images, entries = [], []
+    for k, (h, w) in enumerate(sizes):
+        data = SplitMix64(derive_seed(41, k))._bulk_u64(h * w * 3) % 256
+        images.append(Image8(data.astype(np.uint8).reshape(h, w, 3)))
+        entries.append(ManifestEntry(f"x/{k}.ppm", k % 2, "real", "A", k))
+    indices = [2, 0, 3, 1]
+    for name in REPORT_REDUCERS:
+        reducer = ReducerSpec.parse(name)
+        for seed, epoch in ((None, None), (5, 3)):
+            got = _sample_batch(images, entries, indices, reducer, 77, 8, seed, epoch)
+            want = []
+            for i in indices:
+                path = entries[i].path
+                if epoch is None:
+                    spec, tags = CropSpec(8, "center"), (path,)
+                else:
+                    spec = CropSpec(8, "random", derive_seed(seed, "crop", epoch, path))
+                    tags = (path, epoch)
+                reduced = apply_reducer(reducer, crop(images[i], spec), 77, *tags)
+                want.append(reduced.data.transpose(2, 0, 1))
+            assert got.dtype == np.float64
+            assert np.array_equal(got, np.stack(want)), (name, epoch)
+    with pytest.raises(PixmapError) as err:
+        _sample_batch(images, entries, indices, ReducerSpec.parse("none"), 77, 17)
+    assert err.value.code == "crop-too-large"
 
 
 # --- adam -----------------------------------------------------------------------

@@ -73,6 +73,12 @@ def test_decode_rejects(raw, code):
     assert err.value.code == code
 
 
+def test_decode_rejects_dimension_past_int_digit_limit():
+    with pytest.raises(PixmapError) as err:
+        decode_ppm(b"P6\n" + b"9" * 5000 + b" 1\n255\n\x00\x00\x00")
+    assert err.value.code == "malformed-header"
+
+
 # --- types ------------------------------------------------------------------
 
 
