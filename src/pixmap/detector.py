@@ -148,7 +148,8 @@ def _conv_forward(x, w, b):
     cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(
         n, cin * 9, (h - 2) * (wd - 2)
     )
-    out = w.reshape(cout, -1) @ cols + b[:, None]
+    out = w.reshape(cout, -1) @ cols
+    out += b[:, None]
     return out.reshape(n, cout, h - 2, wd - 2), cols
 
 

@@ -113,13 +113,19 @@ def _gaussian_kernel(sigma: float) -> np.ndarray:
 
 
 def _blur2d(field: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable circular Gaussian blur with a fixed summation order."""
+    """Separable circular Gaussian blur with a fixed summation order.
+
+    Each axis is wrapped once into a padded copy; tap i adds the window at
+    offset i, the terms and order of summing ``k[i] * np.roll(field, radius - i)``.
+    """
     k = _gaussian_kernel(sigma)
     radius = len(k) // 2
     for axis in (0, 1):
+        n = field.shape[axis]
+        padded = field.take(np.arange(-radius, n + radius) % n, axis=axis)
         acc = np.zeros_like(field)
         for i, kv in enumerate(k):
-            acc += kv * np.roll(field, radius - i, axis=axis)
+            acc += kv * padded[(slice(None),) * axis + (slice(i, i + n),)]
         field = acc
     return field
 

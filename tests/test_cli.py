@@ -129,3 +129,48 @@ def test_report_checks_every_reducer_before_training(capsys, tmp_path, monkeypat
     assert line.startswith("error: patch-mismatch: ")
     assert calls == []
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_spectrum_highpass_odd_crop_end_to_end(tmp_path):
+    data, out = tmp_path / "data", tmp_path / "p.csv"
+    assert cli.main(["gen", "--out", str(data), "--n", "2", "--size", "32"]) == 0
+    argv = ["spectrum", "--in", data, "--reducer", "highpass", "--crop", 31, "--out", out]
+    assert cli.main([str(a) for a in argv]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows[:, 0].tolist() == list(range(16))
+    assert rows[:, 2].sum() == 31 * 31
+    assert np.all(np.isfinite(rows[:, 1])) and np.all(rows[:, 1] >= 0)
+
+
+def _bad_ppm(tmp_path):
+    path = tmp_path / "bad.ppm"
+    path.write_bytes(b"P6\n4 4\n255\n\x00")
+    return path
+
+
+def _garbage_weights(tmp_path):
+    path = tmp_path / "bad.w1"
+    path.write_text("not weights\n")
+    return path
+
+
+# One bad input per subcommand, each ending in the one-line error contract.
+BAD_INPUTS = {
+    "gen": (lambda t: ["gen", "--out", t / "g", "--size", 7], "bad-generator"),
+    "map": (lambda t: ["map", "--mode", "npr", "--in", _bad_ppm(t), "--out", t / "o.imf"],
+            "truncated-payload"),
+    "spectrum": (lambda t: ["spectrum", "--in", _bad_ppm(t).parent, "--out", t / "p.csv"],
+                 "truncated-payload"),
+    "train": (lambda t: ["train", "--data", t, "--reducer", "none", "--out", t / "m.w1"],
+              "missing-file"),
+    "eval": (lambda t: ["eval", "--model", _garbage_weights(t), "--data", t, "--reducer", "none"],
+             "unsupported-format"),
+    "report": (lambda t: ["report", "--data", t, "--out", t / "r.csv"], "missing-file"),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(BAD_INPUTS))
+def test_every_subcommand_reports_one_error_line(capsys, tmp_path, subcommand):
+    argv, code = BAD_INPUTS[subcommand]
+    line = run_cli_error(capsys, argv(tmp_path))
+    assert line.startswith(f"error: {code}: ") and len(line) > len(f"error: {code}: ")

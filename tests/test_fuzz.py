@@ -4,11 +4,14 @@ import string
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pixmap.cli import _load_config_file
+from pixmap.detector import init_params, load_params, save_params
 from pixmap.errors import PixmapError
-from pixmap.image import decode_ppm, parse_rows
+from pixmap.image import ImageF, decode_ppm, parse_rows, read_imagef, write_imagef
 from pixmap.reducers import ReducerSpec
 from pixmap.synthgen import read_manifest_csv
 
@@ -105,3 +108,71 @@ def test_read_manifest_csv_fuzz(header, rows, tail):
         path = Path(tmp) / "manifest.csv"
         path.write_bytes(data)
         parses_or_raises_pixmap_error(read_manifest_csv, path)
+
+
+def parses_file_or_raises_pixmap_error(parse, data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.txt"
+        path.write_bytes(data)
+        parses_or_raises_pixmap_error(parse, path)
+
+
+@st.composite
+def mutated_text(draw, base: str):
+    """A valid file's lines with some replaced, dropped or inserted, then maybe cut short."""
+    lines = base.splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["replace", "drop", "insert"]))
+        text = draw(st.one_of(_number_text, st.lists(_number_text, max_size=4).map(" ".join)))
+        if op == "insert" or at == len(lines):
+            lines.insert(at, text)
+        elif op == "replace":
+            lines[at] = text
+        else:
+            del lines[at]
+    lines = lines[: draw(st.one_of(st.none(), st.integers(0, len(lines))))]
+    data = ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")
+    return data + draw(st.sampled_from([b"", b"", b"", b"\xff", b"\x00", b"1 2\n"]))
+
+
+def _written(write) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "base.txt"
+        write(path)
+        return path.read_text()
+
+
+_IMF_TEXT = _written(lambda p: write_imagef(p, ImageF(np.arange(12.0).reshape(2, 3, 2) / 7)))
+_W1_TEXT = _written(
+    lambda p: save_params(p, init_params(3), ReducerSpec.parse("shuffle:8"), reducer_seed=5, crop_size=32)
+)
+
+
+@FUZZ
+@given(mutated_text(_IMF_TEXT))
+def test_read_imagef_fuzz(data):
+    parses_file_or_raises_pixmap_error(read_imagef, data)
+
+
+@FUZZ
+@given(mutated_text(_W1_TEXT))
+def test_load_params_fuzz(data):
+    parses_file_or_raises_pixmap_error(load_params, data)
+
+
+_config_line = st.one_of(
+    st.tuples(
+        st.sampled_from(["seed", "epochs", "lr", "crop", "bogus", "", " # x"]),
+        st.sampled_from(["=", "", "==", " = "]),
+        _number_text,
+    ).map("".join),
+    st.text(_CHARS, max_size=12),
+)
+
+
+@FUZZ
+@given(st.lists(_config_line, max_size=5), st.binary(max_size=4))
+def test_load_config_file_fuzz(lines, tail):
+    data = ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass") + tail
+    parses_file_or_raises_pixmap_error(_load_config_file, data)

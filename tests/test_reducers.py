@@ -68,6 +68,16 @@ def test_highpass_matches_naive_oracle():
             assert np.max(np.abs(out.data[:, :, c] - oracle)) < 1e-9
 
 
+@pytest.mark.parametrize("h,w", [(9, 7), (7, 8)])
+def test_highpass_matches_naive_oracle_odd_sizes(h, w):
+    img = _random_image(h * 10 + w, h, w)
+    for cutoff in (0.2, 0.5, 0.9):
+        out = highpass(img, cutoff)
+        for c in range(3):
+            oracle = naive_highpass_channel(img.data[:, :, c].astype(float), cutoff)
+            assert np.max(np.abs(out.data[:, :, c] - oracle)) < 1e-9
+
+
 def test_highpass_nyquist_checkerboard_survives():
     yy, xx = np.meshgrid(np.arange(8), np.arange(8), indexing="ij")
     board = np.where((yy + xx) % 2 == 0, 129, 127).astype(np.uint8)

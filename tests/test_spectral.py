@@ -158,6 +158,50 @@ def test_mean_spectrum_errors():
         mean_spectrum([_imagef(1, 4, 4), _imagef(2, 6, 4)])
 
 
+# --- real-input FFT path -------------------------------------------------------------
+
+ODD_AND_TINY = [(5, 7), (7, 6), (9, 8), (31, 31), (2, 3), (1, 1)]
+
+
+def full_fft_power(chan):
+    """Centred |fft2|^2 over the full complex grid: the oracle for the half-spectrum path."""
+    return np.fft.fftshift(np.abs(np.fft.fft2(chan)) ** 2)
+
+
+def _close(got, expect):
+    # Relative to each bin, with a floor at 1e-12 of the peak for bins near zero.
+    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * expect.max())
+
+
+@pytest.mark.parametrize("h,w", ODD_AND_TINY)
+def test_power_spectrum_matches_full_fft(h, w):
+    x = _rand(h * 100 + w, h, w)
+    _close(power_spectrum(x).power, full_fft_power(x))
+
+
+@pytest.mark.parametrize("h,w", ODD_AND_TINY)
+def test_mean_spectrum_matches_full_fft(h, w):
+    imgs = [_imagef(seed, h, w) for seed in (11, 12, 13)]
+    expect = np.zeros((h, w))
+    for img in imgs:
+        expect += sum(full_fft_power(img.data[:, :, c]) for c in range(3)) / 3
+    _close(mean_spectrum(imgs).power, expect / 3)
+
+
+@pytest.mark.parametrize("h,w", ODD_AND_TINY + [(8, 10)])
+def test_rebuilt_half_is_exact_mirror(h, w):
+    # In unshifted order every column past W // 2 is a copy of its mirror bin.
+    p = np.fft.ifftshift(mean_spectrum([_imagef(7, h, w)]).power)
+    for k2 in range(w // 2 + 1, w):
+        assert np.array_equal(p[:, k2], p[-np.arange(h) % h, w - k2])
+
+
+def test_power_spectrum_rejects_complex_channel():
+    with pytest.raises(PixmapError) as exc:
+        power_spectrum(_rand(1, 4, 4) + 1j)
+    assert exc.value.code == "bad-dtype"
+
+
 # --- azimuthal profile -------------------------------------------------------------
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from pixmap.errors import PixmapError
 from pixmap.image import to_float
-from pixmap.rng import derive_seed
+from pixmap.rng import SplitMix64, derive_seed
 from pixmap.spectral import (
     azimuthal_profile,
     band_ratio,
@@ -21,7 +21,9 @@ from pixmap.synthgen import (
     entry_spec,
     gen_fake,
     gen_real,
+    _blur2d,
     _family_pattern,
+    _gaussian_kernel,
     generate,
     read_manifest_csv,
     write_manifest_csv,
@@ -271,3 +273,23 @@ def test_manifest_csv_rejects_bad_rows(tmp_path, row):
     with pytest.raises(PixmapError) as err:
         read_manifest_csv(path)
     assert err.value.code == "bad-manifest"
+
+
+def _blur2d_by_roll(field, sigma):
+    """The blur's definition: one np.roll per tap and axis, summed in tap order."""
+    k = _gaussian_kernel(sigma)
+    radius = len(k) // 2
+    for axis in (0, 1):
+        acc = np.zeros_like(field)
+        for i, kv in enumerate(k):
+            acc += kv * np.roll(field, radius - i, axis=axis)
+        field = acc
+    return field
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 16, 32, 64, 128])
+@pytest.mark.parametrize("sigma", [1.0, 1.7, 2.5, 3.0])
+def test_blur2d_is_bit_identical_to_rolled_sum(n, sigma):
+    # Radii run 3..9, so the small sides wrap more than once.
+    field = SplitMix64(n * 10 + int(sigma * 10)).normals(n * (n + 1)).reshape(n, n + 1)
+    assert np.array_equal(_blur2d(field, sigma), _blur2d_by_roll(field, sigma))
