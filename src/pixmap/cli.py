@@ -20,6 +20,8 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .detector import (
     TrainConfig,
@@ -32,6 +34,7 @@ from .detector import (
 from .errors import PixmapError
 from .image import (
     CropSpec,
+    as_batch,
     crop,
     decode_ppm,
     encode_ppm,
@@ -40,9 +43,9 @@ from .image import (
     write_pgm,
 )
 from .mapping import apply_mapping, build_fixed_table, build_random_tables
-from .reducers import ReducerSpec, apply_reducer, highpass, npr_residual, patch_shuffle
+from .reducers import ReducerSpec, highpass, npr_residual, patch_shuffle, reduce_batch
 from .rng import derive_seed
-from .spectral import azimuthal_profile, heatmap_u8, mean_spectrum, profile_csv
+from .spectral import azimuthal_profile, heatmap_u8, mean_spectrum_chw, profile_csv
 from .synthgen import (
     DEFAULT_NOISE_SIGMA,
     UPSAMPLERS,
@@ -253,9 +256,12 @@ def _cmd_spectrum(args) -> int:
             img = decode_ppm(p.read_bytes())
             if args.crop is not None:
                 img = crop(img, CropSpec(args.crop, "center"))
-            yield apply_reducer(reducer, img, reducer_root, p.relative_to(in_dir).as_posix())
+            tags = [(p.relative_to(in_dir).as_posix(),)]
+            # A contiguous NCHW batch keeps every kernel and each rfft2 on contiguous rows.
+            batch = np.ascontiguousarray(as_batch(img))
+            yield reduce_batch(reducer, batch, reducer_root, tags)[0]
 
-    spec = mean_spectrum(reduced())
+    spec = mean_spectrum_chw(reduced())
     profile = azimuthal_profile(spec)
     out_path = Path(args.out)
     write_atomic(out_path, profile_csv(profile).encode("ascii"))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import PixmapError
 from .image import Image8, ImageF, as_batch, batch_image
-from .rng import SplitMix64
+from .rng import seeded_uniforms
 
 
 @dataclass(frozen=True)
@@ -57,21 +57,30 @@ def build_fixed_table() -> MappingTable:
     return MappingTable(entries)
 
 
+def random_table_entries(seeds) -> np.ndarray:
+    """``(len(seeds), 3, 256)`` random table entries, one row per seed, in one draw.
+
+    Row k equals the entries of ``build_random_tables(seeds[k])``.
+    """
+    return seeded_uniforms(seeds, 3 * 256, lo=-1.0, hi=1.0).reshape(len(seeds), 3, 256)
+
+
 def build_random_tables(seed: int) -> tuple[MappingTable, MappingTable, MappingTable]:
     """Draw three per-channel tables with entries i.i.d. uniform on [-1, 1)."""
-    rng = SplitMix64(seed)
-    draws = rng.uniforms(3 * 256, lo=-1.0, hi=1.0)
-    return tuple(MappingTable(draws[c * 256 : (c + 1) * 256]) for c in range(3))
+    return tuple(MappingTable(row) for row in random_table_entries([seed])[0])
 
 
 def map_batch(batch: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """Look up every sample of an N x 3 x h x w uint8 batch in (N or 1) x (3 or 1) x 256 tables.
 
     ``out[k, c, i, j] = entries[k, c, batch[k, c, i, j]]``, where a table
-    axis of length 1 is shared across the batch or the channels.
+    axis of length 1 is shared across the batch or the channels. Each
+    table's offset into the flattened entries is added to the pixel value,
+    so the lookup is one gather.
     """
-    n, c, h, w = batch.shape
-    return np.take_along_axis(entries, batch.reshape(n, c, h * w), axis=2).reshape(batch.shape)
+    tn, tc = entries.shape[:2]
+    offsets = np.arange(0, tn * tc * 256, 256).reshape(tn, tc, 1, 1)
+    return entries.reshape(-1)[batch + offsets]
 
 
 def apply_mapping(img: Image8, tables) -> ImageF:

@@ -21,6 +21,13 @@ before rows so the highpass FFT runs over the two trailing, contiguous
 axes. The input is real, so highpass uses ``rfft2``/``irfft2`` over axes
 (2, 3): on 32 crops of 32 px the filter took 3.0 ms against 7.1 ms with
 ``fft2``/``ifft2`` (2-core x86 box, numpy 2.4, float64).
+
+``random`` and ``shuffle`` draw every sample's tables or tile permutation
+in one multi-seed draw (``rng.seeded_uniforms``, ``rng.seeded_permutations``),
+bit-identical to one generator per sample, and ``shuffle`` moves pixels
+with one flat-index gather. On the same 32 crops, random took 0.70 ms
+against 2.4-3.0 ms with one generator per sample, shuffle:2 2.1 ms against
+3.6-4.1 ms and shuffle:8 0.9 ms against 1.7-1.9 ms (fixed: 0.33 ms).
 """
 
 from __future__ import annotations
@@ -32,8 +39,8 @@ import numpy as np
 
 from .errors import PixmapError
 from .image import Image8, ImageF, as_batch, batch_image
-from .mapping import build_fixed_table, build_random_tables, map_batch
-from .rng import SplitMix64, derive_seed
+from .mapping import build_fixed_table, map_batch, random_table_entries
+from .rng import derive_seed, seeded_permutations
 from .spectral import dc_distance
 
 DEFAULT_HIGHPASS_CUTOFF = 0.25
@@ -133,14 +140,12 @@ def _shuffle(batch: np.ndarray, patch: int, seeds) -> np.ndarray:
     _check_tiles(batch, patch, "patch")
     n, c, h, w = batch.shape
     gh, gw = h // patch, w // patch
-    perms = np.empty((n, gh * gw), dtype=np.intp)
-    for k, seed in enumerate(seeds):
-        perm = list(range(gh * gw))
-        SplitMix64(seed).shuffle(perm)
-        perms[k] = perm
-    tiles = batch.reshape(n, c, gh, patch, gw, patch).transpose(0, 2, 4, 1, 3, 5)
-    tiles = tiles.reshape(n, gh * gw, c, patch, patch)[np.arange(n)[:, None], perms]
-    return tiles.reshape(n, gh, gw, c, patch, patch).transpose(0, 3, 1, 4, 2, 5).reshape(n, c, h, w)
+    perms = seeded_permutations(seeds, gh * gw)
+    # One flat source index per output pixel: tile t of sample k reads tile perms[k, t].
+    corner = (perms // gw) * (patch * w) + (perms % gw) * patch
+    src = corner.reshape(n, gh, 1, gw, 1) + np.arange(patch)[:, None, None] * w + np.arange(patch)
+    planes = np.arange(0, n * c * h * w, h * w).reshape(n, c, 1)
+    return batch.reshape(-1).take(src.reshape(n, 1, h * w) + planes).reshape(n, c, h, w)
 
 
 def _npr(batch: np.ndarray, block: int) -> np.ndarray:
@@ -196,7 +201,7 @@ def reduce_batch(spec: ReducerSpec, batch: np.ndarray, seed_root: int, tags) -> 
         return _fixed_table().entries[batch]
     if spec.kind == "random":
         seeds = [derive_seed(seed_root, "table", *tag) for tag in tags]
-        return map_batch(batch, np.array([[t.entries for t in build_random_tables(s)] for s in seeds]))
+        return map_batch(batch, random_table_entries(seeds))
     if spec.kind == "highpass":
         return _highpass(batch, spec.cutoff) / 127.5
     if spec.kind == "shuffle":

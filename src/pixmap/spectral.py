@@ -96,11 +96,13 @@ def idft2(freq: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(arr)
 
 
-def _mean_power(stacks: Iterable[np.ndarray]) -> Spectrum2D:
+def mean_spectrum_chw(stacks: Iterable[np.ndarray]) -> Spectrum2D:
     """Mean over C x H x W real stacks of their channel-averaged, centred |DFT|^2.
 
     Half spectra are summed in channel order, then stack order; the columns
     past W // 2 are rebuilt at the end as ``P[k1, k2] = P[-k1 mod H, W - k2]``.
+    Each stack is made contiguous first: ``rfft2`` over contiguous channels
+    is about 10% faster than over strided ones.
     """
     acc = None
     for count, stack in enumerate(stacks, 1):
@@ -112,6 +114,7 @@ def _mean_power(stacks: Iterable[np.ndarray]) -> Spectrum2D:
         elif stack.shape[1:] != (h, w):
             got = "x".join(map(str, stack.shape[1:]))
             raise PixmapError("dim-mismatch", f"image {got} does not match {h}x{w}")
+        stack = np.ascontiguousarray(stack)
         acc += sum(np.abs(np.fft.rfft2(chan)) ** 2 for chan in stack) / len(stack)
     if acc is None:
         raise PixmapError("empty-input", "mean_spectrum needs at least one image")
@@ -125,13 +128,12 @@ def power_spectrum(channel: np.ndarray) -> Spectrum2D:
     arr = np.asarray(channel)
     if arr.ndim != 2:
         raise PixmapError("bad-shape", f"power_spectrum needs a 2-D array, got {arr.shape}")
-    return _mean_power([arr[None]])
+    return mean_spectrum_chw([arr[None]])
 
 
 def mean_spectrum(images: Sequence[ImageF] | Iterable[ImageF]) -> Spectrum2D:
     """Element-wise mean of per-image, channel-averaged power spectra."""
-    # Contiguous channels make each rfft2 about 10% faster.
-    return _mean_power(np.ascontiguousarray(img.data.transpose(2, 0, 1)) for img in images)
+    return mean_spectrum_chw(img.data.transpose(2, 0, 1) for img in images)
 
 
 def dc_distance(h: int, w: int) -> np.ndarray:

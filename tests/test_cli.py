@@ -174,3 +174,26 @@ def test_every_subcommand_reports_one_error_line(capsys, tmp_path, subcommand):
     argv, code = BAD_INPUTS[subcommand]
     line = run_cli_error(capsys, argv(tmp_path))
     assert line.startswith(f"error: {code}: ") and len(line) > len(f"error: {code}: ")
+
+
+@pytest.mark.parametrize(
+    "reducer", ["none", "fixed", "random", "highpass", "npr", "shuffle:8", "shuffle:2"]
+)
+def test_spectrum_profile_equals_per_image_reference(tmp_path, reducer):
+    from pixmap.image import decode_ppm
+    from pixmap.reducers import apply_reducer
+    from pixmap.rng import derive_seed
+    from pixmap.spectral import azimuthal_profile, mean_spectrum, profile_csv
+
+    data, out = tmp_path / "data", tmp_path / "p.csv"
+    assert cli.main(["gen", "--out", str(data), "--n", "2", "--size", "32"]) == 0
+    argv = ["spectrum", "--in", data, "--reducer", reducer, "--seed", 5, "--out", out]
+    assert cli.main([str(a) for a in argv]) == 0
+    spec, root = ReducerSpec.parse(reducer), derive_seed(5, "reducer")
+    images = [
+        apply_reducer(spec, decode_ppm(p.read_bytes()), root, p.relative_to(data).as_posix())
+        for p in sorted(data.rglob("*.ppm"))
+    ]
+    assert len(images) == 8
+    expected = profile_csv(azimuthal_profile(mean_spectrum(images)))
+    assert out.read_bytes() == expected.encode("ascii")

@@ -313,6 +313,18 @@ def test_fused_pool_relu_backward_matches_window_loop(monkeypatch):
         assert np.array_equal(grads[name], loop_grads[name])
 
 
+def test_keep_equals_where_bit_for_bit():
+    x = _rand_batch(16, n=2, h=5, w=7)
+    x.ravel()[::5] = -0.0
+    x.ravel()[1::7] = np.nan
+    x.ravel()[2::9] = -np.inf
+    mask = _rand_batch(17, n=2, h=5, w=7) > 0
+    assert detector._keep(mask, x).tobytes() == np.where(mask, x, 0.0).tobytes()
+    column = x[:, :, :1, :1]  # broadcast to the mask, as the conv2 gradient is
+    expected = np.where(mask, np.broadcast_to(column, mask.shape), 0.0)
+    assert detector._keep(mask, column).tobytes() == expected.tobytes()
+
+
 # --- sample path ----------------------------------------------------------------
 
 

@@ -13,6 +13,8 @@ from pixmap.mapping import (
     apply_mapping,
     build_fixed_table,
     build_random_tables,
+    map_batch,
+    random_table_entries,
 )
 
 
@@ -104,6 +106,25 @@ def test_random_tables_grand_mean_small():
         for tab in build_random_tables(seed):
             total += tab.entries.sum()
     assert abs(total / (n * 3 * 256)) < 0.02
+
+
+def test_random_table_entries_rows_equal_build_random_tables():
+    seeds = [0, 1, 42, 2**64 - 1] + list(range(1000, 1030))
+    entries = random_table_entries(seeds)
+    assert entries.shape == (len(seeds), 3, 256)
+    for row, seed in zip(entries, seeds):
+        assert np.array_equal(row, np.stack([t.entries for t in build_random_tables(seed)]))
+
+
+@pytest.mark.parametrize("tn,tc", [(5, 3), (1, 3), (5, 1), (1, 1)])
+def test_map_batch_equals_take_along_axis(tn, tc):
+    batch = (np.arange(5 * 3 * 4 * 6) * 37 % 256).astype(np.uint8).reshape(5, 3, 4, 6)
+    entries = random_table_entries(list(range(tn)))[:, :tc]
+    ref = np.take_along_axis(entries, batch.reshape(5, 3, 24), axis=2).reshape(batch.shape)
+    assert map_batch(batch, entries).tobytes() == ref.tobytes()
+    strided = batch.transpose(0, 1, 3, 2)  # a non-contiguous view
+    ref = np.take_along_axis(entries, strided.reshape(5, 3, 24), axis=2).reshape(strided.shape)
+    assert map_batch(strided, entries).tobytes() == ref.tobytes()
 
 
 # --- application -------------------------------------------------------------------

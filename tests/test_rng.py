@@ -1,8 +1,20 @@
 """Determinism and stream-consistency checks for the seeded generator."""
 
-import numpy as np
+import math
 
-from pixmap.rng import SplitMix64, derive_seed, fnv1a64, mix64
+import numpy as np
+import pytest
+
+from pixmap import rng as rng_module
+from pixmap.rng import (
+    SplitMix64,
+    derive_seed,
+    fnv1a64,
+    mix64,
+    seeded_permutations,
+    seeded_uniforms,
+    seeded_words,
+)
 
 
 def test_scalar_and_bulk_streams_match():
@@ -140,3 +152,88 @@ def test_forced_rejection_falls_back_to_reference(monkeypatch):
             rng.shuffle(items)
             assert (items, rng._counter) == refs[seed]
             assert scalar_draws == list(range(m, 1, -1))  # scalar path took over there
+
+
+# --- multi-seed draws --------------------------------------------------------------
+
+MANY_SEEDS = list(SHUFFLE_SEEDS) + [derive_seed(5, "perm", k) for k in range(40)]
+
+
+def test_seeded_words_rows_equal_per_seed_streams():
+    words = seeded_words(MANY_SEEDS, 37)
+    assert words.shape == (len(MANY_SEEDS), 37) and words.dtype == np.uint64
+    for row, seed in zip(words, MANY_SEEDS):
+        rng = SplitMix64(seed)
+        assert row.tolist() == [rng.next_u64() for _ in range(37)]
+    assert seeded_words([], 5).shape == (0, 5)
+
+
+def test_seeded_uniforms_rows_equal_per_seed_uniforms():
+    u = seeded_uniforms(MANY_SEEDS, 768, lo=-1.0, hi=1.0)
+    for row, seed in zip(u, MANY_SEEDS):
+        assert np.array_equal(row, SplitMix64(seed).uniforms(768, lo=-1.0, hi=1.0))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 16, 256])
+def test_seeded_permutations_equal_shuffle(n):
+    perms = seeded_permutations(MANY_SEEDS, n)
+    assert perms.shape == (len(MANY_SEEDS), n)
+    for row, seed in zip(perms, MANY_SEEDS):
+        items = list(range(n))
+        SplitMix64(seed).shuffle(items)
+        assert row.tolist() == items == _scalar_shuffle(seed, n)[0]
+
+
+def test_seeded_permutations_forced_rejection_uses_scalar_shuffle(monkeypatch):
+    n, bad_row = 300, 3
+    real_words = rng_module.seeded_words
+    real_shuffle = SplitMix64.shuffle
+    scalar_seeds = []
+
+    def words_with_reject(seeds, count):
+        words = real_words(seeds, count)
+        words[bad_row, 150] = np.uint64(2**64 - 1)  # bound n - 150 is not a power of 2
+        return words
+
+    def counting_shuffle(self, items):
+        scalar_seeds.append(self.seed)
+        real_shuffle(self, items)
+
+    monkeypatch.setattr(rng_module, "seeded_words", words_with_reject)
+    monkeypatch.setattr(SplitMix64, "shuffle", counting_shuffle)
+    perms = seeded_permutations(MANY_SEEDS, n)
+    assert scalar_seeds == [MANY_SEEDS[bad_row]]
+    for row, seed in zip(perms, MANY_SEEDS):
+        assert row.tolist() == _scalar_shuffle(seed, n)[0]
+
+
+def _strided_normals(seed, n):
+    """The former Box-Muller layout: even and odd uniforms read with stride 2."""
+    pairs = (n + 1) // 2
+    u = SplitMix64(seed).uniforms(2 * pairs)
+    r = np.sqrt(-2.0 * np.log1p(-u[0::2]))
+    theta = 2.0 * math.pi * u[1::2]
+    out = np.empty(2 * pairs)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 4096, 49152])
+def test_normals_equal_strided_reference(n):
+    for seed in (0, 3, 701, 2**64 - 1):
+        assert SplitMix64(seed).normals(n).tobytes() == _strided_normals(seed, n).tobytes()
+
+
+def test_derive_seed_equals_unmemoized_hash():
+    def reference(root, *tags):
+        h = root & (2**64 - 1)
+        for tag in tags:
+            h = mix64(h ^ fnv1a64(str(tag).encode("utf-8")))
+        return h
+
+    # equal-comparing tags of different types must not share a cached hash
+    for tags in [(1,), (True,), (1.0,), ("1",), ("crop", 3, "train/a.ppm"), ("\u00e9",)]:
+        for _ in range(2):
+            assert derive_seed(77, *tags) == reference(77, *tags)
+    assert derive_seed(77, True) != derive_seed(77, 1)
