@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import PixmapError
 from .image import CropSpec, Image8, crop_origin, decode_ppm, format_rows, parse_rows, write_atomic
+from .image import random_crop_origins
 from .reducers import ReducerSpec, reduce_batch
 from .rng import SplitMix64, derive_seed
 from .synthgen import ManifestEntry
@@ -372,26 +373,26 @@ def _sample_batch(images, entries, indices, reducer, reducer_root, crop_size, se
     """Crop, reduce and stack the indexed samples into an N x 3 x H x W batch.
 
     Training (``epoch`` given) takes a random crop seeded by
-    ``derive_seed(seed, "crop", epoch, path)`` and tags the reducer with
-    ``(path, epoch)``; evaluation takes a centre crop and the tag ``(path,)``.
-    The images may differ in size. Each crop is sliced straight into one
-    uint8 array, which is transposed once to NCHW and reduced as a whole by
-    :func:`reduce_batch`; the result equals stacking
+    ``derive_seed(seed, "crop", epoch, path)``, with every offset of the
+    batch drawn at once by :func:`random_crop_origins`, and tags the reducer
+    with ``(path, epoch)``; evaluation takes a centre crop and the tag
+    ``(path,)``. The images may differ in size. Each crop is sliced straight
+    into one uint8 array, which is transposed once to NCHW and reduced as a
+    whole by :func:`reduce_batch`; the result equals stacking
     ``apply_reducer(crop(...))`` per sample, bit for bit.
     """
-    center = CropSpec(crop_size, "center")
+    paths = [entries[i].path for i in indices]
+    datas = [images[i].data for i in indices]
+    if epoch is None:
+        center = CropSpec(crop_size, "center")
+        origins = [crop_origin(d.shape[0], d.shape[1], center) for d in datas]
+        tags = [(path,) for path in paths]
+    else:
+        seeds = [derive_seed(seed, "crop", epoch, path) for path in paths]
+        origins = random_crop_origins([d.shape[:2] for d in datas], crop_size, seeds)
+        tags = [(path, epoch) for path in paths]
     crops = np.empty((len(indices), crop_size, crop_size, 3), dtype=np.uint8)
-    tags = []
-    for k, i in enumerate(indices):
-        path = entries[i].path
-        if epoch is None:
-            spec = center
-            tags.append((path,))
-        else:
-            spec = CropSpec(crop_size, "random", derive_seed(seed, "crop", epoch, path))
-            tags.append((path, epoch))
-        data = images[i].data
-        top, left = crop_origin(data.shape[0], data.shape[1], spec)
+    for k, (data, (top, left)) in enumerate(zip(datas, origins)):
         crops[k] = data[top : top + crop_size, left : left + crop_size]
     batch = np.ascontiguousarray(crops.transpose(0, 3, 1, 2))
     return reduce_batch(reducer, batch, reducer_root, tags)

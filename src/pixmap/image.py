@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PixmapError
-from .rng import SplitMix64
+from .rng import SplitMix64, _rejected, seeded_words
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -215,6 +215,26 @@ def crop_origin(height: int, width: int, spec: CropSpec) -> tuple[int, int]:
     rng = SplitMix64(spec.seed)
     top = rng.randrange(height - s + 1)
     return top, rng.randrange(width - s + 1)
+
+
+def random_crop_origins(sizes, size: int, seeds) -> list:
+    """:func:`crop_origin` of a ``random`` crop for each (height, width) and seed.
+
+    Every row's top and left offsets come from one
+    ``seeded_words(seeds, 2)`` draw, with each randrange rejection bound
+    checked at once. A row that meets a rejected word (probability below
+    image side / 2**64), or whose image is smaller than the crop, goes
+    through :func:`crop_origin` itself, so each origin equals its scalar one.
+    """
+    m = np.array(sizes, dtype=np.int64).reshape(-1, 2) - (size - 1)
+    fits = (m > 0).all(axis=1)
+    m = np.maximum(m, 1).astype(np.uint64)
+    words = seeded_words(seeds, 2)
+    fast = (fits & ~_rejected(words, m).any(axis=1)).tolist()
+    return [
+        offsets if ok else crop_origin(h, w, CropSpec(size, "random", seed))
+        for offsets, ok, (h, w), seed in zip((words % m).tolist(), fast, sizes, seeds)
+    ]
 
 
 def crop(img: Image8, spec: CropSpec) -> Image8:

@@ -1,12 +1,22 @@
 """CLI error contract: one ``error: <code>: <detail>`` line and a nonzero exit."""
 
+import dataclasses
+import multiprocessing
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pixmap import cli
-from pixmap.detector import init_params, save_params
+from pixmap.detector import TrainConfig, evaluate, init_params, save_params, train
+from pixmap.errors import PixmapError
 from pixmap.image import Image8, encode_ppm
 from pixmap.reducers import ReducerSpec
+from pixmap.rng import derive_seed
 
 
 def run_cli_error(capsys, argv):
@@ -129,6 +139,76 @@ def test_report_checks_every_reducer_before_training(capsys, tmp_path, monkeypat
     assert line.startswith("error: patch-mismatch: ")
     assert calls == []
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("code", ["single-class", "bad-usage", "worker-failed", "io"])
+def test_pixmap_error_survives_pickling(code):
+    err = pickle.loads(pickle.dumps(PixmapError(code, f"detail of {code}: x")))
+    assert type(err) is PixmapError
+    assert (err.code, err.message) == (code, f"detail of {code}: x")
+    assert str(err) == f"{code}: detail of {code}: x"
+
+
+def _gen_confound(data, n):
+    assert cli.main(["gen", "--out", str(data), "--confound", "--n", str(n), "--size", "32"]) == 0
+
+
+def test_report_worker_error_keeps_error_contract(capsys, tmp_path):
+    _gen_confound(tmp_path, 2)
+    manifest = tmp_path / "train_manifest.csv"
+    header, *rows = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([header] + [r for r in rows if r.split(",")[1] == "0"]) + "\n")
+    capsys.readouterr()
+    line = run_cli_error(
+        capsys, ["report", "--data", tmp_path, "--out", tmp_path / "r.csv", "--epochs", 1]
+    )
+    assert line.startswith("error: single-class: ")
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_report_dead_worker_is_worker_failed(capsys, tmp_path, monkeypatch):
+    _gen_confound(tmp_path, 2)
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "train", lambda *args: os._exit(3))  # forked workers inherit it
+    line = run_cli_error(
+        capsys, ["report", "--data", tmp_path, "--out", tmp_path / "r.csv", "--epochs", 1]
+    )
+    assert line.startswith("error: worker-failed: ")
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_report_equals_serial_oracle(capsys, tmp_path):
+    data, out = tmp_path / "data", tmp_path / "r.csv"
+    _gen_confound(data, 4)
+    assert cli.main(["report", "--data", str(data), "--out", str(out), "--epochs", "1"]) == 0
+    assert multiprocessing.active_children() == []
+    config = TrainConfig(reducer=ReducerSpec.parse("none"), epochs=1)
+    train_entries, train_images = cli._load_split(data, "train")
+    test_entries, test_images = cli._load_split(data, "test")
+    reducer_seed = derive_seed(config.seed, "reducer")
+    lines = ["reducer,train_acc,test_acc,test_ap"]
+    for name in cli.REPORT_REDUCERS:
+        run = dataclasses.replace(config, reducer=ReducerSpec.parse(name))
+        params, _ = train(train_entries, train_images, run)
+        fit = evaluate(params, train_entries, train_images, run.reducer, reducer_seed, run.crop)
+        test = evaluate(params, test_entries, test_images, run.reducer, reducer_seed, run.crop)
+        lines.append(f"{name},{fit.accuracy!r},{test.accuracy!r},{test.average_precision!r}")
+    expected = "\n".join(lines) + "\n"
+    assert out.read_text() == expected
+    assert capsys.readouterr().out.endswith(expected)
+    assert (tmp_path / "r.csv.run.json").is_file()
+
+
+def test_cli_import_loads_no_process_pool():
+    code = (
+        "import sys, pixmap.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_spectrum_highpass_odd_crop_end_to_end(tmp_path):

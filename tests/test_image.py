@@ -3,21 +3,24 @@
 import numpy as np
 import pytest
 
+from pixmap import image as image_module
 from pixmap.errors import PixmapError
 from pixmap.image import (
     CropSpec,
     Image8,
     ImageF,
     crop,
+    crop_origin,
     decode_ppm,
     encode_ppm,
     quantize,
+    random_crop_origins,
     read_imagef,
     to_float,
     write_atomic,
     write_imagef,
 )
-from pixmap.rng import SplitMix64
+from pixmap.rng import SplitMix64, derive_seed
 
 
 def _random_image(seed, h, w):
@@ -139,6 +142,50 @@ def test_crop_too_large_rejected():
     with pytest.raises(PixmapError) as err:
         crop(img, CropSpec(5, "center"))
     assert err.value.code == "crop-too-large"
+
+
+# Mixed image sizes; at crop 32, the 32-px sides leave one offset (randrange(1)).
+ORIGIN_SIZES = [(40, 40), (33, 57), (64, 64), (32, 32), (100, 35), (32, 64)]
+ORIGIN_SEEDS = [derive_seed(9, "crop", k) for k in range(60)]
+
+
+def _scalar_origins(sizes, size, seeds):
+    return [crop_origin(h, w, CropSpec(size, "random", seed)) for (h, w), seed in zip(sizes, seeds)]
+
+
+def test_random_crop_origins_equal_scalar_rule():
+    sizes = [ORIGIN_SIZES[k % len(ORIGIN_SIZES)] for k in range(len(ORIGIN_SEEDS))]
+    for size in (7, 32):
+        got = random_crop_origins(sizes, size, ORIGIN_SEEDS)
+        assert [tuple(o) for o in got] == _scalar_origins(sizes, size, ORIGIN_SEEDS)
+    assert random_crop_origins([], 32, []) == []
+    with pytest.raises(PixmapError) as err:
+        random_crop_origins(sizes[:3] + [(31, 64)], 32, ORIGIN_SEEDS[:4])
+    assert err.value.code == "crop-too-large"
+
+
+@pytest.mark.parametrize("column", [0, 1], ids=["top", "left"])
+def test_random_crop_origins_forced_rejection_uses_scalar_rule(monkeypatch, column):
+    bad_row = 4  # 100 x 35 at crop 27: bounds 74 and 9
+    sizes = [ORIGIN_SIZES[k % len(ORIGIN_SIZES)] for k in range(12)]
+    seeds = ORIGIN_SEEDS[:12]
+    real_words, real_origin = image_module.seeded_words, image_module.crop_origin
+    scalar_calls = []
+
+    def words_with_reject(seeds, count):
+        words = real_words(seeds, count)
+        words[bad_row, column] = np.uint64(2**64 - 1)
+        return words
+
+    def counting_origin(height, width, spec):
+        scalar_calls.append(spec.seed)
+        return real_origin(height, width, spec)
+
+    monkeypatch.setattr(image_module, "seeded_words", words_with_reject)
+    monkeypatch.setattr(image_module, "crop_origin", counting_origin)
+    got = random_crop_origins(sizes, 27, seeds)
+    assert scalar_calls == [seeds[bad_row]]
+    assert [tuple(o) for o in got] == _scalar_origins(sizes, 27, seeds)
 
 
 def test_random_crop_requires_seed():
