@@ -8,11 +8,13 @@ outputs when re-run with the flags stored in their manifest.
 Errors print exactly one line to stderr, ``error: <code>: <detail>``, and
 exit nonzero; exit code 0 means success.
 
-``report`` trains its seven detectors in worker processes, one per CPU the
-process may run on (at most seven); see :func:`run_experiment`. Each worker
-multiplies matrices through numpy's BLAS, so keep BLAS at one thread per
-worker (for OpenBLAS, ``OPENBLAS_NUM_THREADS=1``): the workers already fill
-the CPUs, and BLAS threads on top of them only contend for the same cores.
+``gen`` writes its images and ``report`` trains its seven detectors in
+worker processes, forked where the platform can fork, one per CPU the
+process may run on and never more than there are tasks; see
+:func:`_fork_map`. Each ``report`` worker multiplies matrices through
+numpy's BLAS, so keep BLAS at one thread per worker (for OpenBLAS,
+``OPENBLAS_NUM_THREADS=1``): the workers already fill the CPUs, and BLAS
+threads on top of them only contend for the same cores.
 """
 
 from __future__ import annotations
@@ -148,7 +150,57 @@ def _load_split(data_dir: str, split: str):
     return entries, load_images(entries, data_dir)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: ``os.sched_getaffinity`` where it exists, else ``os.cpu_count()``."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _fork_map(fn, items, initializer=None, initargs=()) -> list:
+    """``[fn(item) for item in items]``, computed in a pool of worker processes.
+
+    ``gen`` writes its image shares and ``report`` trains its rows through
+    this one pool. The pool has ``min(len(items), usable CPUs)`` workers (see
+    :func:`_usable_cpus`); there is no flag and no serial path, so one CPU
+    means one worker. Workers are forked where the platform can fork (the
+    platform default start method elsewhere), so they inherit the parent's
+    memory: state handed to ``initializer`` is never pickled, and only the
+    items and results cross a pipe. The pool forks every worker before it
+    starts its own management thread. ``fn`` must be a module-level
+    function, since it is pickled by name.
+
+    An exception raised by ``fn`` (a ``PixmapError``, an ``OSError``)
+    reaches the caller unchanged; a worker that dies raises
+    ``PixmapError("worker-failed")``. Either way the pending items are
+    cancelled and every worker is joined before this returns.
+    """
+    # Imported here, not at the top: multiprocessing and concurrent.futures
+    # add 22-29 ms of imports, which the commands without a pool should not pay.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    pool = ProcessPoolExecutor(
+        min(len(items), _usable_cpus()),
+        mp_context=multiprocessing.get_context(method),
+        initializer=initializer,
+        initargs=initargs,
+    )
+    try:
+        return list(pool.map(fn, items))
+    except BrokenProcessPool as exc:
+        raise PixmapError("worker-failed", str(exc)) from exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 # --- subcommands ---------------------------------------------------------------
+
+
+def _materialize_share(share) -> None:
+    """Write one share of a manifest's images: ``share`` is (manifest, out_dir)."""
+    manifest, out_dir = share
+    materialize(manifest, out_dir)
 
 
 def _cmd_gen(args) -> int:
@@ -164,9 +216,19 @@ def _cmd_gen(args) -> int:
         size=args.size,
         noise_sigma=args.noise_sigma,
     )
+    # Each image depends only on its entry, so every manifest is split into
+    # one interleaved share per worker, and each worker writes its own files.
+    workers = min(_usable_cpus(), len(train_manifest.entries))
+    _fork_map(
+        _materialize_share,
+        [
+            (dataclasses.replace(manifest, entries=manifest.entries[k::workers]), out_dir)
+            for manifest in (train_manifest, test_manifest)
+            for k in range(workers)
+        ],
+    )
     outputs = []
     for split, manifest in (("train", train_manifest), ("test", test_manifest)):
-        materialize(manifest, out_dir)
         csv_path = out_dir / f"{split}_manifest.csv"
         write_manifest_csv(csv_path, manifest)
         outputs.append(csv_path)
@@ -409,18 +471,11 @@ def run_experiment(data_dir, config: TrainConfig) -> str:
     rows differ only by reducer. Every reducer is checked against the crop
     before anything is decoded or trained.
 
-    The rows are computed in a pool of ``min(7, usable CPUs)`` worker
-    processes (``os.sched_getaffinity`` where it exists, else
-    ``os.cpu_count()``), each row by :func:`_report_row`. A row depends only
-    on the splits, its config and seeds derived from it, so the CSV is
-    byte-identical whatever the worker count. Workers are forked where the
-    platform can fork (the platform default start method elsewhere): they
-    inherit the decoded splits through the pool initializer, and only the
-    seven configs and result tuples cross a pipe. The pool forks every
-    worker before it starts its own management thread. A ``PixmapError`` raised
-    in a worker reaches the caller unchanged; a worker that dies raises
-    ``PixmapError("worker-failed")``. Either way the pending rows are
-    cancelled and every worker is joined before this returns.
+    The rows are computed by :func:`_fork_map`, each by :func:`_report_row`,
+    in at most seven workers. A row depends only on the splits, its config
+    and seeds derived from it, so the CSV is byte-identical whatever the
+    worker count. The workers inherit the decoded splits through the pool
+    initializer, and only the seven configs and result tuples cross a pipe.
     """
     runs = [dataclasses.replace(config, reducer=ReducerSpec.parse(name)) for name in REPORT_REDUCERS]
     for run in runs:
@@ -428,26 +483,9 @@ def run_experiment(data_dir, config: TrainConfig) -> str:
     train_split = _load_split(data_dir, "train")
     test_split = _load_split(data_dir, "test")
     reducer_seed = derive_seed(config.seed, "reducer")
-    # Imported here, not at the top: multiprocessing and concurrent.futures
-    # add 22-29 ms of imports, which no other command should pay.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    pool = ProcessPoolExecutor(
-        min(len(runs), cpus),
-        mp_context=multiprocessing.get_context(method),
-        initializer=_init_report_worker,
-        initargs=(train_split, test_split, reducer_seed),
+    rows = _fork_map(
+        _report_row, runs, initializer=_init_report_worker, initargs=(train_split, test_split, reducer_seed)
     )
-    try:
-        rows = list(pool.map(_report_row, runs))
-    except BrokenProcessPool as exc:
-        raise PixmapError("worker-failed", str(exc)) from exc
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
     lines = ["reducer,train_acc,test_acc,test_ap"]
     for name, (train_acc, test_acc, test_ap) in zip(REPORT_REDUCERS, rows):
         lines.append(f"{name},{train_acc!r},{test_acc!r},{test_ap!r}")

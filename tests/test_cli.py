@@ -17,6 +17,7 @@ from pixmap.errors import PixmapError
 from pixmap.image import Image8, encode_ppm
 from pixmap.reducers import ReducerSpec
 from pixmap.rng import derive_seed
+from pixmap.synthgen import build_benchmark, materialize, write_manifest_csv
 
 
 def run_cli_error(capsys, argv):
@@ -199,6 +200,52 @@ def test_report_equals_serial_oracle(capsys, tmp_path):
     assert out.read_text() == expected
     assert capsys.readouterr().out.endswith(expected)
     assert (tmp_path / "r.csv.run.json").is_file()
+
+
+def _file_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        {"confound": True, "n": 5, "train_upsampler": "nearest", "test_upsampler": "bilinear"},
+        {"confound": False, "n": 3, "train_upsampler": "bilinear", "test_upsampler": "zero_insert_conv"},
+    ],
+)
+def test_gen_equals_serial_oracle(capsys, tmp_path, flags):
+    data, oracle = tmp_path / "data", tmp_path / "oracle"
+    argv = ["gen", "--out", str(data), "--n", str(flags["n"]), "--size", "16", "--seed", "7",
+            "--train-upsampler", flags["train_upsampler"], "--test-upsampler", flags["test_upsampler"]]
+    assert cli.main(argv + ["--confound"] * flags["confound"]) == 0
+    assert multiprocessing.active_children() == []
+    manifests = build_benchmark(
+        flags["train_upsampler"], flags["test_upsampler"], flags["confound"], flags["n"], seed=7, size=16
+    )
+    for split, manifest in zip(("train", "test"), manifests):
+        materialize(manifest, oracle)
+        write_manifest_csv(oracle / f"{split}_manifest.csv", manifest)
+    got = _file_bytes(data)
+    del got["run.json"]  # records the wall clock
+    assert got == _file_bytes(oracle)
+
+
+def test_gen_worker_io_error_keeps_error_contract(capsys, tmp_path):
+    (tmp_path / "test" / "fake_0001.ppm").mkdir(parents=True)
+    code = cli.main(["gen", "--out", str(tmp_path), "--n", "2", "--size", "16"])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: io: "), lines
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.glob("*_manifest.csv")) == []
+
+
+def test_gen_dead_worker_is_worker_failed(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "materialize", lambda *args: os._exit(3))  # forked workers inherit it
+    line = run_cli_error(capsys, ["gen", "--out", tmp_path, "--n", 2, "--size", 16])
+    assert line.startswith("error: worker-failed: ")
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.glob("*_manifest.csv")) == []
 
 
 def test_cli_import_loads_no_process_pool():

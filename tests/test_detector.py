@@ -134,6 +134,26 @@ def test_forward_handles_minimum_size_and_rejects_smaller():
         forward(params, np.zeros((1, 4, 8, 8)))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 13, 64, 70])
+@pytest.mark.parametrize("size", [32, 15])
+def test_chunked_forward_equals_full_forward_bit_for_bit(monkeypatch, n, size):
+    params = init_params(5)
+    x = _rand_batch(n + size, n=n, h=size, w=size)
+    head_rows = []
+    real_head = detector._head
+
+    def counting_head(params, g):
+        head_rows.append(len(g))
+        return real_head(params, g)
+
+    monkeypatch.setattr(detector, "_head", counting_head)
+    got = forward(params, x)  # first, so no freed buffer of the full pass can fill its features
+    monkeypatch.undo()
+    assert got.tobytes() == detector._forward_full(params, x)[0].tobytes()
+    # BLAS rounds the head's rows by block position, so it must see the whole batch at once.
+    assert head_rows == [n]
+
+
 # --- loss -----------------------------------------------------------------------
 
 
