@@ -8,6 +8,15 @@ outputs when re-run with the flags stored in their manifest.
 Errors print exactly one line to stderr, ``error: <code>: <detail>``, and
 exit nonzero; exit code 0 means success.
 
+Commands load the library modules on first use: this module calls them
+through their module objects, which the package registers lazily, and
+imports numpy only inside the commands. ``--version``, ``--help`` and usage
+errors load no numpy, ``gen`` never runs ``detector``, ``reducers``,
+``spectral`` or ``mapping``, and ``spectrum`` never runs ``detector`` or
+``synthgen``. Every module a worker process uses is loaded before the pool
+forks (``build_benchmark`` loads ``synthgen``, ``load_images`` loads
+``detector``), so no worker loads one while another thread may run.
+
 ``gen`` writes its images and ``report`` trains its seven detectors in
 worker processes, forked where the platform can fork, one per CPU the
 process may run on and never more than there are tasks; see
@@ -29,40 +38,9 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
-from .detector import (
-    TrainConfig,
-    evaluate,
-    load_images,
-    load_params,
-    save_params,
-    train,
-)
+from . import __version__, detector, image, mapping, reducers, rng, spectral, synthgen
+from .config import DEFAULT_NOISE_SIGMA, UPSAMPLERS, TrainConfig
 from .errors import PixmapError
-from .image import (
-    CropSpec,
-    as_batch,
-    crop,
-    decode_ppm,
-    encode_ppm,
-    write_atomic,
-    write_imagef,
-    write_pgm,
-)
-from .mapping import apply_mapping, build_fixed_table, build_random_tables
-from .reducers import ReducerSpec, highpass, npr_residual, patch_shuffle, reduce_batch
-from .rng import derive_seed
-from .spectral import azimuthal_profile, heatmap_u8, mean_spectrum_chw, profile_csv
-from .synthgen import (
-    DEFAULT_NOISE_SIGMA,
-    UPSAMPLERS,
-    build_benchmark,
-    materialize,
-    read_manifest_csv,
-    write_manifest_csv,
-)
 
 REPORT_REDUCERS = ("none", "highpass", "shuffle:8", "shuffle:2", "npr", "fixed", "random")
 
@@ -85,7 +63,7 @@ def _write_run_manifest(path: Path, subcommand: str, flags: dict, seeds: dict, i
         "started_utc": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
         "duration_s": round(time.time() - started, 3),
     }
-    write_atomic(path, (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode("ascii"))
+    image.write_atomic(path, (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode("ascii"))
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -121,7 +99,7 @@ def _add_setting_flags(parser, names) -> None:
         )
 
 
-def _resolve_train_config(args, reducer: ReducerSpec) -> TrainConfig:
+def _resolve_train_config(args, reducer: reducers.ReducerSpec) -> TrainConfig:
     """Merge precedence: explicit flags > config file > TrainConfig defaults."""
     config_path = getattr(args, "config", None)
     file_values = _load_config_file(config_path) if config_path else {}
@@ -146,8 +124,8 @@ def _load_split(data_dir: str, split: str):
     manifest_path = Path(data_dir) / f"{split}_manifest.csv"
     if not manifest_path.is_file():
         raise PixmapError("missing-file", f"no {split} manifest at {manifest_path}")
-    entries = read_manifest_csv(manifest_path)
-    return entries, load_images(entries, data_dir)
+    entries = synthgen.read_manifest_csv(manifest_path)
+    return entries, detector.load_images(entries, data_dir)
 
 
 def _usable_cpus() -> int:
@@ -200,14 +178,12 @@ def _fork_map(fn, items, initializer=None, initargs=()) -> list:
 def _materialize_share(share) -> None:
     """Write one share of a manifest's images: ``share`` is (manifest, out_dir)."""
     manifest, out_dir = share
-    materialize(manifest, out_dir)
+    synthgen.materialize(manifest, out_dir)
 
 
 def _cmd_gen(args) -> int:
     started = time.time()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train_manifest, test_manifest = build_benchmark(
+    train_manifest, test_manifest = synthgen.build_benchmark(
         train_fake_upsampler=args.train_upsampler,
         test_fake_upsampler=args.test_upsampler,
         confound=args.confound,
@@ -216,6 +192,8 @@ def _cmd_gen(args) -> int:
         size=args.size,
         noise_sigma=args.noise_sigma,
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     # Each image depends only on its entry, so every manifest is split into
     # one interleaved share per worker, and each worker writes its own files.
     workers = min(_usable_cpus(), len(train_manifest.entries))
@@ -230,7 +208,7 @@ def _cmd_gen(args) -> int:
     outputs = []
     for split, manifest in (("train", train_manifest), ("test", test_manifest)):
         csv_path = out_dir / f"{split}_manifest.csv"
-        write_manifest_csv(csv_path, manifest)
+        synthgen.write_manifest_csv(csv_path, manifest)
         outputs.append(csv_path)
     _write_run_manifest(
         out_dir / "run.json",
@@ -258,23 +236,23 @@ def _cmd_map(args) -> int:
     started = time.time()
     if args.mode in ("random", "shuffle") and args.seed is None:
         raise PixmapError("seed-required", f"--mode {args.mode} needs --seed")
-    img = decode_ppm(Path(args.infile).read_bytes())
+    img = image.decode_ppm(Path(args.infile).read_bytes())
     out_path = Path(args.out)
     tables = None
     if args.mode == "fixed":
-        tables = (build_fixed_table(),)
-        result = apply_mapping(img, tables[0])
-        write_imagef(out_path, result)
+        tables = (mapping.build_fixed_table(),)
+        result = mapping.apply_mapping(img, tables[0])
+        image.write_imagef(out_path, result)
     elif args.mode == "random":
-        tables = build_random_tables(args.seed)
-        write_imagef(out_path, apply_mapping(img, tables))
+        tables = mapping.build_random_tables(args.seed)
+        image.write_imagef(out_path, mapping.apply_mapping(img, tables))
     elif args.mode == "highpass":
-        write_imagef(out_path, highpass(img, args.cutoff))
+        image.write_imagef(out_path, reducers.highpass(img, args.cutoff))
     elif args.mode == "npr":
-        write_imagef(out_path, npr_residual(img))
+        image.write_imagef(out_path, reducers.npr_residual(img))
     elif args.mode == "shuffle":
-        shuffled = patch_shuffle(img, args.patch, args.seed)
-        write_atomic(out_path, encode_ppm(shuffled))
+        shuffled = reducers.patch_shuffle(img, args.patch, args.seed)
+        image.write_atomic(out_path, image.encode_ppm(shuffled))
     outputs = [out_path]
     if args.table_csv:
         if tables is None:
@@ -289,7 +267,7 @@ def _cmd_map(args) -> int:
                 f"{v},{tables[0].entries[v]!r},{tables[1].entries[v]!r},{tables[2].entries[v]!r}"
                 for v in range(256)
             ]
-        write_atomic(csv_path, ("\n".join(lines) + "\n").encode("ascii"))
+        image.write_atomic(csv_path, ("\n".join(lines) + "\n").encode("ascii"))
         outputs.append(csv_path)
     _write_run_manifest(
         out_path.with_name(out_path.name + ".run.json"),
@@ -312,31 +290,33 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    import numpy as np
+
     started = time.time()
-    reducer = ReducerSpec.parse(args.reducer)
+    reducer = reducers.ReducerSpec.parse(args.reducer)
     in_dir = Path(args.indir)
     paths = sorted(in_dir.rglob("*.ppm"))
     if not paths:
         raise PixmapError("empty-input", f"no .ppm files under {in_dir}")
-    reducer_root = derive_seed(args.seed, "reducer")
+    reducer_root = rng.derive_seed(args.seed, "reducer")
 
     def reduced():
         for p in paths:
-            img = decode_ppm(p.read_bytes())
+            img = image.decode_ppm(p.read_bytes())
             if args.crop is not None:
-                img = crop(img, CropSpec(args.crop, "center"))
+                img = image.crop(img, image.CropSpec(args.crop, "center"))
             tags = [(p.relative_to(in_dir).as_posix(),)]
             # A contiguous NCHW batch keeps every kernel and each rfft2 on contiguous rows.
-            batch = np.ascontiguousarray(as_batch(img))
-            yield reduce_batch(reducer, batch, reducer_root, tags)[0]
+            batch = np.ascontiguousarray(image.as_batch(img))
+            yield reducers.reduce_batch(reducer, batch, reducer_root, tags)[0]
 
-    spec = mean_spectrum_chw(reduced())
-    profile = azimuthal_profile(spec)
+    spec = spectral.mean_spectrum_chw(reduced())
+    profile = spectral.azimuthal_profile(spec)
     out_path = Path(args.out)
-    write_atomic(out_path, profile_csv(profile).encode("ascii"))
+    image.write_atomic(out_path, spectral.profile_csv(profile).encode("ascii"))
     outputs = [out_path]
     if args.heatmap:
-        write_pgm(args.heatmap, heatmap_u8(spec))
+        image.write_pgm(args.heatmap, spectral.heatmap_u8(spec))
         outputs.append(Path(args.heatmap))
     _write_run_manifest(
         out_path.with_name(out_path.name + ".run.json"),
@@ -359,13 +339,13 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_train(args) -> int:
     started = time.time()
-    reducer = ReducerSpec.parse(args.reducer)
+    reducer = reducers.ReducerSpec.parse(args.reducer)
     config = _resolve_train_config(args, reducer)
     entries, images = _load_split(args.data, "train")
-    params, trace = train(entries, images, config)
-    reducer_seed = derive_seed(config.seed, "reducer")
+    params, trace = detector.train(entries, images, config)
+    reducer_seed = rng.derive_seed(config.seed, "reducer")
     out_path = Path(args.out)
-    save_params(out_path, params, reducer, reducer_seed, config.crop)
+    detector.save_params(out_path, params, reducer, reducer_seed, config.crop)
     _write_run_manifest(
         out_path.with_name(out_path.name + ".run.json"),
         "train",
@@ -378,7 +358,7 @@ def _cmd_train(args) -> int:
         },
         {
             "root": config.seed,
-            "init": derive_seed(config.seed, "init"),
+            "init": rng.derive_seed(config.seed, "init"),
             "reducer": reducer_seed,
         },
         [args.data],
@@ -409,21 +389,21 @@ def _breakdown_csv(report) -> str:
 
 def _cmd_eval(args) -> int:
     started = time.time()
-    params, model_reducer, reducer_seed, crop_size = load_params(args.model)
-    requested = ReducerSpec.parse(args.reducer)
+    params, model_reducer, reducer_seed, crop_size = detector.load_params(args.model)
+    requested = reducers.ReducerSpec.parse(args.reducer)
     if requested.canonical() != model_reducer.canonical():
         raise PixmapError(
             "reducer-mismatch",
             f"model was trained with {model_reducer.canonical()}, got {requested.canonical()}",
         )
     entries, images = _load_split(args.data, args.split)
-    report = evaluate(params, entries, images, model_reducer, reducer_seed, crop_size)
+    report = detector.evaluate(params, entries, images, model_reducer, reducer_seed, crop_size)
     for line in _report_lines(report):
         print(line)
     outputs = []
     if args.out:
         out_path = Path(args.out)
-        write_atomic(out_path, _breakdown_csv(report).encode("ascii"))
+        image.write_atomic(out_path, _breakdown_csv(report).encode("ascii"))
         outputs.append(out_path)
         _write_run_manifest(
             out_path.with_name(out_path.name + ".run.json"),
@@ -456,9 +436,9 @@ def _init_report_worker(train_split, test_split, reducer_seed) -> None:
 def _report_row(run: TrainConfig) -> tuple[float, float, float]:
     """Train one report detector and score it: (train_acc, test_acc, test_ap)."""
     (train_entries, train_images), (test_entries, test_images), reducer_seed = _report_inputs
-    params, _ = train(train_entries, train_images, run)
-    train_report = evaluate(params, train_entries, train_images, run.reducer, reducer_seed, run.crop)
-    test_report = evaluate(params, test_entries, test_images, run.reducer, reducer_seed, run.crop)
+    params, _ = detector.train(train_entries, train_images, run)
+    train_report = detector.evaluate(params, train_entries, train_images, run.reducer, reducer_seed, run.crop)
+    test_report = detector.evaluate(params, test_entries, test_images, run.reducer, reducer_seed, run.crop)
     return train_report.accuracy, test_report.accuracy, test_report.average_precision
 
 
@@ -477,12 +457,12 @@ def run_experiment(data_dir, config: TrainConfig) -> str:
     worker count. The workers inherit the decoded splits through the pool
     initializer, and only the seven configs and result tuples cross a pipe.
     """
-    runs = [dataclasses.replace(config, reducer=ReducerSpec.parse(name)) for name in REPORT_REDUCERS]
+    runs = [dataclasses.replace(config, reducer=reducers.ReducerSpec.parse(name)) for name in REPORT_REDUCERS]
     for run in runs:
         run.reducer.validate_for_crop(run.crop)
     train_split = _load_split(data_dir, "train")
     test_split = _load_split(data_dir, "test")
-    reducer_seed = derive_seed(config.seed, "reducer")
+    reducer_seed = rng.derive_seed(config.seed, "reducer")
     rows = _fork_map(
         _report_row, runs, initializer=_init_report_worker, initargs=(train_split, test_split, reducer_seed)
     )
@@ -495,10 +475,10 @@ def run_experiment(data_dir, config: TrainConfig) -> str:
 def _cmd_report(args) -> int:
     started = time.time()
     # run_experiment swaps in each reducer; the first one only fills the field.
-    config = _resolve_train_config(args, ReducerSpec.parse(REPORT_REDUCERS[0]))
+    config = _resolve_train_config(args, reducers.ReducerSpec.parse(REPORT_REDUCERS[0]))
     csv_text = run_experiment(args.data, config)
     out_path = Path(args.out)
-    write_atomic(out_path, csv_text.encode("ascii"))
+    image.write_atomic(out_path, csv_text.encode("ascii"))
     _write_run_manifest(
         out_path.with_name(out_path.name + ".run.json"),
         "report",

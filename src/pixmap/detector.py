@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import TrainConfig
 from .errors import PixmapError
 from .image import CropSpec, Image8, crop_origin, decode_ppm, format_rows, parse_rows, write_atomic
 from .image import random_crop_origins
@@ -83,39 +84,6 @@ def init_params(seed: int) -> DetectorParams:
             bound = np.sqrt(6.0 / fan_in)
             out[name] = rng.uniforms(int(np.prod(shape)), -bound, bound).reshape(shape)
     return DetectorParams(**out)
-
-
-def _setting(default, help_text):
-    return field(default=default, metadata={"help": help_text})
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Training settings. The only home of their defaults: the CLI's train
-    and report flags and the config-file keys are derived from these fields.
-    """
-
-    reducer: ReducerSpec
-    lr: float = _setting(2e-4, "Adam learning rate")
-    beta1: float = _setting(0.9, "Adam beta1")
-    beta2: float = _setting(0.999, "Adam beta2")
-    weight_decay: float = _setting(2e-4, "decoupled weight decay")
-    epochs: int = _setting(30, "training epochs")
-    batch_size: int = _setting(32, "minibatch size")
-    crop: int = _setting(32, "crop size (random in training, center in eval)")
-    seed: int = _setting(1, "root seed")
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise PixmapError("bad-config", "lr must be > 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise PixmapError("bad-config", "betas must lie in [0, 1)")
-        if self.batch_size < 1:
-            raise PixmapError("bad-config", "batch_size must be >= 1")
-        if self.epochs < 1:
-            raise PixmapError("bad-config", "epochs must be >= 1")
-        if self.crop < 7:
-            raise PixmapError("bad-config", "crop must be >= 7")
 
 
 @dataclass(frozen=True)

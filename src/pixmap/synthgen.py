@@ -22,11 +22,11 @@ from pathlib import Path, PurePosixPath
 
 import numpy as np
 
+from .config import DEFAULT_NOISE_SIGMA, UPSAMPLERS
 from .errors import PixmapError
 from .image import Image8, ImageF, encode_ppm, quantize, write_atomic
 from .rng import SplitMix64, derive_seed
 
-UPSAMPLERS = ("nearest", "bilinear", "zero_insert_conv")
 FAMILIES = ("A", "B")
 
 # Corpus calibration constants. Contrast sets the smooth field's dynamic
@@ -36,7 +36,6 @@ FAMILIES = ("A", "B")
 FIELD_CONTRAST = 35.0
 GRADIENT_AMPLITUDE = 24.0
 FAMILY_BRIGHTNESS = 18.0
-DEFAULT_NOISE_SIGMA = 2.0
 # Blur width in pixels of the field being blurred: full-resolution pixels
 # for reals, half-resolution pixels for fakes, whose field is blurred before
 # the 2x upsampling and so ends up twice as wide in the final image.
@@ -47,6 +46,13 @@ BLUR_SIGMA_RANGE = (1.0, 3.0)
 # checkerboard of transposed-convolution upsampling. The overall gain
 # averages to one.
 _ZERO_INSERT_KERNEL = np.full((3, 3), 4.0 / 9.0)
+
+
+def _check_size_and_noise(size: int, noise_sigma: float) -> None:
+    if size < 2 or size % 2 != 0:
+        raise PixmapError("bad-generator", f"size must be even and >= 2, got {size}")
+    if not (noise_sigma >= 0 and math.isfinite(noise_sigma)):
+        raise PixmapError("bad-generator", f"noise_sigma must be finite and >= 0, got {noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -66,10 +72,7 @@ class GeneratorSpec:
             raise PixmapError("bad-generator", f"unknown kind {self.kind!r}")
         if self.family not in FAMILIES:
             raise PixmapError("bad-generator", f"unknown family {self.family!r}")
-        if self.size < 2 or self.size % 2 != 0:
-            raise PixmapError("bad-generator", f"size must be even and >= 2, got {self.size}")
-        if self.noise_sigma < 0:
-            raise PixmapError("bad-generator", "noise_sigma must be >= 0")
+        _check_size_and_noise(self.size, self.noise_sigma)
         if self.kind == "fake" and self.upsampler not in UPSAMPLERS:
             raise PixmapError("bad-generator", f"unknown upsampler {self.upsampler!r}")
         if self.kind == "real" and self.upsampler is not None:
@@ -264,13 +267,16 @@ def build_benchmark(
     family B; the test split swaps the assignment and switches the fake
     upsampler, so family and brightness anti-predict the label at test
     time. With the confound off, families alternate within each class
-    identically on both splits.
+    identically on both splits. A size or noise level that
+    :class:`GeneratorSpec` would reject raises its ``bad-generator`` error
+    here, before any image is made.
     """
     if n_per_class < 1:
         raise PixmapError("bad-benchmark", "n_per_class must be >= 1")
     for ups in (train_fake_upsampler, test_fake_upsampler):
         if ups not in UPSAMPLERS:
             raise PixmapError("bad-benchmark", f"unknown upsampler {ups!r}")
+    _check_size_and_noise(size, noise_sigma)
 
     def family_for(split: str, kind: str, index: int) -> str:
         if not confound:

@@ -133,7 +133,7 @@ def test_report_checks_every_reducer_before_training(capsys, tmp_path, monkeypat
     assert cli.main(["gen", "--out", str(tmp_path), "--confound", "--n", "2", "--size", "32"]) == 0
     capsys.readouterr()
     calls = []
-    monkeypatch.setattr(cli, "train", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli.detector, "train", lambda *args: calls.append(args))
     line = run_cli_error(
         capsys, ["report", "--data", tmp_path, "--out", tmp_path / "r.csv", "--crop", 30]
     )
@@ -171,7 +171,7 @@ def test_report_worker_error_keeps_error_contract(capsys, tmp_path):
 def test_report_dead_worker_is_worker_failed(capsys, tmp_path, monkeypatch):
     _gen_confound(tmp_path, 2)
     capsys.readouterr()
-    monkeypatch.setattr(cli, "train", lambda *args: os._exit(3))  # forked workers inherit it
+    monkeypatch.setattr(cli.detector, "train", lambda *args: os._exit(3))  # forked workers inherit it
     line = run_cli_error(
         capsys, ["report", "--data", tmp_path, "--out", tmp_path / "r.csv", "--epochs", 1]
     )
@@ -241,7 +241,7 @@ def test_gen_worker_io_error_keeps_error_contract(capsys, tmp_path):
 
 
 def test_gen_dead_worker_is_worker_failed(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "materialize", lambda *args: os._exit(3))  # forked workers inherit it
+    monkeypatch.setattr(cli.synthgen, "materialize", lambda *args: os._exit(3))  # forked workers inherit it
     line = run_cli_error(capsys, ["gen", "--out", tmp_path, "--n", 2, "--size", 16])
     assert line.startswith("error: worker-failed: ")
     assert multiprocessing.active_children() == []
@@ -256,6 +256,65 @@ def test_cli_import_loads_no_process_pool():
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def _python_last_line(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this checkout's pixmap; return its last stdout line."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-c", code, *map(str, args)]
+    return subprocess.run(argv, capture_output=True, text=True, env=env, check=True).stdout.splitlines()[-1]
+
+
+# Runs one CLI command, then prints its exit code, whether numpy was loaded,
+# and the pixmap modules that are registered but were never run.
+_RUN_AND_LIST_UNRUN = """
+import sys, types
+from pixmap import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+unrun = [n for n, m in sys.modules.items() if n.startswith("pixmap.") and type(m) is not types.ModuleType]
+print(code, "numpy" in sys.modules, *sorted(n.removeprefix("pixmap.") for n in unrun))
+"""
+
+
+@pytest.mark.parametrize("argv, code", [(["--version"], 0), (["--help"], 0), (["gen"], 2)])
+def test_parser_only_runs_load_no_numpy(argv, code):
+    status, numpy_loaded, *_ = _python_last_line(_RUN_AND_LIST_UNRUN, *argv).split()
+    assert (status, numpy_loaded) == (str(code), "False")
+
+
+def test_gen_and_spectrum_run_only_the_modules_they_call(tmp_path):
+    status, numpy_loaded, *unrun = _python_last_line(
+        _RUN_AND_LIST_UNRUN, "gen", "--out", tmp_path, "--n", 2, "--size", 16
+    ).split()
+    assert (status, numpy_loaded) == ("0", "True")
+    assert {"detector", "reducers", "spectral", "mapping"} <= set(unrun)
+    status, _, *unrun = _python_last_line(
+        _RUN_AND_LIST_UNRUN, "spectrum", "--in", tmp_path, "--reducer", "random", "--out", tmp_path / "p.csv"
+    ).split()
+    assert status == "0"
+    assert {"detector", "synthgen"} <= set(unrun)
+
+
+def test_cli_import_registers_every_library_module():
+    # perfbench/traced_cli.py looks every layer's module up in sys.modules right after this import.
+    code = "import sys, pixmap.cli; print(*sorted(n for n in sys.modules if n.startswith('pixmap.')))"
+    library = {"detector", "image", "mapping", "reducers", "rng", "spectral", "synthgen"}
+    assert {f"pixmap.{name}" for name in library} <= set(_python_last_line(code).split())
+
+
+def test_every_exported_name_is_the_defining_modules_object():
+    code = (
+        "import sys, types, pixmap\n"
+        "def home(name, obj):\n"
+        "    if isinstance(obj, types.ModuleType):\n"
+        "        return sys.modules[f'pixmap.{name}']\n"
+        "    return getattr(sys.modules[obj.__module__], name)\n"
+        "print(len(pixmap.__all__), [n for n in pixmap.__all__ if home(n, getattr(pixmap, n)) is not getattr(pixmap, n)])"
+    )
+    assert _python_last_line(code) == "62 []"
 
 
 def test_spectrum_highpass_odd_crop_end_to_end(tmp_path):
@@ -301,6 +360,42 @@ def test_every_subcommand_reports_one_error_line(capsys, tmp_path, subcommand):
     argv, code = BAD_INPUTS[subcommand]
     line = run_cli_error(capsys, argv(tmp_path))
     assert line.startswith(f"error: {code}: ") and len(line) > len(f"error: {code}: ")
+
+
+# A bad corpus or training setting, as a flag or a config-file line: each
+# fails before any image, weight or worker exists.
+BAD_SETTINGS = {
+    "gen-odd-size": (["gen", "--size", 7], "bad-generator"),
+    "gen-negative-noise": (["gen", "--noise-sigma", -1], "bad-generator"),
+    "gen-inf-noise": (["gen", "--noise-sigma", "inf"], "bad-generator"),
+    "gen-nan-noise": (["gen", "--noise-sigma", "nan"], "bad-generator"),
+    "train-inf-lr": (["train", "--reducer", "none", "--lr", "inf"], "bad-config"),
+    "train-nan-lr": (["train", "--reducer", "none", "--lr", "nan"], "bad-config"),
+    "train-nan-weight-decay": (["train", "--reducer", "none", "--weight-decay", "nan"], "bad-config"),
+    "train-config-inf-lr": (["train", "--reducer", "none", "--config", "lr=inf"], "bad-config"),
+    "report-inf-weight-decay": (["report", "--weight-decay", "inf"], "bad-config"),
+}
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would break the one-line contract
+@pytest.mark.parametrize("case", sorted(BAD_SETTINGS))
+def test_bad_setting_fails_before_writing(capsys, tmp_path, case):
+    (subcommand, *flags), code = BAD_SETTINGS[case]
+    data, out = tmp_path / "data", tmp_path / "out"
+    if subcommand == "gen":
+        argv = [subcommand, "--out", out, "--n", 2, "--size", 16, *flags]
+    else:
+        _gen_confound(data, 2)
+        capsys.readouterr()
+        if "--config" in flags:
+            config = tmp_path / "cfg.txt"
+            config.write_text(flags.pop() + "\n")
+            flags.append(config)
+        argv = [subcommand, "--data", data, "--out", out, *flags]
+    line = run_cli_error(capsys, argv)
+    assert line.startswith(f"error: {code}: ")
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize(
