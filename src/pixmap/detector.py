@@ -14,7 +14,10 @@ view, and its backward pass fuses with the ReLU mask into one broadcast.
 Odd sides take a loop over the four window taps with partial windows.
 The optimizer is Adam with decoupled weight decay (weights shrink by
 lr * wd before the moment update). Each training step runs the forward
-pass once and takes the gradients from its cache.
+pass once and caches only what the backward pass reads: both im2col
+matrices, the ReLU masks ``m1``/``m2`` (``a > 0``, taken before each ReLU
+runs in place) and the pool's window counts. conv2's matrix is freed
+before its input gradient allocates a matrix of the same size.
 Everything is plain float64 numpy with a fixed reduction order, so
 identical seeds give bit-identical weights.
 """
@@ -122,21 +125,29 @@ def _conv_forward(x, w, b):
     return out.reshape(n, cout, h - 2, wd - 2), cols
 
 
-def _conv_backward(grad_out, cols, x_shape, w, input_grad=True):
-    """Gradients of _conv_forward; grad_x is None when input_grad is False."""
+def _conv_param_grads(grad_out, cols):
+    """Weight and bias gradients of _conv_forward, from its im2col ``cols``."""
+    g = grad_out.reshape(*grad_out.shape[:2], -1)
+    grad_w = (g @ cols.transpose(0, 2, 1)).sum(axis=0)
+    return grad_w.reshape(g.shape[1], -1, 3, 3), g.sum(axis=(0, 2))
+
+
+def _conv_input_grad(grad_out, x_shape, w):
+    """Gradient of _conv_forward at its input; needs no im2col matrix."""
     n, cin, h, wd = x_shape
     cout, oh, ow = grad_out.shape[1], h - 2, wd - 2
-    g = grad_out.reshape(n, cout, oh * ow)
-    grad_w = (g @ cols.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, 3, 3)
-    grad_b = g.sum(axis=(0, 2))
-    if not input_grad:
-        return None, grad_w, grad_b
-    gpatch = (w.reshape(cout, -1).T @ g).reshape(n, cin, 3, 3, oh, ow)
+    gpatch = (w.reshape(cout, -1).T @ grad_out.reshape(n, cout, oh * ow)).reshape(n, cin, 3, 3, oh, ow)
     grad_x = np.zeros(x_shape)
     for u in range(3):
         for v in range(3):
             grad_x[:, :, u : u + oh, v : v + ow] += gpatch[:, :, u, v]
-    return grad_x, grad_w, grad_b
+    return grad_x
+
+
+def _conv_backward(grad_out, cols, x_shape, w, input_grad=True):
+    """Gradients of _conv_forward; grad_x is None when input_grad is False."""
+    grad_x = _conv_input_grad(grad_out, x_shape, w) if input_grad else None
+    return (grad_x, *_conv_param_grads(grad_out, cols))
 
 
 def _meanpool_forward(x):
@@ -176,22 +187,22 @@ def _keep(mask, x):
     return out.view(np.float64)
 
 
-def _pool_relu_backward(grad_out, counts, a1):
-    """Gradient at conv1's pre-ReLU output ``a1`` from the pooled gradient."""
+def _pool_relu_backward(grad_out, counts, mask):
+    """Gradient at conv1's pre-ReLU output from the pooled gradient; ``mask`` is ``a1 > 0``."""
     if counts is None:
-        grad = np.empty(a1.shape)
+        grad = np.empty(mask.shape)
         spread = grad_out / 4.0
         for dy in (0, 1):
             for dx in (0, 1):
                 grad[:, :, dy::2, dx::2] = spread
     else:
-        grad = np.zeros(a1.shape)
+        grad = np.zeros(mask.shape)
         spread = grad_out / counts
         for dy in (0, 1):
             for dx in (0, 1):
                 sub = grad[:, :, dy::2, dx::2]
                 sub += spread[:, :, : sub.shape[2], : sub.shape[3]]
-    return _keep(a1 > 0, grad)
+    return _keep(mask, grad)
 
 
 def _sigmoid(z):
@@ -222,14 +233,15 @@ _FORWARD_CHUNK = 8
 
 
 def _features(params: DetectorParams, x):
-    """conv1 -> ReLU -> pool -> conv2 -> ReLU -> global mean; returns (g, cache)."""
+    """conv1 -> ReLU -> pool -> conv2 -> ReLU -> mean; returns (g, (cols1, m1, counts, p1_shape, m2, cols2))."""
     a1, cols1 = _conv_forward(x, params.conv1_w, params.conv1_b)
-    r1 = np.maximum(a1, 0.0)
-    p1, counts = _meanpool_forward(r1)
+    m1 = a1 > 0
+    p1, counts = _meanpool_forward(np.maximum(a1, 0.0, out=a1))
+    del a1
     a2, cols2 = _conv_forward(p1, params.conv2_w, params.conv2_b)
-    r2 = np.maximum(a2, 0.0)
-    g = r2.mean(axis=(2, 3))
-    return g, (x, a1, r1, p1, counts, a2, r2, g, cols1, cols2)
+    m2 = a2 > 0
+    g = np.maximum(a2, 0.0, out=a2).mean(axis=(2, 3))
+    return g, (cols1, m1, counts, p1.shape, m2, cols2)
 
 
 def _head(params: DetectorParams, g):
@@ -238,7 +250,7 @@ def _head(params: DetectorParams, g):
 
 def _forward_full(params: DetectorParams, batch):
     g, cache = _features(params, _check_batch(batch))
-    return _head(params, g), cache
+    return _head(params, g), g, cache
 
 
 def forward(params: DetectorParams, batch) -> np.ndarray:
@@ -272,8 +284,7 @@ def _forward_backward(params: DetectorParams, batch, labels):
     matching finite differences of the actual loss. conv1's input gradient
     is never needed, so it is not computed.
     """
-    probs, cache = _forward_full(params, batch)
-    x, a1, r1, p1, counts, a2, r2, g, cols1, cols2 = cache
+    probs, g, (cols1, m1, counts, p1_shape, m2, cols2) = _forward_full(params, batch)
     y = np.asarray(labels, dtype=np.float64)
     n = len(probs)
     clamped = (probs < LOSS_EPS) | (probs > 1.0 - LOSS_EPS)
@@ -283,12 +294,13 @@ def _forward_backward(params: DetectorParams, batch, labels):
     grad_linear_b = np.array([dz.sum()])
     dg = dz[:, None] * params.linear_w[0][None, :]
 
-    da2 = _keep(a2 > 0, (dg / (r2.shape[2] * r2.shape[3]))[:, :, None, None])
-    dp1, grad_conv2_w, grad_conv2_b = _conv_backward(da2, cols2, p1.shape, params.conv2_w)
-    da1 = _pool_relu_backward(dp1, counts, a1)
-    _, grad_conv1_w, grad_conv1_b = _conv_backward(
-        da1, cols1, x.shape, params.conv1_w, input_grad=False
-    )
+    # grad steps back from conv2's output to conv1's; rebinding frees each step's.
+    grad = _keep(m2, (dg / (m2.shape[2] * m2.shape[3]))[:, :, None, None])
+    grad_conv2_w, grad_conv2_b = _conv_param_grads(grad, cols2)
+    del m2, cols2  # before conv2's input gradient allocates its patch matrix
+    grad = _conv_input_grad(grad, p1_shape, params.conv2_w)
+    grad = _pool_relu_backward(grad, counts, m1)
+    grad_conv1_w, grad_conv1_b = _conv_param_grads(grad, cols1)
 
     return probs, {
         "conv1_w": grad_conv1_w,
@@ -391,6 +403,7 @@ def _sample_batch(images, entries, indices, reducer, reducer_root, crop_size, se
     return reduce_batch(reducer, batch, reducer_root, tags)
 
 
+@np.errstate(all="ignore")
 def train(
     entries: list[ManifestEntry], images: list[Image8], config: TrainConfig
 ) -> tuple[DetectorParams, list[float]]:
@@ -398,8 +411,8 @@ def train(
 
     Each epoch reshuffles the sample order, redraws every random crop, and
     redraws any stochastic reducer state, all from seeds derived off
-    ``config.seed``, the sample path, and the epoch index. Two runs with
-    the same inputs produce bit-identical weights.
+    ``config.seed``, the sample path, and the epoch index, so equal inputs
+    give bit-identical weights; a non-finite update raises ``diverged``.
     """
     if not entries:
         raise PixmapError("empty-manifest", "training manifest has no entries")
@@ -425,7 +438,10 @@ def train(
             y = np.array([entries[i].label for i in chunk], dtype=np.float64)
             probs, grads = _forward_backward(params, batch, y)
             epoch_loss += loss(probs, y) * len(chunk)
-            params, state = adam_step(params, grads, state, config)
+            try:
+                params, state = adam_step(params, grads, state, config)
+            except PixmapError as exc:
+                raise PixmapError("diverged", f"training diverged in epoch {epoch + 1}: {exc.message}") from exc
         trace.append(epoch_loss / n)
     return params, trace
 
@@ -448,6 +464,8 @@ def average_precision(scores, labels) -> float:
     npos = int(np.sum(y == 1))
     if npos == 0:
         raise PixmapError("degenerate-labels", "average precision needs a positive sample")
+    if np.isnan(s).any():  # NaN equals no score, so its tie group would never end
+        raise PixmapError("bad-scores", "average precision needs scores that are not NaN")
     order = np.argsort(-s, kind="stable")
     s = s[order]
     y = y[order]
@@ -471,6 +489,7 @@ def average_precision(scores, labels) -> float:
     return float(ap)
 
 
+@np.errstate(all="ignore")
 def evaluate(
     params: DetectorParams,
     entries: list[ManifestEntry],

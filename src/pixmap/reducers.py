@@ -127,7 +127,8 @@ def _highpass_keep(h: int, w: int, cutoff: float) -> np.ndarray:
 def _highpass(batch: np.ndarray, cutoff: float) -> np.ndarray:
     h, w = batch.shape[2:]
     freq = np.fft.rfft2(batch.astype(np.float64), axes=(2, 3))
-    return np.fft.irfft2(freq * _highpass_keep(h, w, cutoff), s=(h, w), axes=(2, 3))
+    freq *= _highpass_keep(h, w, cutoff)
+    return np.fft.irfft2(freq, s=(h, w), axes=(2, 3))
 
 
 def _check_tiles(batch: np.ndarray, size: int, what: str) -> None:

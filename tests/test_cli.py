@@ -4,6 +4,7 @@ import dataclasses
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -396,6 +397,37 @@ def test_bad_setting_fails_before_writing(capsys, tmp_path, case):
     assert line.startswith(f"error: {code}: ")
     assert not out.exists()
     assert multiprocessing.active_children() == []
+
+
+# An absurd learning rate: at --epochs 2 the second step's update is not
+# finite; at --epochs 1 the one step leaves finite weights whose eval scores
+# overflow to NaN.
+DIVERGING = {
+    "train": (["train", "--reducer", "none", "--epochs", 2], "diverged: training diverged in epoch 2: "),
+    "report": (["report", "--epochs", 2], "diverged: training diverged in epoch 2: "),
+    "report-one-step": (["report", "--epochs", 1], "bad-scores: "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIVERGING))
+def test_diverging_run_prints_one_error_line_and_no_warning(tmp_path, case):
+    (subcommand, *flags), detail = DIVERGING[case]
+    data, out = tmp_path / "data", tmp_path / "out"
+    _gen_confound(data, 2)
+    argv = [sys.executable, "-m", "pixmap.cli", subcommand, "--data", data, "--out", out, "--lr", "1e300", *flags]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    # Its own session, so a hung run's workers can be killed with it.
+    proc = subprocess.Popen([str(a) for a in argv], stderr=subprocess.PIPE, text=True, env=env, start_new_session=True)
+    try:
+        _, stderr = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        raise
+    assert proc.returncode == 1
+    assert stderr.splitlines() == [stderr.strip()], stderr
+    assert stderr.startswith(f"error: {detail}")
+    assert "Warning" not in stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

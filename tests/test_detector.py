@@ -1,6 +1,7 @@
 """Detector math: forward oracle, gradients, Adam, metrics, training."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,71 @@ def test_fused_step_matches_public_backward():
         assert np.array_equal(grads[name], public[name])
 
 
+def reference_forward_backward(params, batch, labels):
+    """The training step with every forward intermediate kept until the
+    gradients are done, built from the module's own layers."""
+    x = detector._check_batch(batch)
+    a1, cols1 = _conv_forward(x, params.conv1_w, params.conv1_b)
+    r1 = np.maximum(a1, 0.0)
+    p1, counts = _meanpool_forward(r1)
+    a2, cols2 = _conv_forward(p1, params.conv2_w, params.conv2_b)
+    r2 = np.maximum(a2, 0.0)
+    g = r2.mean(axis=(2, 3))
+    probs = detector._head(params, g)
+    y = np.asarray(labels, dtype=np.float64)
+    clamped = (probs < detector.LOSS_EPS) | (probs > 1.0 - detector.LOSS_EPS)
+    dz = np.where(clamped, 0.0, probs - y) / len(probs)
+    grad_linear_w = (dz[:, None] * g).sum(axis=0, keepdims=True)
+    grad_linear_b = np.array([dz.sum()])
+    dg = dz[:, None] * params.linear_w[0][None, :]
+    da2 = detector._keep(a2 > 0, (dg / (r2.shape[2] * r2.shape[3]))[:, :, None, None])
+    dp1, grad_conv2_w, grad_conv2_b = _conv_backward(da2, cols2, p1.shape, params.conv2_w)
+    da1 = detector._pool_relu_backward(dp1, counts, a1 > 0)
+    _, grad_conv1_w, grad_conv1_b = _conv_backward(da1, cols1, x.shape, params.conv1_w, input_grad=False)
+    return probs, {
+        "conv1_w": grad_conv1_w,
+        "conv1_b": grad_conv1_b,
+        "conv2_w": grad_conv2_w,
+        "conv2_b": grad_conv2_b,
+        "linear_w": grad_linear_w,
+        "linear_b": grad_linear_b,
+    }
+
+
+@pytest.mark.parametrize("crop", [8, 9, 31, 32])  # odd crops take the partial-window pool
+@pytest.mark.parametrize("n", [1, 7, 32])
+def test_step_equals_full_cache_reference_bit_for_bit(n, crop):
+    params = init_params(derive_seed(41, n, crop))
+    x = _rand_batch(derive_seed(42, n, crop), n=n, h=crop, w=crop)
+    y = (np.arange(n) % 2).astype(np.float64)
+    probs, grads = _forward_backward(params, x, y)
+    want_probs, want_grads = reference_forward_backward(params, x, y)
+    assert probs.tobytes() == want_probs.tobytes()
+    assert set(grads) == set(_SHAPES)
+    for name in _SHAPES:
+        assert grads[name].shape == _SHAPES[name]
+        assert grads[name].tobytes() == want_grads[name].tobytes(), name
+
+
+def test_step_working_set_stays_small():
+    # The traced numpy peak of one step at the default batch and crop. The
+    # bound sits between the full-cache step's 19.5 MiB and this step's
+    # 10.6 MiB, which caches only what the backward pass reads and frees
+    # conv2's im2col matrix before its input gradient allocates one.
+    params = init_params(3)
+    x = _rand_batch(5, n=32, h=32, w=32)
+    y = (np.arange(32) % 2).astype(np.float64)
+    _forward_backward(params, x, y)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        _forward_backward(params, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 12 * 2**20
+
+
 def loop_meanpool(x):
     """2x2 mean pool, one window at a time, summing from zero in (dy, dx) order."""
     n, c, h, w = x.shape
@@ -451,6 +517,12 @@ def test_ap_frozen_example():
 def test_ap_all_tied_scores():
     # one threshold group: precision = positive fraction at full recall
     assert average_precision([0.5, 0.5, 0.5, 0.5], [1, 0, 1, 0]) == pytest.approx(0.5)
+
+
+def test_ap_rejects_nan_scores():
+    with pytest.raises(PixmapError) as err:
+        average_precision([0.9, float("nan"), 0.2], [1, 0, 1])
+    assert err.value.code == "bad-scores"
 
 
 def test_ap_requires_a_positive():
