@@ -21,17 +21,16 @@ from .errors import PixmapError
 _EXPORTS = {
     "image": (
         "CropSpec", "Image8", "ImageF", "crop", "decode_ppm", "encode_ppm", "quantize",
-        "read_imagef", "to_float", "write_imagef",
+        "read_imagef", "write_imagef",
     ),
     "mapping": (
-        "MappingTable", "adjacent_gap_profile", "apply_mapping", "build_fixed_table",
-        "build_random_tables",
+        "MappingTable", "apply_mapping", "build_fixed_table", "build_random_tables",
     ),
     "reducers": ("ReducerSpec", "apply_reducer", "highpass", "npr_residual", "patch_shuffle"),
     "rng": ("SplitMix64", "derive_seed"),
     "spectral": (
-        "RadialProfile", "Spectrum2D", "azimuthal_profile", "band_ratio", "dft2", "idft2",
-        "mean_spectrum", "power_spectrum",
+        "RadialProfile", "Spectrum2D", "azimuthal_profile", "band_ratio", "mean_spectrum",
+        "power_spectrum",
     ),
     "synthgen": (
         "DatasetManifest", "GeneratorSpec", "ManifestEntry", "build_benchmark", "gen_fake",

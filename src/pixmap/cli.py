@@ -8,6 +8,12 @@ outputs when re-run with the flags stored in their manifest.
 Errors print exactly one line to stderr, ``error: <code>: <detail>``, and
 exit nonzero; exit code 0 means success.
 
+``spectrum`` and ``map`` take the same ``--reducer`` grammar
+(``reducers.ReducerSpec.parse``) and ``--seed`` root, and turn a file into
+a raster through one helper: ``map --in DIR/NAME --reducer R --seed S``
+writes, as an IMF text raster, the array that ``spectrum --in DIR
+--reducer R --seed S`` reduces for ``NAME``.
+
 Commands load the library modules on first use: this module calls them
 through their module objects, which the package registers lazily, and
 imports numpy only inside the commands. ``--version``, ``--help`` and usage
@@ -38,11 +44,12 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, detector, image, mapping, reducers, rng, spectral, synthgen
+from . import __version__, detector, image, reducers, rng, spectral, synthgen
 from .config import DEFAULT_NOISE_SIGMA, UPSAMPLERS, TrainConfig
 from .errors import PixmapError
 
 REPORT_REDUCERS = ("none", "highpass", "shuffle:8", "shuffle:2", "npr", "fixed", "random")
+_REDUCER_HELP = "none|fixed|random|highpass[:c]|shuffle:N|npr"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,8 +158,8 @@ def _fork_map(fn, items, initializer=None, initargs=()) -> list:
     ``PixmapError("worker-failed")``. Either way the pending items are
     cancelled and every worker is joined before this returns.
     """
-    # Imported here, not at the top: multiprocessing and concurrent.futures
-    # add 22-29 ms of imports, which the commands without a pool should not pay.
+    # Imported here, not at the top: the commands without a pool should not
+    # pay for importing multiprocessing and concurrent.futures.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -232,56 +239,51 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _reduce_file(path: Path, reducer, reducer_root: int, tag: str, crop_size=None):
+    """Decode one PPM, centre-crop it when ``crop_size`` is given, and reduce it with ``(tag,)``.
+
+    Returns the reducer's C x H x W float64 array. ``spectrum`` and ``map``
+    both turn a file into a raster through this.
+    """
+    import numpy as np
+
+    img = image.decode_ppm(path.read_bytes())
+    if crop_size is not None:
+        img = image.crop(img, image.CropSpec(crop_size, "center"))
+    # A contiguous NCHW batch keeps every kernel and each rfft2 on contiguous rows.
+    batch = np.ascontiguousarray(image.as_batch(img))
+    return reducers.reduce_batch(reducer, batch, reducer_root, [(tag,)])[0]
+
+
 def _cmd_map(args) -> int:
     started = time.time()
-    if args.mode in ("random", "shuffle") and args.seed is None:
-        raise PixmapError("seed-required", f"--mode {args.mode} needs --seed")
-    img = image.decode_ppm(Path(args.infile).read_bytes())
-    out_path = Path(args.out)
-    tables = None
-    if args.mode == "fixed":
-        tables = (mapping.build_fixed_table(),)
-        result = mapping.apply_mapping(img, tables[0])
-        image.write_imagef(out_path, result)
-    elif args.mode == "random":
-        tables = mapping.build_random_tables(args.seed)
-        image.write_imagef(out_path, mapping.apply_mapping(img, tables))
-    elif args.mode == "highpass":
-        image.write_imagef(out_path, reducers.highpass(img, args.cutoff))
-    elif args.mode == "npr":
-        image.write_imagef(out_path, reducers.npr_residual(img))
-    elif args.mode == "shuffle":
-        shuffled = reducers.patch_shuffle(img, args.patch, args.seed)
-        image.write_atomic(out_path, image.encode_ppm(shuffled))
+    reducer = reducers.ReducerSpec.parse(args.reducer)
+    reducer_root = rng.derive_seed(args.seed, "reducer")
+    in_path, out_path = Path(args.infile), Path(args.out)
+    # The tag spectrum gives this file when it reads the file's directory.
+    tag = in_path.name
+    # Fetched before anything is read or written: a reducer with no table is bad-usage.
+    tables = reducers.mapping_tables(reducer, reducer_root, [(tag,)])[0] if args.table_csv else None
+    reduced = _reduce_file(in_path, reducer, reducer_root, tag)
+    image.write_imagef(out_path, image.ImageF(reduced.transpose(1, 2, 0)))
     outputs = [out_path]
-    if args.table_csv:
-        if tables is None:
-            raise PixmapError("bad-usage", "--table-csv applies to fixed/random modes only")
+    if tables is not None:
+        header = "value,output" if len(tables) == 1 else "value,ch0,ch1,ch2"
+        lines = [header] + [",".join(map(repr, [v, *row])) for v, row in enumerate(tables.T.tolist())]
         csv_path = Path(args.table_csv)
-        if len(tables) == 1:
-            lines = ["value,output"] + [
-                f"{v},{tables[0].entries[v]!r}" for v in range(256)
-            ]
-        else:
-            lines = ["value,ch0,ch1,ch2"] + [
-                f"{v},{tables[0].entries[v]!r},{tables[1].entries[v]!r},{tables[2].entries[v]!r}"
-                for v in range(256)
-            ]
         image.write_atomic(csv_path, ("\n".join(lines) + "\n").encode("ascii"))
         outputs.append(csv_path)
     _write_run_manifest(
         out_path.with_name(out_path.name + ".run.json"),
         "map",
         {
-            "mode": args.mode,
-            "seed": args.seed,
             "in": args.infile,
+            "reducer": reducer.canonical(),
             "out": args.out,
-            "cutoff": args.cutoff,
-            "patch": args.patch,
+            "seed": args.seed,
             "table_csv": args.table_csv,
         },
-        {"seed": args.seed},
+        {"reducer": reducer_root},
         [args.infile],
         outputs,
         started,
@@ -290,8 +292,6 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    import numpy as np
-
     started = time.time()
     reducer = reducers.ReducerSpec.parse(args.reducer)
     in_dir = Path(args.indir)
@@ -299,18 +299,9 @@ def _cmd_spectrum(args) -> int:
     if not paths:
         raise PixmapError("empty-input", f"no .ppm files under {in_dir}")
     reducer_root = rng.derive_seed(args.seed, "reducer")
-
-    def reduced():
-        for p in paths:
-            img = image.decode_ppm(p.read_bytes())
-            if args.crop is not None:
-                img = image.crop(img, image.CropSpec(args.crop, "center"))
-            tags = [(p.relative_to(in_dir).as_posix(),)]
-            # A contiguous NCHW batch keeps every kernel and each rfft2 on contiguous rows.
-            batch = np.ascontiguousarray(image.as_batch(img))
-            yield reducers.reduce_batch(reducer, batch, reducer_root, tags)[0]
-
-    spec = spectral.mean_spectrum_chw(reduced())
+    spec = spectral.mean_spectrum_chw(
+        _reduce_file(p, reducer, reducer_root, p.relative_to(in_dir).as_posix(), args.crop) for p in paths
+    )
     profile = spectral.azimuthal_profile(spec)
     out_path = Path(args.out)
     image.write_atomic(out_path, spectral.profile_csv(profile).encode("ascii"))
@@ -519,25 +510,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sensor noise level in 8-bit steps")
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("map", help="apply one preprocessing transform to one image")
-    p.add_argument("--mode", required=True,
-                   choices=("fixed", "random", "highpass", "shuffle", "npr"))
-    p.add_argument("--seed", type=int, default=None,
-                   help="seed (required for random and shuffle)")
+    p = sub.add_parser("map", help="reduce one image as spectrum does and write the raster")
     p.add_argument("--in", dest="infile", required=True, help="input PPM")
-    p.add_argument("--out", required=True,
-                   help="output file (.imf text raster; shuffle writes PPM)")
-    p.add_argument("--cutoff", type=float, default=0.25,
-                   help="highpass cutoff as a fraction of the Nyquist radius")
-    p.add_argument("--patch", type=int, default=8, help="shuffle tile size")
+    p.add_argument("--reducer", required=True, help=_REDUCER_HELP)
+    p.add_argument("--out", required=True, help="output .imf text raster")
+    p.add_argument("--seed", type=int, default=0, help="seed for stochastic reducers")
     p.add_argument("--table-csv", default=None,
-                   help="also dump the 256-entry mapping table(s) as CSV")
+                   help="also dump the image's 256-entry mapping table(s) as CSV (fixed, random)")
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("spectrum", help="mean power spectrum and radial profile of a directory")
     p.add_argument("--in", dest="indir", required=True, help="directory of PPM images")
-    p.add_argument("--reducer", default="none",
-                   help="none|fixed|random|highpass[:c]|shuffle:N|npr")
+    p.add_argument("--reducer", default="none", help=_REDUCER_HELP)
     p.add_argument("--out", required=True, help="radial profile CSV")
     p.add_argument("--heatmap", default=None, help="optional 2-D spectrum PGM")
     p.add_argument("--crop", type=int, default=None, help="center-crop before analysis")
@@ -546,8 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the detector on a generated benchmark")
     p.add_argument("--data", required=True, help="benchmark directory (from gen)")
-    p.add_argument("--reducer", required=True,
-                   help="none|fixed|random|highpass[:c]|shuffle:N|npr")
+    p.add_argument("--reducer", required=True, help=_REDUCER_HELP)
     p.add_argument("--out", required=True, help="weights file to write")
     p.add_argument("--config", default=None, help="key=value config file; flags override")
     _add_setting_flags(p, _SETTINGS)
@@ -576,10 +559,8 @@ def _retain_freed_memory() -> None:
 
     Each detector step allocates and frees megabytes of float64 temporaries.
     With glibc's defaults those blocks are unmapped or trimmed on free and
-    faulted back in by the next step: a forward pass over 64 crops of 32 px
-    took 4,067 minor page faults and 18 ms, against none and 7 ms with the
-    two settings below (2-core x86 box, numpy 2.4). Other platforms are left
-    as they are.
+    faulted back in, page by page, by the next step; the two settings below
+    keep them mapped. Other platforms are left as they are.
     """
     if not sys.platform.startswith("linux"):
         return

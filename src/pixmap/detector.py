@@ -144,12 +144,6 @@ def _conv_input_grad(grad_out, x_shape, w):
     return grad_x
 
 
-def _conv_backward(grad_out, cols, x_shape, w, input_grad=True):
-    """Gradients of _conv_forward; grad_x is None when input_grad is False."""
-    grad_x = _conv_input_grad(grad_out, x_shape, w) if input_grad else None
-    return (grad_x, *_conv_param_grads(grad_out, cols))
-
-
 def _meanpool_forward(x):
     """2x2 mean pool; returns (pooled, counts), counts None when every window is full.
 
@@ -178,9 +172,8 @@ def _keep(mask, x):
     """``np.where(mask, x, 0.0)`` bit for bit, for float64 ``x`` broadcast to ``mask``.
 
     x's bit pattern is ANDed with all-ones or all-zero words, so signed zeros
-    and NaNs pass unchanged and every dropped entry is +0.0. With no branch per
-    element it took 0.33 ms against 1.55 ms for ``np.where`` on a random
-    32x8x30x30 mask (2-core x86 box, numpy 2.4).
+    and NaNs pass unchanged and every dropped entry is +0.0. With no branch
+    per element it is several times faster than ``np.where`` on a random mask.
     """
     out = -mask.astype(np.uint64)
     out &= x.view(np.uint64)
@@ -225,10 +218,7 @@ def _check_batch(batch):
 
 # Samples per chunk that forward() runs through the conv layers. At the
 # default 32-px crop a chunk's conv1 im2col matrix is 1.5 MB instead of 12 MB
-# for an eval batch of 64, so it stays in cache: a forward pass over 64
-# samples took 7.2-9.1 ms against 9.0-10.7 ms unchunked (medians of 40
-# interleaved runs, three sessions, 2-core x86 box, numpy 2.4, BLAS at one
-# thread, the CLI's malloc settings).
+# for an eval batch of 64, so it stays in cache.
 _FORWARD_CHUNK = 8
 
 
@@ -412,7 +402,9 @@ def train(
     Each epoch reshuffles the sample order, redraws every random crop, and
     redraws any stochastic reducer state, all from seeds derived off
     ``config.seed``, the sample path, and the epoch index, so equal inputs
-    give bit-identical weights; a non-finite update raises ``diverged``.
+    give bit-identical weights. A non-finite update raises ``diverged``, and
+    so do final weights that score the last batch NaN: finite weights can
+    still overflow the next forward pass.
     """
     if not entries:
         raise PixmapError("empty-manifest", "training manifest has no entries")
@@ -443,6 +435,8 @@ def train(
             except PixmapError as exc:
                 raise PixmapError("diverged", f"training diverged in epoch {epoch + 1}: {exc.message}") from exc
         trace.append(epoch_loss / n)
+    if np.isnan(forward(params, batch)).any():
+        raise PixmapError("diverged", f"training diverged in epoch {config.epochs}: the final weights score NaN")
     return params, trace
 
 

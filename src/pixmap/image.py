@@ -39,14 +39,17 @@ def write_atomic(path, data: bytes) -> None:
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
-    fh = open(tmp, "xb")
     try:
-        with fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:  # name the target: the temp name differs on every run
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 @dataclass(frozen=True)
@@ -198,7 +201,7 @@ def write_pgm(path, gray: np.ndarray) -> None:
     write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + gray.tobytes())
 
 
-# --- crop / float conversion -------------------------------------------------
+# --- crop and quantization --------------------------------------------------
 
 
 def crop_origin(height: int, width: int, spec: CropSpec) -> tuple[int, int]:
@@ -251,11 +254,6 @@ def as_batch(img) -> np.ndarray:
 def batch_image(batch: np.ndarray) -> np.ndarray:
     """The H x W x C view of the single image in a 1 x C x H x W batch."""
     return batch[0].transpose(1, 2, 0)
-
-
-def to_float(img: Image8) -> ImageF:
-    """Copy samples to float64, values 0..255 unchanged."""
-    return ImageF(img.data.astype(np.float64))
 
 
 def quantize(img: ImageF, lo: float, hi: float) -> Image8:

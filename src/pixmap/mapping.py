@@ -95,7 +95,3 @@ def apply_mapping(img: Image8, tables) -> ImageF:
     entries = np.stack([t.entries for t in tables])[None]
     return ImageF(batch_image(map_batch(as_batch(img), entries)))
 
-
-def adjacent_gap_profile(table: MappingTable) -> np.ndarray:
-    """Absolute output gaps between consecutive input values, |T[v+1] - T[v]|."""
-    return np.abs(np.diff(table.entries))

@@ -19,15 +19,13 @@ detector hands it whole batches; :func:`apply_reducer`, :func:`highpass`,
 check their input and run the same code on a batch of one. Channels come
 before rows so the highpass FFT runs over the two trailing, contiguous
 axes. The input is real, so highpass uses ``rfft2``/``irfft2`` over axes
-(2, 3): on 32 crops of 32 px the filter took 3.0 ms against 7.1 ms with
-``fft2``/``ifft2`` (2-core x86 box, numpy 2.4, float64).
+(2, 3), about half the work of ``fft2``/``ifft2``.
 
 ``random`` and ``shuffle`` draw every sample's tables or tile permutation
 in one multi-seed draw (``rng.seeded_uniforms``, ``rng.seeded_permutations``),
-bit-identical to one generator per sample, and ``shuffle`` moves pixels
-with one flat-index gather. On the same 32 crops, random took 0.70 ms
-against 2.4-3.0 ms with one generator per sample, shuffle:2 2.1 ms against
-3.6-4.1 ms and shuffle:8 0.9 ms against 1.7-1.9 ms (fixed: 0.33 ms).
+bit-identical to one generator per sample but with no Python loop over
+samples, and ``shuffle`` moves pixels with one flat-index gather.
+:func:`mapping_tables` is the one place that derives a sample's tables.
 """
 
 from __future__ import annotations
@@ -189,6 +187,21 @@ def _fixed_table():
     return build_fixed_table()
 
 
+def mapping_tables(spec: ReducerSpec, seed_root: int, tags) -> np.ndarray:
+    """The tables a ``fixed`` or ``random`` reducer looks each sample up in.
+
+    ``fixed`` gives its one table as 1 x 1 x 256, shared by every sample and
+    channel. ``random`` gives N x 3 x 256: sample k's tables are seeded by
+    ``derive_seed(seed_root, "table", *tags[k])``. Any other kind has no
+    table and raises ``bad-usage``.
+    """
+    if spec.kind == "fixed":
+        return _fixed_table().entries[None, None]
+    if spec.kind == "random":
+        return random_table_entries([derive_seed(seed_root, "table", *tag) for tag in tags])
+    raise PixmapError("bad-usage", f"{spec.canonical()} has no mapping table; fixed and random do")
+
+
 def reduce_batch(spec: ReducerSpec, batch: np.ndarray, seed_root: int, tags) -> np.ndarray:
     """Run one reducer on an N x 3 x h x w uint8 batch; returns float64 NCHW.
 
@@ -201,8 +214,7 @@ def reduce_batch(spec: ReducerSpec, batch: np.ndarray, seed_root: int, tags) -> 
     if spec.kind == "fixed":
         return _fixed_table().entries[batch]
     if spec.kind == "random":
-        seeds = [derive_seed(seed_root, "table", *tag) for tag in tags]
-        return map_batch(batch, random_table_entries(seeds))
+        return map_batch(batch, mapping_tables(spec, seed_root, tags))
     if spec.kind == "highpass":
         return _highpass(batch, spec.cutoff) / 127.5
     if spec.kind == "shuffle":

@@ -2,14 +2,14 @@
 
 The quantities here back both analysis output and the test suite: mean power
 spectra over image sets, and the 1-D azimuthal profile that aggregates
-spectral power over rings of constant frequency radius. The ratio of high- to
-low-band radial power is the scalar used to show that mapping-based
-preprocessing lifts high-frequency energy relative to low.
+spectral power over rings of constant frequency radius. :func:`band_ratio`,
+the ratio of high- to low-band radial power, has no caller in the commands
+yet. Mapping raises it for real and fake images alike, and can leave fakes
+below reals, so on its own it shows whitening, not a detectable trace.
 
-Power takes real input only and is summed on the ``rfft2`` half spectrum; the
-full grid is mirrored and ``fftshift``ed once, after averaging. mean_spectrum
-took 0.39 ms per 128 x 128 RGB image, against 0.91 ms with full ``fft2`` power
-per channel (2-core x86 box, numpy 2.4, float64).
+Power takes real input only and is summed on the ``rfft2`` half spectrum,
+about half the work of full ``fft2`` power per channel; the full grid is
+mirrored and ``fftshift``ed once, after averaging.
 """
 
 from __future__ import annotations
@@ -78,22 +78,6 @@ class RadialProfile:
     @property
     def max_radius(self) -> int:
         return len(self.values) - 1
-
-
-def dft2(channel: np.ndarray) -> np.ndarray:
-    """Forward 2-D DFT of one channel (standard e^{-2pi i} convention)."""
-    arr = np.asarray(channel)
-    if arr.ndim != 2:
-        raise PixmapError("bad-shape", f"dft2 needs a 2-D array, got {arr.shape}")
-    return np.fft.fft2(arr)
-
-
-def idft2(freq: np.ndarray) -> np.ndarray:
-    """Inverse 2-D DFT; idft2(dft2(x)) recovers x to rounding error."""
-    arr = np.asarray(freq)
-    if arr.ndim != 2:
-        raise PixmapError("bad-shape", f"idft2 needs a 2-D array, got {arr.shape}")
-    return np.fft.ifft2(arr)
 
 
 def mean_spectrum_chw(stacks: Iterable[np.ndarray]) -> Spectrum2D:

@@ -90,7 +90,11 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Entry list plus the provenance needed to regenerate every image."""
+    """Entry list plus the provenance needed to regenerate every image.
+
+    The manifest CSV keeps only the entries: the image size and noise level
+    are in ``gen``'s ``run.json``, so the CSV alone cannot regenerate them.
+    """
 
     entries: tuple[ManifestEntry, ...]
     seed: int

@@ -48,12 +48,11 @@ def weights_text(tmp_path):
 
 
 def test_map_shuffle_zero_patch(capsys, tmp_path, ppm_path):
-    out = tmp_path / "out.ppm"
+    out = tmp_path / "out.imf"
     line = run_cli_error(
-        capsys,
-        ["map", "--mode", "shuffle", "--patch", 0, "--seed", 1, "--in", ppm_path, "--out", out],
+        capsys, ["map", "--reducer", "shuffle:0", "--seed", 1, "--in", ppm_path, "--out", out]
     )
-    assert line.startswith("error: bad-patch: ")
+    assert line.startswith("error: bad-reducer: ")
     assert not out.exists()
 
 
@@ -315,7 +314,7 @@ def test_every_exported_name_is_the_defining_modules_object():
         "    return getattr(sys.modules[obj.__module__], name)\n"
         "print(len(pixmap.__all__), [n for n in pixmap.__all__ if home(n, getattr(pixmap, n)) is not getattr(pixmap, n)])"
     )
-    assert _python_last_line(code) == "62 []"
+    assert _python_last_line(code) == "58 []"
 
 
 def test_spectrum_highpass_odd_crop_end_to_end(tmp_path):
@@ -344,7 +343,7 @@ def _garbage_weights(tmp_path):
 # One bad input per subcommand, each ending in the one-line error contract.
 BAD_INPUTS = {
     "gen": (lambda t: ["gen", "--out", t / "g", "--size", 7], "bad-generator"),
-    "map": (lambda t: ["map", "--mode", "npr", "--in", _bad_ppm(t), "--out", t / "o.imf"],
+    "map": (lambda t: ["map", "--reducer", "npr", "--in", _bad_ppm(t), "--out", t / "o.imf"],
             "truncated-payload"),
     "spectrum": (lambda t: ["spectrum", "--in", _bad_ppm(t).parent, "--out", t / "p.csv"],
                  "truncated-payload"),
@@ -400,12 +399,13 @@ def test_bad_setting_fails_before_writing(capsys, tmp_path, case):
 
 
 # An absurd learning rate: at --epochs 2 the second step's update is not
-# finite; at --epochs 1 the one step leaves finite weights whose eval scores
-# overflow to NaN.
+# finite; at --epochs 1 the one step leaves finite weights that score NaN.
 DIVERGING = {
     "train": (["train", "--reducer", "none", "--epochs", 2], "diverged: training diverged in epoch 2: "),
+    "train-one-step": (["train", "--reducer", "none", "--epochs", 1, "--batch-size", 1000],
+                       "diverged: training diverged in epoch 1: "),
     "report": (["report", "--epochs", 2], "diverged: training diverged in epoch 2: "),
-    "report-one-step": (["report", "--epochs", 1], "bad-scores: "),
+    "report-one-step": (["report", "--epochs", 1], "diverged: training diverged in epoch 1: "),
 }
 
 
@@ -451,3 +451,54 @@ def test_spectrum_profile_equals_per_image_reference(tmp_path, reducer):
     assert len(images) == 8
     expected = profile_csv(azimuthal_profile(mean_spectrum(images)))
     assert out.read_bytes() == expected.encode("ascii")
+
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    data = tmp_path_factory.mktemp("corpus")
+    assert cli.main(["gen", "--out", str(data), "--n", "2", "--size", "32"]) == 0
+    return data
+
+
+@pytest.mark.parametrize("reducer", ["none", "fixed", "random", "highpass", "npr", "shuffle:8"])
+def test_map_writes_the_raster_spectrum_reduces(tmp_path, small_corpus, reducer):
+    from pixmap.image import decode_ppm, read_imagef
+    from pixmap.mapping import apply_mapping, build_fixed_table, map_batch
+    from pixmap.reducers import apply_reducer
+
+    spec, root = ReducerSpec.parse(reducer), derive_seed(5, "reducer")
+    table = spec.kind in ("fixed", "random")
+    for src in sorted((small_corpus / "test").glob("*.ppm")):
+        out, csv = tmp_path / f"{src.stem}.imf", tmp_path / f"{src.stem}.csv"
+        argv = ["map", "--in", src, "--reducer", reducer, "--seed", 5, "--out", out]
+        assert cli.main([str(a) for a in argv + ["--table-csv", csv] * table]) == 0
+        raster = read_imagef(out).data
+        img = decode_ppm(src.read_bytes())
+        # spectrum --in test/ tags this file with its name alone
+        assert raster.tobytes() == apply_reducer(spec, img, root, src.name).data.tobytes()
+        if spec.kind == "fixed":
+            assert raster.tobytes() == apply_mapping(img, build_fixed_table()).data.tobytes()
+        if table:
+            rows = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+            assert rows[:, 0].tolist() == list(range(256))
+            entries = rows[:, 1:].T[None]
+            batch = img.data.transpose(2, 0, 1)[None]
+            assert map_batch(batch, entries)[0].transpose(1, 2, 0).tobytes() == raster.tobytes()
+
+
+@pytest.mark.parametrize("reducer", ["none", "highpass", "npr", "shuffle:8"])
+def test_map_table_csv_without_a_table_fails_before_writing(capsys, tmp_path, small_corpus, reducer):
+    src = small_corpus / "test" / "real_0000.ppm"
+    out, csv = tmp_path / "o.imf", tmp_path / "t.csv"
+    line = run_cli_error(
+        capsys, ["map", "--in", src, "--reducer", reducer, "--out", out, "--table-csv", csv]
+    )
+    assert line.startswith("error: bad-usage: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_io_error_names_the_target_not_the_temp_file(capsys, tmp_path, small_corpus):
+    out = tmp_path / "missing" / "x.csv"
+    line = run_cli_error(capsys, ["spectrum", "--in", small_corpus, "--out", out])
+    assert line.startswith("error: io: ") and line.endswith(f"'{out}'")
+    assert ".tmp" not in line

@@ -16,7 +16,6 @@ from pixmap.image import (
     quantize,
     random_crop_origins,
     read_imagef,
-    to_float,
     write_atomic,
     write_imagef,
 )
@@ -196,11 +195,6 @@ def test_random_crop_requires_seed():
 # --- float conversion ----------------------------------------------------------
 
 
-def test_to_float_preserves_values():
-    img = Image8(np.full((1, 1, 3), 255, dtype=np.uint8))
-    assert to_float(img).data[0, 0, 0] == 255.0
-
-
 def test_quantize_half_even_midpoint():
     # 0.0 on [-1, 1] lands exactly on 127.5; half-even rounds up to 128
     img = ImageF(np.zeros((1, 1, 3)))
@@ -228,7 +222,7 @@ def test_quantize_monotone():
 
 def test_quantize_identity_on_lattice():
     img = _random_image(6, 8, 8)
-    assert quantize(to_float(img), 0.0, 255.0) == img
+    assert quantize(ImageF(img.data.astype(np.float64)), 0.0, 255.0) == img
 
 
 # --- ImageF container -----------------------------------------------------------

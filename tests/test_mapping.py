@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from pixmap.errors import PixmapError
-from pixmap.image import Image8, to_float
+from pixmap.image import Image8
 from pixmap.mapping import (
     MappingTable,
-    adjacent_gap_profile,
     apply_mapping,
     build_fixed_table,
     build_random_tables,
@@ -139,7 +138,7 @@ def test_identity_table_reproduces_to_float():
     identity = MappingTable(np.arange(256, dtype=np.float64))
     img = _image_of(np.arange(48).reshape(4, 4, 3) % 256)
     out = apply_mapping(img, identity)
-    assert np.array_equal(out.data, to_float(img).data)
+    assert np.array_equal(out.data, img.data.astype(np.float64))
 
 
 def test_constant_image_maps_to_constant():
@@ -187,16 +186,16 @@ def test_mapping_commutes_with_center_crop():
 
 def test_gap_profile_identity_and_linear_tables():
     identity = MappingTable(np.arange(256, dtype=np.float64))
-    assert np.all(adjacent_gap_profile(identity) == 1.0)
+    assert np.all(np.abs(np.diff(identity.entries)) == 1.0)
     standard = MappingTable(np.arange(256) / 127.5 - 1.0)
-    gaps = adjacent_gap_profile(standard)
+    gaps = np.abs(np.diff(standard.entries))
     assert np.allclose(gaps, 1 / 127.5, atol=1e-15)
 
 
 def test_fixed_table_gap_structure():
     # Oracle scan: every adjacent gap is 1.0 (same rounding bucket) or 1.56
     # (bucket steps by one), so the global max is 1.56.
-    gaps = adjacent_gap_profile(build_fixed_table())
+    gaps = np.abs(np.diff(build_fixed_table().entries))
     oracle_gaps = np.abs(np.diff(ORACLE_TABLE))
     assert np.array_equal(gaps, oracle_gaps)
     assert gaps.max() == pytest.approx(1.56, abs=1e-12)
@@ -204,7 +203,7 @@ def test_fixed_table_gap_structure():
 
 
 def test_fixed_mean_gap_dominates_standard_normalization():
-    fixed_mean = adjacent_gap_profile(build_fixed_table()).mean()
+    fixed_mean = np.abs(np.diff(build_fixed_table().entries)).mean()
     standard = MappingTable(np.arange(256) / 127.5 - 1.0)
-    standard_mean = adjacent_gap_profile(standard).mean()
+    standard_mean = np.abs(np.diff(standard.entries)).mean()
     assert fixed_mean > 50 * standard_mean

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pixmap.errors import PixmapError
-from pixmap.image import Image8, to_float
+from pixmap.image import Image8
 from pixmap.reducers import (
     ReducerSpec,
     apply_reducer,

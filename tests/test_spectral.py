@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from pixmap.errors import PixmapError
-from pixmap.image import ImageF
+from pixmap.image import Image8, ImageF
+from pixmap.reducers import highpass
 from pixmap.rng import SplitMix64
 from pixmap.spectral import (
     RadialProfile,
     Spectrum2D,
     azimuthal_profile,
     band_ratio,
-    dft2,
-    idft2,
     heatmap_u8,
     mean_spectrum,
     power_spectrum,
@@ -37,42 +36,21 @@ def _checkerboard(n):
     return np.where((yy + xx) % 2 == 0, 1.0, -1.0)
 
 
-# --- dft2 ---------------------------------------------------------------------
-
-
-def test_dft2_constant_is_dc_only():
-    x = np.full((6, 4), 3.5)
-    freq = dft2(x)
-    assert freq[0, 0] == pytest.approx(3.5 * 24)
-    freq[0, 0] = 0
-    assert np.max(np.abs(freq)) < 1e-9
-
-
-def test_dft2_impulse_is_flat():
-    x = np.zeros((8, 8))
-    x[0, 0] = 1.0
-    assert np.allclose(dft2(x), 1.0, atol=1e-12)
-
-
-def test_dft2_matches_naive_oracle_8x8():
-    for seed in range(10):
-        x = _rand(seed, 8, 8)
-        assert np.max(np.abs(dft2(x) - naive_dft2(x))) < 1e-9
-
-
-def test_dft2_matches_naive_oracle_rectangular():
-    x = _rand(99, 5, 12)
-    assert np.max(np.abs(dft2(x) - naive_dft2(x))) < 1e-9
+# --- round trip and Parseval ------------------------------------------------------
 
 
 @pytest.mark.parametrize("h,w", [(3, 3), (16, 16), (64, 64), (33, 64)])
 def test_roundtrip_and_parseval(h, w):
+    # A highpass disk below one bin drops only DC, so the rfft2/irfft2 round
+    # trip returns each channel minus its mean.
+    data = (SplitMix64(h * 1000 + w)._bulk_u64(h * w * 3) % 256).astype(np.uint8).reshape(h, w, 3)
+    back = highpass(Image8(data), 1e-9).data
+    centred = data - data.mean(axis=(0, 1))
+    assert np.max(np.abs(back - centred)) / np.max(np.abs(centred)) < 1e-9
+    # The rebuilt full spectrum holds all the energy: sum |X|^2 = H W sum |x|^2.
     x = _rand(h * 1000 + w, h, w)
-    freq = dft2(x)
-    back = idft2(freq)
-    assert np.max(np.abs(back - x)) / np.max(np.abs(x)) < 1e-9
-    space = np.sum(np.abs(x) ** 2)
-    spectral = np.sum(np.abs(freq) ** 2) / (h * w)
+    space = np.sum(x**2)
+    spectral = np.sum(power_spectrum(x).power) / (h * w)
     assert abs(space - spectral) / space < 1e-9
 
 
@@ -263,7 +241,6 @@ def test_band_ratio_degenerate_spectrum():
 def test_band_ratio_smooth_versus_mapped():
     # smooth blurred noise should sit far below 1; mapping must raise it
     from pixmap.mapping import apply_mapping, build_fixed_table
-    from pixmap.image import to_float
     from pixmap.synthgen import GeneratorSpec, gen_real
 
     table = build_fixed_table()
@@ -273,7 +250,7 @@ def test_band_ratio_smooth_versus_mapped():
             noise_sigma=0.0, size=32, seed=seed,
         )
         img = gen_real(spec)
-        raw = band_ratio(azimuthal_profile(mean_spectrum([to_float(img)])))
+        raw = band_ratio(azimuthal_profile(mean_spectrum([ImageF(img.data.astype(np.float64))])))
         mapped = band_ratio(azimuthal_profile(mean_spectrum([apply_mapping(img, table)])))
         assert raw < 0.1
         assert mapped > raw

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pixmap.errors import PixmapError
-from pixmap.image import to_float
+from pixmap.image import ImageF
 from pixmap.rng import SplitMix64, derive_seed
 from pixmap.spectral import (
     azimuthal_profile,
@@ -63,7 +63,7 @@ def test_gen_real_smooth_band_ratio():
     ratios = []
     for s in range(10):
         img = gen_real(_real_spec(derive_seed(1, "smooth", s)))
-        prof = azimuthal_profile(mean_spectrum([to_float(img)]))
+        prof = azimuthal_profile(mean_spectrum([ImageF(img.data.astype(np.float64))]))
         ratios.append(band_ratio(prof))
     assert max(ratios) < 0.1
 
@@ -90,8 +90,8 @@ def _paired_profiles(kind_a, ups_a, kind_b, ups_b, n=30, family="B"):
                            noise_sigma=2.0, size=64, seed=seed, upsampler=ups_a)
         sb = GeneratorSpec(kind=kind_b, family=family, brightness_shift=-18.0,
                            noise_sigma=2.0, size=64, seed=seed, upsampler=ups_b)
-        imgs_a.append(to_float(generate(sa)))
-        imgs_b.append(to_float(generate(sb)))
+        imgs_a.append(ImageF(generate(sa).data.astype(np.float64)))
+        imgs_b.append(ImageF(generate(sb).data.astype(np.float64)))
     pa = azimuthal_profile(mean_spectrum(imgs_a))
     pb = azimuthal_profile(mean_spectrum(imgs_b))
     return pa, pb
