@@ -1,22 +1,27 @@
 """Command-line driver: gen / map / spectrum / train / eval / report.
 
 Every subcommand writes a JSON run manifest next to its primary output
-(atomically, via rename) recording the resolved flags, derived seeds, tool
-version, and wall clock. Deterministic subcommands reproduce byte-identical
-outputs when re-run with the flags stored in their manifest.
+(atomically, via rename) recording its flags, derived seeds, inputs,
+outputs, tool version, and wall clock. The flags are the parsed flags,
+with two replacements: ``reducer`` in canonical form
+(``ReducerSpec.canonical``), and for ``train`` and ``report`` every
+training setting as resolved from flags, config file and defaults.
+Deterministic subcommands reproduce byte-identical outputs when re-run with
+the flags stored in their manifest.
 
 Errors print exactly one line to stderr, ``error: <code>: <detail>``, and
 exit nonzero; exit code 0 means success.
 
 ``spectrum`` and ``map`` take the same ``--reducer`` grammar
 (``reducers.ReducerSpec.parse``) and ``--seed`` root, and turn a file into
-a raster through one helper: ``map --in DIR/NAME --reducer R --seed S``
+a raster through ``reducers.crop_batch``, the path every detector batch
+takes too: ``map --in DIR/NAME --reducer R --seed S``
 writes, as an IMF text raster, the array that ``spectrum --in DIR
 --reducer R --seed S`` reduces for ``NAME``.
 
 Commands load the library modules on first use: this module calls them
 through their module objects, which the package registers lazily, and
-imports numpy only inside the commands. ``--version``, ``--help`` and usage
+never imports numpy itself. ``--version``, ``--help`` and usage
 errors load no numpy, ``gen`` never runs ``detector``, ``reducers``,
 ``spectral`` or ``mapping``, and ``spectrum`` never runs ``detector`` or
 ``synthgen``. Every module a worker process uses is loaded before the pool
@@ -59,10 +64,12 @@ class _Parser(argparse.ArgumentParser):
         raise PixmapError("bad-usage", message)
 
 
-def _write_run_manifest(path: Path, subcommand: str, flags: dict, seeds: dict, inputs, outputs, started: float) -> None:
+def _write_run_manifest(path: Path, args, started: float, seeds: dict, inputs, outputs, **resolved) -> None:
+    """Write a command's ``run.json``: the parsed ``args`` as flags, overridden by ``resolved``."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
     manifest = {
-        "subcommand": subcommand,
-        "flags": flags,
+        "subcommand": args.subcommand,
+        "flags": {**flags, **resolved},
         "seeds": seeds,
         "version": __version__,
         "inputs": [str(p) for p in inputs],
@@ -217,49 +224,27 @@ def _cmd_gen(args) -> int:
         csv_path = out_dir / f"{split}_manifest.csv"
         synthgen.write_manifest_csv(csv_path, manifest)
         outputs.append(csv_path)
-    _write_run_manifest(
-        out_dir / "run.json",
-        "gen",
-        {
-            "out": str(out_dir),
-            "train_upsampler": args.train_upsampler,
-            "test_upsampler": args.test_upsampler,
-            "confound": args.confound,
-            "n": args.n,
-            "seed": args.seed,
-            "size": args.size,
-            "noise_sigma": args.noise_sigma,
-        },
-        {"root": args.seed},
-        [],
-        outputs,
-        started,
-    )
+    _write_run_manifest(out_dir / "run.json", args, started, {"root": args.seed}, [], outputs)
     print(f"wrote {len(train_manifest.entries) + len(test_manifest.entries)} images under {out_dir}")
     return 0
 
 
 def _reduce_file(path: Path, reducer, reducer_root: int, tag: str, crop_size=None):
-    """Decode one PPM, centre-crop it when ``crop_size`` is given, and reduce it with ``(tag,)``.
+    """Decode one PPM and reduce it by ``reducers.crop_batch`` with the tag ``(tag,)``.
 
-    Returns the reducer's C x H x W float64 array. ``spectrum`` and ``map``
-    both turn a file into a raster through this.
+    Returns the reducer's C x H x W float64 array, centre-cropped when
+    ``crop_size`` is given. ``spectrum`` and ``map`` both turn a file into
+    a raster through this.
     """
-    import numpy as np
-
-    img = image.decode_ppm(path.read_bytes())
-    if crop_size is not None:
-        img = image.crop(img, image.CropSpec(crop_size, "center"))
-    # A contiguous NCHW batch keeps every kernel and each rfft2 on contiguous rows.
-    batch = np.ascontiguousarray(image.as_batch(img))
-    return reducers.reduce_batch(reducer, batch, reducer_root, [(tag,)])[0]
+    data = image.decode_ppm(path.read_bytes()).data
+    return reducers.crop_batch([data], reducer, reducer_root, [(tag,)], crop_size)[0]
 
 
 def _cmd_map(args) -> int:
     started = time.time()
     reducer = reducers.ReducerSpec.parse(args.reducer)
     reducer_root = rng.derive_seed(args.seed, "reducer")
-    in_path, out_path = Path(args.infile), Path(args.out)
+    in_path, out_path = Path(getattr(args, "in")), Path(args.out)
     # The tag spectrum gives this file when it reads the file's directory.
     tag = in_path.name
     # Fetched before anything is read or written: a reducer with no table is bad-usage.
@@ -274,19 +259,8 @@ def _cmd_map(args) -> int:
         image.write_atomic(csv_path, ("\n".join(lines) + "\n").encode("ascii"))
         outputs.append(csv_path)
     _write_run_manifest(
-        out_path.with_name(out_path.name + ".run.json"),
-        "map",
-        {
-            "in": args.infile,
-            "reducer": reducer.canonical(),
-            "out": args.out,
-            "seed": args.seed,
-            "table_csv": args.table_csv,
-        },
-        {"reducer": reducer_root},
-        [args.infile],
-        outputs,
-        started,
+        out_path.with_name(out_path.name + ".run.json"), args, started, {"reducer": reducer_root},
+        [getattr(args, "in")], outputs, reducer=reducer.canonical(),
     )
     return 0
 
@@ -294,7 +268,7 @@ def _cmd_map(args) -> int:
 def _cmd_spectrum(args) -> int:
     started = time.time()
     reducer = reducers.ReducerSpec.parse(args.reducer)
-    in_dir = Path(args.indir)
+    in_dir = Path(getattr(args, "in"))
     paths = sorted(in_dir.rglob("*.ppm"))
     if not paths:
         raise PixmapError("empty-input", f"no .ppm files under {in_dir}")
@@ -310,20 +284,8 @@ def _cmd_spectrum(args) -> int:
         image.write_pgm(args.heatmap, spectral.heatmap_u8(spec))
         outputs.append(Path(args.heatmap))
     _write_run_manifest(
-        out_path.with_name(out_path.name + ".run.json"),
-        "spectrum",
-        {
-            "in": args.indir,
-            "reducer": reducer.canonical(),
-            "out": args.out,
-            "heatmap": args.heatmap,
-            "crop": args.crop,
-            "seed": args.seed,
-        },
-        {"reducer": reducer_root},
-        [str(p) for p in paths],
-        outputs,
-        started,
+        out_path.with_name(out_path.name + ".run.json"), args, started, {"reducer": reducer_root},
+        paths, outputs, reducer=reducer.canonical(),
     )
     return 0
 
@@ -337,36 +299,13 @@ def _cmd_train(args) -> int:
     reducer_seed = rng.derive_seed(config.seed, "reducer")
     out_path = Path(args.out)
     detector.save_params(out_path, params, reducer, reducer_seed, config.crop)
+    seeds = {"root": config.seed, "init": rng.derive_seed(config.seed, "init"), "reducer": reducer_seed}
     _write_run_manifest(
-        out_path.with_name(out_path.name + ".run.json"),
-        "train",
-        {
-            "data": args.data,
-            "reducer": reducer.canonical(),
-            "out": args.out,
-            "config": args.config,
-            **{k: getattr(config, k) for k in _SETTINGS},
-        },
-        {
-            "root": config.seed,
-            "init": rng.derive_seed(config.seed, "init"),
-            "reducer": reducer_seed,
-        },
-        [args.data],
-        [out_path],
-        started,
+        out_path.with_name(out_path.name + ".run.json"), args, started, seeds, [args.data], [out_path],
+        reducer=reducer.canonical(), **{k: getattr(config, k) for k in _SETTINGS},
     )
     print(f"final_epoch_loss={trace[-1]!r}")
     return 0
-
-
-def _report_lines(report) -> list[str]:
-    lines = [
-        f"accuracy={report.accuracy!r}",
-        f"average_precision={report.average_precision!r}",
-        f"n={report.n}",
-    ]
-    return lines
 
 
 def _breakdown_csv(report) -> str:
@@ -389,27 +328,15 @@ def _cmd_eval(args) -> int:
         )
     entries, images = _load_split(args.data, args.split)
     report = detector.evaluate(params, entries, images, model_reducer, reducer_seed, crop_size)
-    for line in _report_lines(report):
-        print(line)
-    outputs = []
+    print(f"accuracy={report.accuracy!r}")
+    print(f"average_precision={report.average_precision!r}")
+    print(f"n={report.n}")
     if args.out:
         out_path = Path(args.out)
         image.write_atomic(out_path, _breakdown_csv(report).encode("ascii"))
-        outputs.append(out_path)
         _write_run_manifest(
-            out_path.with_name(out_path.name + ".run.json"),
-            "eval",
-            {
-                "model": args.model,
-                "data": args.data,
-                "reducer": requested.canonical(),
-                "split": args.split,
-                "out": args.out,
-            },
-            {"reducer": reducer_seed},
-            [args.model, args.data],
-            outputs,
-            started,
+            out_path.with_name(out_path.name + ".run.json"), args, started, {"reducer": reducer_seed},
+            [args.model, args.data], [out_path], reducer=requested.canonical(),
         )
     return 0
 
@@ -471,17 +398,8 @@ def _cmd_report(args) -> int:
     out_path = Path(args.out)
     image.write_atomic(out_path, csv_text.encode("ascii"))
     _write_run_manifest(
-        out_path.with_name(out_path.name + ".run.json"),
-        "report",
-        {
-            "data": args.data,
-            "out": args.out,
-            **{k: getattr(config, k) for k in _REPORT_SETTINGS},
-        },
-        {"root": config.seed},
-        [args.data],
-        [out_path],
-        started,
+        out_path.with_name(out_path.name + ".run.json"), args, started, {"root": config.seed}, [args.data],
+        [out_path], **{k: getattr(config, k) for k in _REPORT_SETTINGS},
     )
     print(csv_text, end="")
     return 0
@@ -511,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("map", help="reduce one image as spectrum does and write the raster")
-    p.add_argument("--in", dest="infile", required=True, help="input PPM")
+    p.add_argument("--in", required=True, help="input PPM")
     p.add_argument("--reducer", required=True, help=_REDUCER_HELP)
     p.add_argument("--out", required=True, help="output .imf text raster")
     p.add_argument("--seed", type=int, default=0, help="seed for stochastic reducers")
@@ -520,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("spectrum", help="mean power spectrum and radial profile of a directory")
-    p.add_argument("--in", dest="indir", required=True, help="directory of PPM images")
+    p.add_argument("--in", required=True, help="directory of PPM images")
     p.add_argument("--reducer", default="none", help=_REDUCER_HELP)
     p.add_argument("--out", required=True, help="radial profile CSV")
     p.add_argument("--heatmap", default=None, help="optional 2-D spectrum PGM")

@@ -20,6 +20,11 @@ runs in place) and the pool's window counts. conv2's matrix is freed
 before its input gradient allocates a matrix of the same size.
 Everything is plain float64 numpy with a fixed reduction order, so
 identical seeds give bit-identical weights.
+
+:func:`train` and :func:`evaluate` build every batch with
+``reducers.crop_batch``, the path ``spectrum`` and ``map`` use too;
+training hands it random crop origins and ``(path, epoch)`` tags,
+evaluation centre crops and ``(path,)`` tags.
 """
 
 from __future__ import annotations
@@ -31,9 +36,8 @@ import numpy as np
 
 from .config import TrainConfig
 from .errors import PixmapError
-from .image import CropSpec, Image8, crop_origin, decode_ppm, format_rows, parse_rows, write_atomic
-from .image import random_crop_origins
-from .reducers import ReducerSpec, reduce_batch
+from .image import Image8, decode_ppm, format_rows, parse_rows, random_crop_origins, write_atomic
+from .reducers import ReducerSpec, crop_batch
 from .rng import SplitMix64, derive_seed
 from .synthgen import ManifestEntry
 
@@ -61,9 +65,6 @@ class DetectorParams:
 
     def as_dict(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in _SHAPES}
-
-    def copy(self) -> "DetectorParams":
-        return DetectorParams(**{k: v.copy() for k, v in self.as_dict().items()})
 
     def __post_init__(self):
         for name, shape in _SHAPES.items():
@@ -364,35 +365,6 @@ def load_images(entries, root) -> list[Image8]:
     return images
 
 
-def _sample_batch(images, entries, indices, reducer, reducer_root, crop_size, seed=None, epoch=None):
-    """Crop, reduce and stack the indexed samples into an N x 3 x H x W batch.
-
-    Training (``epoch`` given) takes a random crop seeded by
-    ``derive_seed(seed, "crop", epoch, path)``, with every offset of the
-    batch drawn at once by :func:`random_crop_origins`, and tags the reducer
-    with ``(path, epoch)``; evaluation takes a centre crop and the tag
-    ``(path,)``. The images may differ in size. Each crop is sliced straight
-    into one uint8 array, which is transposed once to NCHW and reduced as a
-    whole by :func:`reduce_batch`; the result equals stacking
-    ``apply_reducer(crop(...))`` per sample, bit for bit.
-    """
-    paths = [entries[i].path for i in indices]
-    datas = [images[i].data for i in indices]
-    if epoch is None:
-        center = CropSpec(crop_size, "center")
-        origins = [crop_origin(d.shape[0], d.shape[1], center) for d in datas]
-        tags = [(path,) for path in paths]
-    else:
-        seeds = [derive_seed(seed, "crop", epoch, path) for path in paths]
-        origins = random_crop_origins([d.shape[:2] for d in datas], crop_size, seeds)
-        tags = [(path, epoch) for path in paths]
-    crops = np.empty((len(indices), crop_size, crop_size, 3), dtype=np.uint8)
-    for k, (data, (top, left)) in enumerate(zip(datas, origins)):
-        crops[k] = data[top : top + crop_size, left : left + crop_size]
-    batch = np.ascontiguousarray(crops.transpose(0, 3, 1, 2))
-    return reduce_batch(reducer, batch, reducer_root, tags)
-
-
 @np.errstate(all="ignore")
 def train(
     entries: list[ManifestEntry], images: list[Image8], config: TrainConfig
@@ -402,7 +374,8 @@ def train(
     Each epoch reshuffles the sample order, redraws every random crop, and
     redraws any stochastic reducer state, all from seeds derived off
     ``config.seed``, the sample path, and the epoch index, so equal inputs
-    give bit-identical weights. A non-finite update raises ``diverged``, and
+    give bit-identical weights; a crop is seeded by ``derive_seed(seed,
+    "crop", epoch, path)``. A non-finite update raises ``diverged``, and
     so do final weights that score the last batch NaN: finite weights can
     still overflow the next forward pass.
     """
@@ -424,9 +397,12 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             chunk = order[start : start + config.batch_size]
-            batch = _sample_batch(
-                images, entries, chunk, config.reducer, reducer_root, config.crop, config.seed, epoch
-            )
+            paths = [entries[i].path for i in chunk]
+            datas = [images[i].data for i in chunk]
+            seeds = [derive_seed(config.seed, "crop", epoch, path) for path in paths]
+            origins = random_crop_origins([d.shape[:2] for d in datas], config.crop, seeds)
+            tags = [(path, epoch) for path in paths]
+            batch = crop_batch(datas, config.reducer, reducer_root, tags, config.crop, origins)
             y = np.array([entries[i].label for i in chunk], dtype=np.float64)
             probs, grads = _forward_backward(params, batch, y)
             epoch_loss += loss(probs, y) * len(chunk)
@@ -503,9 +479,10 @@ def evaluate(
     reducer.validate_for_crop(crop_size)
     scores = np.empty(len(entries))
     for start in range(0, len(entries), batch_size):
-        chunk = range(start, min(start + batch_size, len(entries)))
-        batch = _sample_batch(images, entries, chunk, reducer, reducer_seed, crop_size)
-        scores[start : start + len(chunk)] = forward(params, batch)
+        stop = start + batch_size
+        datas = [img.data for img in images[start:stop]]
+        tags = [(e.path,) for e in entries[start:stop]]
+        scores[start:stop] = forward(params, crop_batch(datas, reducer, reducer_seed, tags, crop_size))
     labels = np.array([e.label for e in entries])
 
     per_generator: dict[str, GeneratorStats] = {}

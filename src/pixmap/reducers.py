@@ -13,10 +13,15 @@ Non-mapping reducers are rescaled by 1/127.5 so every variant feeds the
 detector values on a comparable, roughly unit range.
 
 Each kind has one implementation, :func:`reduce_batch`, which maps an
-``N x 3 x h x w`` uint8 batch (NCHW) to float64 of the same shape. The
-detector hands it whole batches; :func:`apply_reducer`, :func:`highpass`,
-:func:`patch_shuffle`, :func:`npr_residual` and ``mapping.apply_mapping``
-check their input and run the same code on a batch of one. Channels come
+``N x 3 x h x w`` uint8 batch (NCHW) to float64 of the same shape.
+:func:`crop_batch` is the one path from images to that batch: it crops
+(centred, or at given origins), stacks to contiguous NCHW and reduces.
+Detector training and evaluation, ``spectrum`` and ``map`` all call it,
+and it lives here so ``spectrum`` never loads the detector.
+:func:`apply_reducer`, :func:`highpass`, :func:`patch_shuffle`,
+:func:`npr_residual` and ``mapping.apply_mapping`` check their input and
+run the same code on a batch of one; a bad cutoff or patch raises
+``bad-reducer`` there as in :class:`ReducerSpec`. Channels come
 before rows so the highpass FFT runs over the two trailing, contiguous
 axes. The input is real, so highpass uses ``rfft2``/``irfft2`` over axes
 (2, 3), about half the work of ``fft2``/``ifft2``.
@@ -36,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PixmapError
-from .image import Image8, ImageF, as_batch, batch_image
+from .image import CropSpec, Image8, ImageF, as_batch, batch_image, crop_origin
 from .mapping import build_fixed_table, map_batch, random_table_entries
 from .rng import derive_seed, seeded_permutations
 from .spectral import dc_distance
@@ -159,22 +164,22 @@ def highpass(img: Image8, cutoff_fraction: float) -> ImageF:
 
     The mask is the DC-centred disk, applied per channel; the inverse
     transform's real part is returned. DC always falls inside the disk, so
-    the output is zero-mean per channel.
+    the output is zero-mean per channel. A cutoff outside (0, 1) raises
+    ``bad-reducer``, as ``ReducerSpec`` does.
     """
-    if not 0.0 < cutoff_fraction < 1.0:
-        raise PixmapError("bad-cutoff", f"cutoff must be in (0,1), got {cutoff_fraction}")
-    return ImageF(batch_image(_highpass(as_batch(img), cutoff_fraction)))
+    spec = ReducerSpec("highpass", cutoff=cutoff_fraction)
+    return ImageF(batch_image(_highpass(as_batch(img), spec.cutoff)))
 
 
 def patch_shuffle(img: Image8, patch: int, seed: int) -> Image8:
     """Permute non-overlapping patch x patch tiles with a seeded Fisher-Yates.
 
     Output tile i (row-major over the tile grid) is input tile perm[i],
-    where perm is [0..n) shuffled in place. All channels move together.
+    where perm is [0..n) shuffled in place. All channels move together. A
+    patch below 1 raises ``bad-reducer``, as ``ReducerSpec`` does.
     """
-    if patch < 1:
-        raise PixmapError("bad-patch", f"patch must be >= 1, got {patch}")
-    return Image8(batch_image(_shuffle(as_batch(img), patch, [seed])))
+    spec = ReducerSpec("shuffle", patch=patch)
+    return Image8(batch_image(_shuffle(as_batch(img), spec.patch, [seed])))
 
 
 def npr_residual(img: Image8, block: int = NPR_BLOCK) -> ImageF:
@@ -223,6 +228,28 @@ def reduce_batch(spec: ReducerSpec, batch: np.ndarray, seed_root: int, tags) -> 
     if spec.kind == "npr":
         return _npr(batch, NPR_BLOCK) / 127.5
     raise PixmapError("bad-reducer", f"unknown reducer {spec.kind!r}")
+
+
+def crop_batch(datas, spec: ReducerSpec, seed_root: int, tags, crop_size=None, origins=None) -> np.ndarray:
+    """Crop H x W x 3 uint8 images, stack them and reduce them as one batch; returns float64 NCHW.
+
+    Each image is cut to the ``crop_size`` square at its ``origins`` entry
+    (top, left), or at its centre when ``origins`` is None; ``crop_size``
+    None keeps whole images of one size. The stack is transposed once to a
+    contiguous batch, so every kernel and each ``rfft2`` runs on contiguous
+    rows. The result equals stacking ``apply_reducer(crop(...))`` per
+    image, bit for bit.
+    """
+    if crop_size is None:
+        crops = np.stack(datas)
+    else:
+        if origins is None:
+            center = CropSpec(crop_size, "center")
+            origins = [crop_origin(d.shape[0], d.shape[1], center) for d in datas]
+        crops = np.empty((len(datas), crop_size, crop_size, 3), dtype=np.uint8)
+        for k, (data, (top, left)) in enumerate(zip(datas, origins)):
+            crops[k] = data[top : top + crop_size, left : left + crop_size]
+    return reduce_batch(spec, np.ascontiguousarray(crops.transpose(0, 3, 1, 2)), seed_root, tags)
 
 
 def apply_reducer(spec: ReducerSpec, img: Image8, seed_root: int, *sample_tags) -> ImageF:

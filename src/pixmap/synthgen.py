@@ -101,15 +101,18 @@ class DatasetManifest:
     spec_snapshot: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        paths = [e.path for e in self.entries]
-        if len(set(paths)) != len(paths):
-            raise PixmapError("bad-manifest", "manifest paths must be unique")
-        for e in self.entries:
-            expected = 0 if e.generator == "real" else 1
-            if e.label != expected:
-                raise PixmapError(
-                    "bad-manifest", f"label {e.label} contradicts generator {e.generator!r}"
-                )
+        _check_entries(self.entries)
+
+
+def _check_entries(entries) -> None:
+    """Raise ``bad-manifest`` for a repeated path, or a label other than 0 for ``real`` and 1 otherwise."""
+    seen = set()
+    for e in entries:
+        if e.path in seen:
+            raise PixmapError("bad-manifest", f"path {e.path!r} appears more than once")
+        seen.add(e.path)
+        if e.label != (0 if e.generator == "real" else 1):
+            raise PixmapError("bad-manifest", f"{e.path}: label {e.label} contradicts generator {e.generator!r}")
 
 
 def _gaussian_kernel(sigma: float) -> np.ndarray:
@@ -342,8 +345,10 @@ def read_manifest_csv(path) -> list[ManifestEntry]:
     """Inverse of :func:`write_manifest_csv`.
 
     Non-ASCII bytes, a wrong header or field count, a non-integer label or
-    seed, a label outside {0, 1}, and an absolute path or one with a ``..``
-    part all raise PixmapError("bad-manifest").
+    seed, an absolute path or one with a ``..`` part, a path that appears
+    twice, and a label that contradicts its generator (a ``real`` row must
+    have label 0, any other row label 1) all raise
+    PixmapError("bad-manifest"), as :class:`DatasetManifest` does.
     """
     try:
         lines = Path(path).read_text(encoding="ascii").splitlines()
@@ -365,9 +370,8 @@ def read_manifest_csv(path) -> list[ManifestEntry]:
             label, seed = int(label), int(seed)
         except ValueError as exc:
             raise PixmapError("bad-manifest", f"line {lineno}: {exc}") from exc
-        if label not in (0, 1):
-            raise PixmapError("bad-manifest", f"line {lineno}: label must be 0 or 1, got {label}")
         if PurePosixPath(rel).is_absolute() or ".." in PurePosixPath(rel).parts:
             raise PixmapError("bad-manifest", f"line {lineno}: unsafe path {rel!r}")
         entries.append(ManifestEntry(rel, label, generator, family, seed))
+    _check_entries(entries)
     return entries

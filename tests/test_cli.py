@@ -1,6 +1,7 @@
 """CLI error contract: one ``error: <code>: <detail>`` line and a nonzero exit."""
 
 import dataclasses
+import json
 import multiprocessing
 import os
 import pickle
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pixmap import cli
+from pixmap import __version__, cli
 from pixmap.detector import TrainConfig, evaluate, init_params, save_params, train
 from pixmap.errors import PixmapError
 from pixmap.image import Image8, encode_ppm
@@ -100,8 +101,13 @@ def corpus_with_row(tmp_path):
 
 @pytest.mark.parametrize(
     "row",
-    ["train/fake_0000.ppm,x,nearest,B,2", "/etc/passwd,0,real,A,2"],
-    ids=["non-numeric-label", "absolute-path"],
+    [
+        "train/fake_0000.ppm,x,nearest,B,2",
+        "/etc/passwd,0,real,A,2",
+        "train/real_0001.ppm,1,real,A,2",
+        "train/real_0000.ppm,0,real,A,1",
+    ],
+    ids=["non-numeric-label", "absolute-path", "label-contradicts-generator", "repeated-path"],
 )
 def test_train_rejects_bad_manifest_row(capsys, tmp_path, corpus_with_row, row):
     data = corpus_with_row(row)
@@ -502,3 +508,81 @@ def test_io_error_names_the_target_not_the_temp_file(capsys, tmp_path, small_cor
     line = run_cli_error(capsys, ["spectrum", "--in", small_corpus, "--out", out])
     assert line.startswith("error: io: ") and line.endswith(f"'{out}'")
     assert ".tmp" not in line
+
+
+def _gen_manifest(t, data):
+    out = t / "gen"
+    argv = ["gen", "--out", out, "--n", 2, "--size", 16, "--seed", 9]
+    flags = {"out": str(out), "train_upsampler": "nearest", "test_upsampler": "bilinear",
+             "confound": False, "n": 2, "seed": 9, "size": 16, "noise_sigma": 2.0}
+    outputs = [out / "train_manifest.csv", out / "test_manifest.csv"]
+    return argv, out / "run.json", flags, {"root": 9}, [], outputs
+
+
+def _map_manifest(t, data):
+    src, out = data / "train" / "real_0000.ppm", t / "m.imf"
+    argv = ["map", "--in", src, "--reducer", "highpass", "--seed", 5, "--out", out]
+    flags = {"in": str(src), "reducer": "highpass:0.25", "out": str(out), "seed": 5, "table_csv": None}
+    return argv, t / "m.imf.run.json", flags, {"reducer": derive_seed(5, "reducer")}, [src], [out]
+
+
+def _spectrum_manifest(t, data):
+    out, heatmap = t / "p.csv", t / "h.pgm"
+    argv = ["spectrum", "--in", data / "test", "--reducer", "shuffle:08", "--crop", 16,
+            "--heatmap", heatmap, "--out", out]
+    flags = {"in": str(data / "test"), "reducer": "shuffle:8", "out": str(out),
+             "heatmap": str(heatmap), "crop": 16, "seed": 0}
+    inputs = sorted((data / "test").rglob("*.ppm"))
+    return argv, t / "p.csv.run.json", flags, {"reducer": derive_seed(0, "reducer")}, inputs, [out, heatmap]
+
+
+def _train_flags(t, data):
+    config = t / "cfg.txt"
+    config.write_text("epochs=1\nlr=0.001\n")
+    argv = ["train", "--data", data, "--reducer", "highpass", "--out", t / "w.w1",
+            "--config", config, "--batch-size", 4, "--crop", 16]
+    flags = {"data": str(data), "reducer": "highpass:0.25", "out": str(t / "w.w1"), "config": str(config),
+             "lr": 0.001, "beta1": 0.9, "beta2": 0.999, "weight_decay": 2e-4, "epochs": 1,
+             "batch_size": 4, "crop": 16, "seed": 1}
+    return argv, flags
+
+
+def _train_manifest(t, data):
+    argv, flags = _train_flags(t, data)
+    seeds = {"root": 1, "init": derive_seed(1, "init"), "reducer": derive_seed(1, "reducer")}
+    return argv, t / "w.w1.run.json", flags, seeds, [data], [t / "w.w1"]
+
+
+def _eval_manifest(t, data):
+    assert cli.main([str(a) for a in _train_flags(t, data)[0]]) == 0
+    model, out = t / "w.w1", t / "e.csv"
+    argv = ["eval", "--model", model, "--data", data, "--reducer", "highpass", "--out", out]
+    flags = {"model": str(model), "data": str(data), "reducer": "highpass:0.25", "split": "test", "out": str(out)}
+    return argv, t / "e.csv.run.json", flags, {"reducer": derive_seed(1, "reducer")}, [model, data], [out]
+
+
+def _report_manifest(t, data):
+    out = t / "r.csv"
+    argv = ["report", "--data", data, "--out", out, "--epochs", 1, "--crop", 16]
+    flags = {"data": str(data), "out": str(out), "seed": 1, "epochs": 1, "batch_size": 32,
+             "crop": 16, "lr": 2e-4, "weight_decay": 2e-4}
+    return argv, t / "r.csv.run.json", flags, {"root": 1}, [data], [out]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_gen_manifest, _map_manifest, _spectrum_manifest, _train_manifest, _eval_manifest, _report_manifest],
+    ids=["gen", "map", "spectrum", "train", "eval", "report"],
+)
+def test_run_manifest_records_the_resolved_flags(capsys, tmp_path, small_corpus, case):
+    argv, path, flags, seeds, inputs, outputs = case(tmp_path, small_corpus)
+    assert cli.main([str(a) for a in argv]) == 0
+    manifest = json.loads(path.read_text())
+    assert set(manifest) == {"subcommand", "flags", "seeds", "version", "inputs", "outputs",
+                             "started_utc", "duration_s"}
+    assert manifest["subcommand"] == argv[0]
+    assert manifest["flags"] == flags
+    assert manifest["seeds"] == seeds
+    assert manifest["version"] == __version__
+    assert manifest["inputs"] == [str(p) for p in inputs]
+    assert manifest["outputs"] == [str(p) for p in outputs]

@@ -17,7 +17,6 @@ from pixmap.detector import (
     _conv_param_grads,
     _forward_backward,
     _meanpool_forward,
-    _sample_batch,
     accuracy_at_half,
     adam_step,
     average_precision,
@@ -31,12 +30,10 @@ from pixmap.detector import (
     save_params,
     train,
 )
-from pixmap.cli import REPORT_REDUCERS
 from pixmap.errors import PixmapError
-from pixmap.image import CropSpec, Image8, crop
-from pixmap.reducers import ReducerSpec, apply_reducer
+from pixmap.reducers import ReducerSpec
 from pixmap.rng import SplitMix64, derive_seed
-from pixmap.synthgen import ManifestEntry, build_benchmark, materialize, write_manifest_csv
+from pixmap.synthgen import build_benchmark, materialize, write_manifest_csv
 
 
 def scalar_forward_oracle(params, x):
@@ -408,38 +405,6 @@ def test_keep_equals_where_bit_for_bit():
     column = x[:, :, :1, :1]  # broadcast to the mask, as the conv2 gradient is
     expected = np.where(mask, np.broadcast_to(column, mask.shape), 0.0)
     assert detector._keep(mask, column).tobytes() == expected.tobytes()
-
-
-# --- sample path ----------------------------------------------------------------
-
-
-def test_sample_batch_equals_per_image_reducers():
-    sizes = [(16, 16), (20, 18), (17, 24), (16, 16)]
-    images, entries = [], []
-    for k, (h, w) in enumerate(sizes):
-        data = SplitMix64(derive_seed(41, k))._bulk_u64(h * w * 3) % 256
-        images.append(Image8(data.astype(np.uint8).reshape(h, w, 3)))
-        entries.append(ManifestEntry(f"x/{k}.ppm", k % 2, "real", "A", k))
-    indices = [2, 0, 3, 1]
-    for name in REPORT_REDUCERS:
-        reducer = ReducerSpec.parse(name)
-        for seed, epoch in ((None, None), (5, 3)):
-            got = _sample_batch(images, entries, indices, reducer, 77, 8, seed, epoch)
-            want = []
-            for i in indices:
-                path = entries[i].path
-                if epoch is None:
-                    spec, tags = CropSpec(8, "center"), (path,)
-                else:
-                    spec = CropSpec(8, "random", derive_seed(seed, "crop", epoch, path))
-                    tags = (path, epoch)
-                reduced = apply_reducer(reducer, crop(images[i], spec), 77, *tags)
-                want.append(reduced.data.transpose(2, 0, 1))
-            assert got.dtype == np.float64
-            assert np.array_equal(got, np.stack(want)), (name, epoch)
-    with pytest.raises(PixmapError) as err:
-        _sample_batch(images, entries, indices, ReducerSpec.parse("none"), 77, 17)
-    assert err.value.code == "crop-too-large"
 
 
 # --- adam -----------------------------------------------------------------------

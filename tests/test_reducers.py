@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
+from pixmap.cli import REPORT_REDUCERS
 from pixmap.errors import PixmapError
-from pixmap.image import Image8
+from pixmap.image import CropSpec, Image8, crop, random_crop_origins
 from pixmap.reducers import (
     ReducerSpec,
     apply_reducer,
+    crop_batch,
     highpass,
     npr_residual,
     patch_shuffle,
 )
-from pixmap.rng import SplitMix64
+from pixmap.rng import SplitMix64, derive_seed
 
 
 def _random_image(seed, h, w):
@@ -111,6 +113,25 @@ def test_highpass_rejects_bad_cutoff():
     for cutoff in (0.0, 1.0, -0.5):
         with pytest.raises(PixmapError):
             highpass(img, cutoff)
+
+
+@pytest.mark.parametrize(
+    "text, call",
+    [
+        ("highpass:0.0", lambda img: highpass(img, 0.0)),
+        ("highpass:1.0", lambda img: highpass(img, 1.0)),
+        ("highpass:nan", lambda img: highpass(img, float("nan"))),
+        ("shuffle:0", lambda img: patch_shuffle(img, 0, 1)),
+        ("shuffle:-2", lambda img: patch_shuffle(img, -2, 1)),
+    ],
+    ids=["cutoff-0", "cutoff-1", "cutoff-nan", "patch-0", "patch-negative"],
+)
+def test_bad_parameter_is_bad_reducer_at_both_entry_points(text, call):
+    with pytest.raises(PixmapError) as spec_err:
+        ReducerSpec.parse(text)
+    with pytest.raises(PixmapError) as call_err:
+        call(_random_image(6, 8, 8))
+    assert spec_err.value.code == call_err.value.code == "bad-reducer"
 
 
 # --- patch shuffle ----------------------------------------------------------------
@@ -260,3 +281,38 @@ def test_apply_reducer_scales_match_ops():
     assert np.allclose(hp.data, highpass(img, 0.25).data / 127.5)
     nr = apply_reducer(ReducerSpec.parse("npr"), img, 0)
     assert np.allclose(nr.data, npr_residual(img).data / 127.5)
+
+
+# --- crop_batch -------------------------------------------------------------------
+
+
+def test_crop_batch_equals_per_image_reducers():
+    sizes = [(16, 16), (20, 18), (17, 24), (16, 16)]
+    images = [_random_image(derive_seed(41, k), h, w) for k, (h, w) in enumerate(sizes)]
+    paths = [f"x/{k}.ppm" for k in range(len(sizes))]
+    indices = [2, 0, 3, 1]
+    datas = [images[i].data for i in indices]
+    for name in REPORT_REDUCERS:
+        reducer = ReducerSpec.parse(name)
+        for seed, epoch in ((None, None), (5, 3)):
+            if epoch is None:  # evaluation: centre crops tagged (path,)
+                specs = [CropSpec(8, "center") for _ in indices]
+                tags = [(paths[i],) for i in indices]
+                origins = None
+            else:  # training: seeded random crops tagged (path, epoch)
+                specs = [CropSpec(8, "random", derive_seed(seed, "crop", epoch, paths[i])) for i in indices]
+                tags = [(paths[i], epoch) for i in indices]
+                origins = random_crop_origins([d.shape[:2] for d in datas], 8, [s.seed for s in specs])
+            got = crop_batch(datas, reducer, 77, tags, 8, origins)
+            want = [
+                apply_reducer(reducer, crop(images[i], spec), 77, *tag).data.transpose(2, 0, 1)
+                for i, spec, tag in zip(indices, specs, tags)
+            ]
+            assert got.dtype == np.float64
+            assert np.array_equal(got, np.stack(want)), (name, epoch)
+        whole = crop_batch([images[0].data, images[3].data], reducer, 77, [("a",), ("b",)])
+        want = [apply_reducer(reducer, images[k], 77, tag).data.transpose(2, 0, 1) for k, tag in ((0, "a"), (3, "b"))]
+        assert np.array_equal(whole, np.stack(want)), name
+    with pytest.raises(PixmapError) as err:
+        crop_batch(datas, ReducerSpec.parse("none"), 77, tags, 17)
+    assert err.value.code == "crop-too-large"

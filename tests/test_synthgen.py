@@ -264,8 +264,11 @@ def test_manifest_csv_round_trip(tmp_path):
         b"train/r\xc3\xa9al_0001.ppm,0,real,A,1",
         b"train/../../secret.ppm,0,real,A,1",
         b"/tmp/real_0001.ppm,0,real,A,1",
+        b"train/real_0001.ppm,1,real,A,1",
+        b"train/real_0000.ppm,0,real,A,1",
     ],
-    ids=["non-numeric-seed", "label-2", "non-ascii", "dotdot-path", "absolute-path"],
+    ids=["non-numeric-seed", "label-2", "non-ascii", "dotdot-path", "absolute-path",
+         "label-contradicts-generator", "repeated-path"],
 )
 def test_manifest_csv_rejects_bad_rows(tmp_path, row):
     path = tmp_path / "m.csv"
