@@ -20,8 +20,8 @@ from .errors import PixmapError
 
 _EXPORTS = {
     "image": (
-        "CropSpec", "Image8", "ImageF", "crop", "decode_ppm", "encode_ppm", "quantize",
-        "read_imagef", "write_imagef",
+        "Image8", "ImageF", "crop", "decode_ppm", "encode_ppm", "quantize", "read_imagef",
+        "write_imagef",
     ),
     "mapping": (
         "MappingTable", "apply_mapping", "build_fixed_table", "build_random_tables",
@@ -33,8 +33,8 @@ _EXPORTS = {
         "power_spectrum",
     ),
     "synthgen": (
-        "DatasetManifest", "GeneratorSpec", "ManifestEntry", "build_benchmark", "gen_fake",
-        "gen_real", "read_manifest_csv", "write_manifest_csv",
+        "DatasetManifest", "ManifestEntry", "build_benchmark", "generate", "read_manifest_csv",
+        "write_manifest_csv",
     ),
     "detector": (
         "AdamState", "DetectorParams", "EvalReport", "TrainConfig", "adam_step",

@@ -2,8 +2,10 @@
 
 Every subcommand writes a JSON run manifest next to its primary output
 (atomically, via rename) recording its flags, derived seeds, inputs,
-outputs, tool version, and wall clock. The flags are the parsed flags,
-with two replacements: ``reducer`` in canonical form
+outputs, tool version, and wall clock. The one exception is ``eval``
+without ``--out``, which only prints its scores and writes no file; the
+model's own ``.run.json`` sits next to the weights. The flags are the
+parsed flags, with two replacements: ``reducer`` in canonical form
 (``ReducerSpec.canonical``), and for ``train`` and ``report`` every
 training setting as resolved from flags, config file and defaults.
 Deterministic subcommands reproduce byte-identical outputs when re-run with

@@ -217,9 +217,11 @@ def _check_batch(batch):
     return x
 
 
-# Samples per chunk that forward() runs through the conv layers. At the
-# default 32-px crop a chunk's conv1 im2col matrix is 1.5 MB instead of 12 MB
-# for an eval batch of 64, so it stays in cache.
+# Samples per batch that evaluate() crops, reduces and scores, and per chunk
+# that forward() runs through the conv layers. At the default 32-px crop a
+# chunk's conv1 im2col matrix is 1.5 MB instead of 12 MB for a whole eval
+# batch, so it stays in cache.
+_EVAL_BATCH = 64
 _FORWARD_CHUNK = 8
 
 
@@ -467,7 +469,6 @@ def evaluate(
     reducer: ReducerSpec,
     reducer_seed: int,
     crop_size: int,
-    batch_size: int = 64,
 ) -> EvalReport:
     """Center-crop, reduce, and score decoded manifest images; accuracy at 0.5 plus AP.
 
@@ -478,8 +479,8 @@ def evaluate(
         raise PixmapError("empty-manifest", "evaluation manifest has no entries")
     reducer.validate_for_crop(crop_size)
     scores = np.empty(len(entries))
-    for start in range(0, len(entries), batch_size):
-        stop = start + batch_size
+    for start in range(0, len(entries), _EVAL_BATCH):
+        stop = start + _EVAL_BATCH
         datas = [img.data for img in images[start:stop]]
         tags = [(e.path,) for e in entries[start:stop]]
         scores[start:stop] = forward(params, crop_batch(datas, reducer, reducer_seed, tags, crop_size))

@@ -109,23 +109,6 @@ class ImageF:
         return self.data.shape[2]
 
 
-@dataclass(frozen=True)
-class CropSpec:
-    """Square crop: ``center``, or ``random`` with an explicit seed."""
-
-    size: int
-    mode: str = "center"
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise PixmapError("bad-crop", "crop size must be >= 1")
-        if self.mode not in ("center", "random"):
-            raise PixmapError("bad-crop", f"unknown crop mode {self.mode!r}")
-        if self.mode == "random" and self.seed is None:
-            raise PixmapError("bad-crop", "random crop requires a seed")
-
-
 # --- PPM P6 -----------------------------------------------------------------
 
 
@@ -204,24 +187,26 @@ def write_pgm(path, gray: np.ndarray) -> None:
 # --- crop and quantization --------------------------------------------------
 
 
-def crop_origin(height: int, width: int, spec: CropSpec) -> tuple[int, int]:
-    """Top-left corner of ``spec``'s window in a height x width image.
+def crop_origin(height: int, width: int, size: int, seed: int | None = None) -> tuple[int, int]:
+    """Top-left corner of the size x size window in a height x width image.
 
-    Centre offsets are floor((dim - size) / 2); a random crop draws the top,
-    then the left offset, with ``randrange`` from ``SplitMix64(spec.seed)``.
+    With no seed the window is centred: offsets floor((dim - size) / 2).
+    With a seed, the top and then the left offset are drawn with
+    ``randrange`` from ``SplitMix64(seed)``. A size below 1 is ``bad-crop``.
     """
-    s = spec.size
-    if s > min(height, width):
-        raise PixmapError("crop-too-large", f"crop {s} exceeds image {height}x{width}")
-    if spec.mode == "center":
-        return (height - s) // 2, (width - s) // 2
-    rng = SplitMix64(spec.seed)
-    top = rng.randrange(height - s + 1)
-    return top, rng.randrange(width - s + 1)
+    if size < 1:
+        raise PixmapError("bad-crop", "crop size must be >= 1")
+    if size > min(height, width):
+        raise PixmapError("crop-too-large", f"crop {size} exceeds image {height}x{width}")
+    if seed is None:
+        return (height - size) // 2, (width - size) // 2
+    rng = SplitMix64(seed)
+    top = rng.randrange(height - size + 1)
+    return top, rng.randrange(width - size + 1)
 
 
 def random_crop_origins(sizes, size: int, seeds) -> list:
-    """:func:`crop_origin` of a ``random`` crop for each (height, width) and seed.
+    """:func:`crop_origin` of a seeded crop for each (height, width) and seed.
 
     Every row's top and left offsets come from one
     ``seeded_words(seeds, 2)`` draw, with each randrange rejection bound
@@ -235,15 +220,15 @@ def random_crop_origins(sizes, size: int, seeds) -> list:
     words = seeded_words(seeds, 2)
     fast = (fits & ~_rejected(words, m).any(axis=1)).tolist()
     return [
-        offsets if ok else crop_origin(h, w, CropSpec(size, "random", seed))
+        offsets if ok else crop_origin(h, w, size, seed)
         for offsets, ok, (h, w), seed in zip((words % m).tolist(), fast, sizes, seeds)
     ]
 
 
-def crop(img: Image8, spec: CropSpec) -> Image8:
-    """Cut the size x size window at :func:`crop_origin`."""
-    top, left = crop_origin(img.height, img.width, spec)
-    return Image8(img.data[top : top + spec.size, left : left + spec.size])
+def crop(img: Image8, size: int, seed: int | None = None) -> Image8:
+    """Cut the size x size window at :func:`crop_origin`: centred, or drawn from ``seed``."""
+    top, left = crop_origin(img.height, img.width, size, seed)
+    return Image8(img.data[top : top + size, left : left + size])
 
 
 def as_batch(img) -> np.ndarray:

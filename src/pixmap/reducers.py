@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PixmapError
-from .image import CropSpec, Image8, ImageF, as_batch, batch_image, crop_origin
+from .image import Image8, ImageF, as_batch, batch_image, crop_origin
 from .mapping import build_fixed_table, map_batch, random_table_entries
 from .rng import derive_seed, seeded_permutations
 from .spectral import dc_distance
@@ -244,8 +244,7 @@ def crop_batch(datas, spec: ReducerSpec, seed_root: int, tags, crop_size=None, o
         crops = np.stack(datas)
     else:
         if origins is None:
-            center = CropSpec(crop_size, "center")
-            origins = [crop_origin(d.shape[0], d.shape[1], center) for d in datas]
+            origins = [crop_origin(d.shape[0], d.shape[1], crop_size) for d in datas]
         crops = np.empty((len(datas), crop_size, crop_size, 3), dtype=np.uint8)
         for k, (data, (top, left)) in enumerate(zip(datas, origins)):
             crops[k] = data[top : top + crop_size, left : left + crop_size]

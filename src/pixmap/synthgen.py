@@ -7,6 +7,10 @@ upsample it 2x, so they carry the periodic correlation artifacts of an
 upsampling stage (nearest, bilinear, or zero-insertion + 3x3 smoothing, the
 classic checkerboard source).
 
+A :class:`ManifestEntry` (path, label, generator, family, seed) is the one
+description of an image: :func:`generate` makes its bytes from it plus the
+dataset's image size and noise level, which :class:`DatasetManifest` holds.
+
 The benchmark builder ties content family to brightness (family A bright,
 family B dark) and, when the confound is enabled, aligns family with label
 during training and swaps it at test time while also switching the fake
@@ -17,7 +21,7 @@ at test; only the upsampling artifact predicts the label on both splits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path, PurePosixPath
 
 import numpy as np
@@ -56,63 +60,53 @@ def _check_size_and_noise(size: int, noise_sigma: float) -> None:
 
 
 @dataclass(frozen=True)
-class GeneratorSpec:
-    """Everything needed to synthesize one image deterministically."""
-
-    kind: str  # "real" | "fake"
-    family: str
-    brightness_shift: float
-    noise_sigma: float
-    size: int
-    seed: int
-    upsampler: str | None = None  # fake only
-
-    def __post_init__(self):
-        if self.kind not in ("real", "fake"):
-            raise PixmapError("bad-generator", f"unknown kind {self.kind!r}")
-        if self.family not in FAMILIES:
-            raise PixmapError("bad-generator", f"unknown family {self.family!r}")
-        _check_size_and_noise(self.size, self.noise_sigma)
-        if self.kind == "fake" and self.upsampler not in UPSAMPLERS:
-            raise PixmapError("bad-generator", f"unknown upsampler {self.upsampler!r}")
-        if self.kind == "real" and self.upsampler is not None:
-            raise PixmapError("bad-generator", "real images take no upsampler")
-
-
-@dataclass(frozen=True)
 class ManifestEntry:
+    """One corpus image; an unknown generator or family, or a label other
+    than 0 for ``real`` and 1 for an upsampler, raises ``bad-manifest``."""
+
     path: str
     label: int  # 0 real, 1 fake
     generator: str  # "real" or the upsampler name
     family: str
     seed: int
 
+    def __post_init__(self):
+        if self.generator not in ("real", *UPSAMPLERS):
+            raise PixmapError("bad-manifest", f"{self.path}: unknown generator {self.generator!r}")
+        if self.family not in FAMILIES:
+            raise PixmapError("bad-manifest", f"{self.path}: unknown family {self.family!r}")
+        if self.label != (0 if self.generator == "real" else 1):
+            raise PixmapError(
+                "bad-manifest", f"{self.path}: label {self.label} contradicts generator {self.generator!r}"
+            )
+
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Entry list plus the provenance needed to regenerate every image.
+    """Entry list plus the image size and noise level that regenerate every image.
 
     The manifest CSV keeps only the entries: the image size and noise level
     are in ``gen``'s ``run.json``, so the CSV alone cannot regenerate them.
+    A size or noise level that :func:`generate` cannot use raises
+    ``bad-generator``; a repeated path raises ``bad-manifest``.
     """
 
     entries: tuple[ManifestEntry, ...]
-    seed: int
-    spec_snapshot: dict = field(default_factory=dict)
+    size: int
+    noise_sigma: float
 
     def __post_init__(self):
+        _check_size_and_noise(self.size, self.noise_sigma)
         _check_entries(self.entries)
 
 
 def _check_entries(entries) -> None:
-    """Raise ``bad-manifest`` for a repeated path, or a label other than 0 for ``real`` and 1 otherwise."""
+    """Raise ``bad-manifest`` for a path that appears more than once."""
     seen = set()
     for e in entries:
         if e.path in seen:
             raise PixmapError("bad-manifest", f"path {e.path!r} appears more than once")
         seen.add(e.path)
-        if e.label != (0 if e.generator == "real" else 1):
-            raise PixmapError("bad-manifest", f"{e.path}: label {e.label} contradicts generator {e.generator!r}")
 
 
 def _gaussian_kernel(sigma: float) -> np.ndarray:
@@ -204,59 +198,26 @@ def _upsample2x(base: np.ndarray, method: str) -> np.ndarray:
     raise PixmapError("bad-generator", f"unknown upsampler {method!r}")
 
 
-def _finish(rng: SplitMix64, content: np.ndarray, spec: GeneratorSpec) -> Image8:
-    """Shared tail of both generators: pattern, brightness, noise, quantize."""
-    img = 128.0 + content + _family_pattern(spec.family, spec.size)
-    img = img + spec.brightness_shift
-    stacked = np.repeat(img[:, :, None], 3, axis=2)
-    if spec.noise_sigma > 0:
-        noise = rng.normals(spec.size * spec.size * 3).reshape(spec.size, spec.size, 3)
-        stacked = stacked + spec.noise_sigma * noise
-    return quantize(ImageF(stacked), 0.0, 255.0)
+def generate(entry: ManifestEntry, size: int, noise_sigma: float) -> Image8:
+    """Synthesize ``entry``'s size x size image from its seed.
 
-
-def gen_real(spec: GeneratorSpec) -> Image8:
-    """Smooth full-resolution field: the stand-in for camera imagery."""
-    if spec.kind != "real":
-        raise PixmapError("bad-generator", "gen_real needs kind='real'")
-    rng = SplitMix64(spec.seed)
-    content = FIELD_CONTRAST * _smooth_field(rng, spec.size)
-    return _finish(rng, content, spec)
-
-
-def gen_fake(spec: GeneratorSpec) -> Image8:
-    """Half-resolution field upsampled 2x: carries the upsampling artifact."""
-    if spec.kind != "fake":
-        raise PixmapError("bad-generator", "gen_fake needs kind='fake'")
-    rng = SplitMix64(spec.seed)
-    base = FIELD_CONTRAST * _smooth_field(rng, spec.size // 2)
-    content = _upsample2x(base, spec.upsampler)
-    return _finish(rng, content, spec)
-
-
-def generate(spec: GeneratorSpec) -> Image8:
-    return gen_real(spec) if spec.kind == "real" else gen_fake(spec)
-
-
-def entry_spec(entry: ManifestEntry, size: int, noise_sigma: float) -> GeneratorSpec:
-    """Rebuild the generator spec for a manifest entry.
-
-    Brightness follows the fixed family rule (A bright, B dark), so an
-    entry plus the dataset-level size and noise level fully determines
-    the image bytes.
+    A ``real`` entry is a smooth full-resolution field, the stand-in for
+    camera imagery; any other is a half-resolution field upsampled 2x by its
+    generator, so it carries the upsampling artifact. Then the family
+    pattern is added, then the family brightness (A bright, B dark), then
+    sensor noise when ``noise_sigma`` is above 0, and the sum is quantized.
     """
-    shift = FAMILY_BRIGHTNESS if entry.family == "A" else -FAMILY_BRIGHTNESS
-    kind = "real" if entry.generator == "real" else "fake"
-    upsampler = None if kind == "real" else entry.generator
-    return GeneratorSpec(
-        kind=kind,
-        family=entry.family,
-        brightness_shift=shift,
-        noise_sigma=noise_sigma,
-        size=size,
-        seed=entry.seed,
-        upsampler=upsampler,
-    )
+    rng = SplitMix64(entry.seed)
+    if entry.generator == "real":
+        content = FIELD_CONTRAST * _smooth_field(rng, size)
+    else:
+        content = _upsample2x(FIELD_CONTRAST * _smooth_field(rng, size // 2), entry.generator)
+    img = 128.0 + content + _family_pattern(entry.family, size)
+    img = img + (FAMILY_BRIGHTNESS if entry.family == "A" else -FAMILY_BRIGHTNESS)
+    stacked = np.repeat(img[:, :, None], 3, axis=2)
+    if noise_sigma > 0:
+        stacked = stacked + noise_sigma * rng.normals(size * size * 3).reshape(size, size, 3)
+    return quantize(ImageF(stacked), 0.0, 255.0)
 
 
 def build_benchmark(
@@ -275,7 +236,7 @@ def build_benchmark(
     upsampler, so family and brightness anti-predict the label at test
     time. With the confound off, families alternate within each class
     identically on both splits. A size or noise level that
-    :class:`GeneratorSpec` would reject raises its ``bad-generator`` error
+    :class:`DatasetManifest` rejects raises its ``bad-generator`` error
     here, before any image is made.
     """
     if n_per_class < 1:
@@ -283,7 +244,6 @@ def build_benchmark(
     for ups in (train_fake_upsampler, test_fake_upsampler):
         if ups not in UPSAMPLERS:
             raise PixmapError("bad-benchmark", f"unknown upsampler {ups!r}")
-    _check_size_and_noise(size, noise_sigma)
 
     def family_for(split: str, kind: str, index: int) -> str:
         if not confound:
@@ -308,27 +268,17 @@ def build_benchmark(
                         seed=derive_seed(seed, split, kind, i),
                     )
                 )
-        snapshot = {
-            "split": split,
-            "upsampler": upsampler,
-            "confound": confound,
-            "n_per_class": n_per_class,
-            "size": size,
-            "noise_sigma": noise_sigma,
-        }
-        manifests.append(DatasetManifest(tuple(entries), seed, snapshot))
+        manifests.append(DatasetManifest(tuple(entries), size, noise_sigma))
     return manifests[0], manifests[1]
 
 
 def materialize(manifest: DatasetManifest, out_dir) -> None:
     """Write every manifest entry's image under ``out_dir``, each atomically."""
     root = Path(out_dir)
-    size = manifest.spec_snapshot["size"]
-    noise_sigma = manifest.spec_snapshot["noise_sigma"]
     for entry in manifest.entries:
         target = root / entry.path
         target.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(target, encode_ppm(generate(entry_spec(entry, size, noise_sigma))))
+        write_atomic(target, encode_ppm(generate(entry, manifest.size, manifest.noise_sigma)))
 
 
 _MANIFEST_HEADER = "path,label,generator,family,seed"
@@ -346,9 +296,11 @@ def read_manifest_csv(path) -> list[ManifestEntry]:
 
     Non-ASCII bytes, a wrong header or field count, a non-integer label or
     seed, an absolute path or one with a ``..`` part, a path that appears
-    twice, and a label that contradicts its generator (a ``real`` row must
-    have label 0, any other row label 1) all raise
-    PixmapError("bad-manifest"), as :class:`DatasetManifest` does.
+    twice, a generator other than ``real`` or an upsampler, a family
+    outside ``FAMILIES``, and a label that contradicts its generator (a
+    ``real`` row must have label 0, any other row label 1) all raise
+    PixmapError("bad-manifest"), as :class:`ManifestEntry` and
+    :class:`DatasetManifest` do.
     """
     try:
         lines = Path(path).read_text(encoding="ascii").splitlines()

@@ -106,8 +106,11 @@ def corpus_with_row(tmp_path):
         "/etc/passwd,0,real,A,2",
         "train/real_0001.ppm,1,real,A,2",
         "train/real_0000.ppm,0,real,A,1",
+        "train/fake_0000.ppm,1,foo,A,2",
+        "train/fake_0000.ppm,1,nearest,Z,2",
     ],
-    ids=["non-numeric-label", "absolute-path", "label-contradicts-generator", "repeated-path"],
+    ids=["non-numeric-label", "absolute-path", "label-contradicts-generator", "repeated-path",
+         "unknown-generator", "unknown-family"],
 )
 def test_train_rejects_bad_manifest_row(capsys, tmp_path, corpus_with_row, row):
     data = corpus_with_row(row)
@@ -320,7 +323,7 @@ def test_every_exported_name_is_the_defining_modules_object():
         "    return getattr(sys.modules[obj.__module__], name)\n"
         "print(len(pixmap.__all__), [n for n in pixmap.__all__ if home(n, getattr(pixmap, n)) is not getattr(pixmap, n)])"
     )
-    assert _python_last_line(code) == "58 []"
+    assert _python_last_line(code) == "55 []"
 
 
 def test_spectrum_highpass_odd_crop_end_to_end(tmp_path):
@@ -586,3 +589,16 @@ def test_run_manifest_records_the_resolved_flags(capsys, tmp_path, small_corpus,
     assert manifest["version"] == __version__
     assert manifest["inputs"] == [str(p) for p in inputs]
     assert manifest["outputs"] == [str(p) for p in outputs]
+
+
+def test_eval_without_out_writes_no_file(capsys, tmp_path, small_corpus):
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    argv, _ = _train_flags(model_dir, small_corpus)
+    assert cli.main([str(a) for a in argv]) == 0
+    before = (_file_bytes(small_corpus), _file_bytes(model_dir))
+    capsys.readouterr()
+    argv = ["eval", "--model", model_dir / "w.w1", "--data", small_corpus, "--reducer", "highpass"]
+    assert cli.main([str(a) for a in argv]) == 0
+    assert capsys.readouterr().out.startswith("accuracy=")
+    assert (_file_bytes(small_corpus), _file_bytes(model_dir)) == before

@@ -6,7 +6,6 @@ import pytest
 from pixmap import image as image_module
 from pixmap.errors import PixmapError
 from pixmap.image import (
-    CropSpec,
     Image8,
     ImageF,
     crop,
@@ -106,20 +105,20 @@ def test_imagef_rejects_non_finite():
 
 def test_center_crop_full_frame_is_identity():
     img = _random_image(2, 4, 4)
-    assert crop(img, CropSpec(4, "center")) == img
+    assert crop(img, 4) == img
 
 
 def test_center_crop_offsets():
     data = np.arange(27, dtype=np.uint8).reshape(3, 3, 3)
     img = Image8(data)
-    out = crop(img, CropSpec(1, "center"))
+    out = crop(img, 1)
     assert out.data[0, 0].tolist() == data[1, 1].tolist()
 
 
 def test_random_crop_seeded_determinism():
     img = _random_image(3, 256, 256)
-    a = crop(img, CropSpec(128, "random", seed=7))
-    b = crop(img, CropSpec(128, "random", seed=7))
+    a = crop(img, 128, seed=7)
+    b = crop(img, 128, seed=7)
     assert a == b
     assert (a.height, a.width) == (128, 128)
 
@@ -127,7 +126,7 @@ def test_random_crop_seeded_determinism():
 def test_random_crop_is_window_of_source():
     img = _random_image(4, 20, 20)
     for seed in range(20):
-        out = crop(img, CropSpec(5, "random", seed=seed))
+        out = crop(img, 5, seed=seed)
         found = any(
             np.array_equal(out.data, img.data[i : i + 5, j : j + 5])
             for i in range(16)
@@ -139,7 +138,7 @@ def test_random_crop_is_window_of_source():
 def test_crop_too_large_rejected():
     img = _random_image(5, 4, 4)
     with pytest.raises(PixmapError) as err:
-        crop(img, CropSpec(5, "center"))
+        crop(img, 5)
     assert err.value.code == "crop-too-large"
 
 
@@ -149,7 +148,7 @@ ORIGIN_SEEDS = [derive_seed(9, "crop", k) for k in range(60)]
 
 
 def _scalar_origins(sizes, size, seeds):
-    return [crop_origin(h, w, CropSpec(size, "random", seed)) for (h, w), seed in zip(sizes, seeds)]
+    return [crop_origin(h, w, size, seed) for (h, w), seed in zip(sizes, seeds)]
 
 
 def test_random_crop_origins_equal_scalar_rule():
@@ -176,9 +175,9 @@ def test_random_crop_origins_forced_rejection_uses_scalar_rule(monkeypatch, colu
         words[bad_row, column] = np.uint64(2**64 - 1)
         return words
 
-    def counting_origin(height, width, spec):
-        scalar_calls.append(spec.seed)
-        return real_origin(height, width, spec)
+    def counting_origin(height, width, size, seed=None):
+        scalar_calls.append(seed)
+        return real_origin(height, width, size, seed)
 
     monkeypatch.setattr(image_module, "seeded_words", words_with_reject)
     monkeypatch.setattr(image_module, "crop_origin", counting_origin)
@@ -187,9 +186,12 @@ def test_random_crop_origins_forced_rejection_uses_scalar_rule(monkeypatch, colu
     assert [tuple(o) for o in got] == _scalar_origins(sizes, 27, seeds)
 
 
-def test_random_crop_requires_seed():
-    with pytest.raises(PixmapError):
-        CropSpec(4, "random")
+def test_crop_size_below_one_rejected():
+    img = _random_image(6, 4, 4)
+    for seed in (None, 1):
+        with pytest.raises(PixmapError) as err:
+            crop(img, 0, seed)
+        assert err.value.code == "bad-crop"
 
 
 # --- float conversion ----------------------------------------------------------

@@ -170,12 +170,11 @@ def test_apply_mapping_rejects_wrong_table_count():
 
 
 def test_mapping_commutes_with_center_crop():
-    from pixmap.image import CropSpec, crop
+    from pixmap.image import crop
 
     rng_img = _image_of((np.arange(10 * 10 * 3) * 7 % 256).reshape(10, 10, 3))
     table = build_fixed_table()
-    spec = CropSpec(4, "center")
-    a = apply_mapping(crop(rng_img, spec), table)
+    a = apply_mapping(crop(rng_img, 4), table)
     full = apply_mapping(rng_img, table)
     b = full.data[3:7, 3:7, :]
     assert np.array_equal(a.data, b)

@@ -5,7 +5,7 @@ import pytest
 
 from pixmap.cli import REPORT_REDUCERS
 from pixmap.errors import PixmapError
-from pixmap.image import CropSpec, Image8, crop, random_crop_origins
+from pixmap.image import Image8, crop, random_crop_origins
 from pixmap.reducers import (
     ReducerSpec,
     apply_reducer,
@@ -296,17 +296,17 @@ def test_crop_batch_equals_per_image_reducers():
         reducer = ReducerSpec.parse(name)
         for seed, epoch in ((None, None), (5, 3)):
             if epoch is None:  # evaluation: centre crops tagged (path,)
-                specs = [CropSpec(8, "center") for _ in indices]
+                crop_seeds = [None] * len(indices)
                 tags = [(paths[i],) for i in indices]
                 origins = None
             else:  # training: seeded random crops tagged (path, epoch)
-                specs = [CropSpec(8, "random", derive_seed(seed, "crop", epoch, paths[i])) for i in indices]
+                crop_seeds = [derive_seed(seed, "crop", epoch, paths[i]) for i in indices]
                 tags = [(paths[i], epoch) for i in indices]
-                origins = random_crop_origins([d.shape[:2] for d in datas], 8, [s.seed for s in specs])
+                origins = random_crop_origins([d.shape[:2] for d in datas], 8, crop_seeds)
             got = crop_batch(datas, reducer, 77, tags, 8, origins)
             want = [
-                apply_reducer(reducer, crop(images[i], spec), 77, *tag).data.transpose(2, 0, 1)
-                for i, spec, tag in zip(indices, specs, tags)
+                apply_reducer(reducer, crop(images[i], 8, crop_seed), 77, *tag).data.transpose(2, 0, 1)
+                for i, crop_seed, tag in zip(indices, crop_seeds, tags)
             ]
             assert got.dtype == np.float64
             assert np.array_equal(got, np.stack(want)), (name, epoch)

@@ -241,15 +241,11 @@ def test_band_ratio_degenerate_spectrum():
 def test_band_ratio_smooth_versus_mapped():
     # smooth blurred noise should sit far below 1; mapping must raise it
     from pixmap.mapping import apply_mapping, build_fixed_table
-    from pixmap.synthgen import GeneratorSpec, gen_real
+    from pixmap.synthgen import ManifestEntry, generate
 
     table = build_fixed_table()
     for seed in range(20):
-        spec = GeneratorSpec(
-            kind="real", family="A", brightness_shift=0.0,
-            noise_sigma=0.0, size=32, seed=seed,
-        )
-        img = gen_real(spec)
+        img = generate(ManifestEntry("real.ppm", 0, "real", "A", seed), 32, 0.0)
         raw = band_ratio(azimuthal_profile(mean_spectrum([ImageF(img.data.astype(np.float64))])))
         mapped = band_ratio(azimuthal_profile(mean_spectrum([apply_mapping(img, table)])))
         assert raw < 0.1

@@ -15,12 +15,8 @@ from pixmap.spectral import (
 from pixmap.synthgen import (
     DEFAULT_NOISE_SIGMA,
     DatasetManifest,
-    GeneratorSpec,
     ManifestEntry,
     build_benchmark,
-    entry_spec,
-    gen_fake,
-    gen_real,
     _blur2d,
     _family_pattern,
     _gaussian_kernel,
@@ -30,68 +26,62 @@ from pixmap.synthgen import (
 )
 
 
-def _real_spec(seed, size=64, noise=2.0, family="A", shift=18.0):
-    return GeneratorSpec(
-        kind="real", family=family, brightness_shift=shift,
-        noise_sigma=noise, size=size, seed=seed,
-    )
+def _entry(generator, family, seed):
+    return ManifestEntry(f"{generator}.ppm", int(generator != "real"), generator, family, seed)
 
 
-def _fake_spec(seed, upsampler, size=64, noise=2.0, family="A", shift=18.0):
-    return GeneratorSpec(
-        kind="fake", family=family, brightness_shift=shift,
-        noise_sigma=noise, size=size, seed=seed, upsampler=upsampler,
-    )
+def _real_image(seed, noise=2.0):
+    return generate(_entry("real", "A", seed), 64, noise)
+
+
+def _fake_image(seed, upsampler, noise=2.0):
+    return generate(_entry(upsampler, "A", seed), 64, noise)
 
 
 def test_gen_real_deterministic():
-    a = gen_real(_real_spec(7, noise=0.0))
-    b = gen_real(_real_spec(7, noise=0.0))
+    a = _real_image(7, noise=0.0)
+    b = _real_image(7, noise=0.0)
     assert a == b
-    c = gen_real(_real_spec(7))
-    d = gen_real(_real_spec(7))
+    c = _real_image(7)
+    d = _real_image(7)
     assert c == d
-    assert gen_real(_real_spec(8)) != c
+    assert _real_image(8) != c
 
 
 def test_gen_real_histogram_span():
-    img = gen_real(_real_spec(3))
+    img = _real_image(3)
     assert len(np.unique(img.data)) > 30
 
 
 def test_gen_real_smooth_band_ratio():
     ratios = []
     for s in range(10):
-        img = gen_real(_real_spec(derive_seed(1, "smooth", s)))
+        img = _real_image(derive_seed(1, "smooth", s))
         prof = azimuthal_profile(mean_spectrum([ImageF(img.data.astype(np.float64))]))
         ratios.append(band_ratio(prof))
     assert max(ratios) < 0.1
 
 
 def test_gen_fake_deterministic_and_distinct_from_real():
-    a = gen_fake(_fake_spec(7, "nearest"))
-    b = gen_fake(_fake_spec(7, "nearest"))
+    a = _fake_image(7, "nearest")
+    b = _fake_image(7, "nearest")
     assert a == b
-    assert a != gen_real(_real_spec(7))
+    assert a != _real_image(7)
 
 
 def test_nearest_fake_blocks_constant_without_noise():
-    img = gen_fake(_fake_spec(5, "nearest", noise=0.0))
+    img = _fake_image(5, "nearest", noise=0.0)
     d = img.data
     assert np.array_equal(d[0::2, :], d[1::2, :])
     assert np.array_equal(d[:, 0::2], d[:, 1::2])
 
 
-def _paired_profiles(kind_a, ups_a, kind_b, ups_b, n=30, family="B"):
+def _paired_profiles(generator_a, generator_b, n=30):
     imgs_a, imgs_b = [], []
     for s in range(n):
         seed = derive_seed(13, "pair", s)
-        sa = GeneratorSpec(kind=kind_a, family="A", brightness_shift=18.0,
-                           noise_sigma=2.0, size=64, seed=seed, upsampler=ups_a)
-        sb = GeneratorSpec(kind=kind_b, family=family, brightness_shift=-18.0,
-                           noise_sigma=2.0, size=64, seed=seed, upsampler=ups_b)
-        imgs_a.append(ImageF(generate(sa).data.astype(np.float64)))
-        imgs_b.append(ImageF(generate(sb).data.astype(np.float64)))
+        imgs_a.append(ImageF(generate(_entry(generator_a, "A", seed), 64, 2.0).data.astype(np.float64)))
+        imgs_b.append(ImageF(generate(_entry(generator_b, "B", seed), 64, 2.0).data.astype(np.float64)))
     pa = azimuthal_profile(mean_spectrum(imgs_a))
     pb = azimuthal_profile(mean_spectrum(imgs_b))
     return pa, pb
@@ -99,7 +89,7 @@ def _paired_profiles(kind_a, ups_a, kind_b, ups_b, n=30, family="B"):
 
 @pytest.mark.parametrize("upsampler", ["nearest", "bilinear", "zero_insert_conv"])
 def test_fake_profiles_separate_from_real_at_high_radii(upsampler):
-    real, fake = _paired_profiles("real", None, "fake", upsampler)
+    real, fake = _paired_profiles("real", upsampler)
     r = real.max_radius
     top = slice(r - r // 3 + 1, r + 1)
     excess = np.mean(fake.values[top]) / np.mean(real.values[top])
@@ -120,7 +110,7 @@ def test_family_pattern_leaks_little_into_high_radii(family):
 
 
 def test_real_families_do_not_separate_at_high_radii():
-    real_a, real_b = _paired_profiles("real", None, "real", None)
+    real_a, real_b = _paired_profiles("real", "real")
     r = real_a.max_radius
     top = slice(r - r // 3 + 1, r + 1)
     excess = np.mean(real_b.values[top]) / np.mean(real_a.values[top])
@@ -128,7 +118,7 @@ def test_real_families_do_not_separate_at_high_radii():
 
 
 def test_zero_insert_conv_bump_in_top_third():
-    real, fake = _paired_profiles("real", None, "fake", "zero_insert_conv")
+    real, fake = _paired_profiles("real", "zero_insert_conv")
     r = real.max_radius
     top_start = r - r // 3 + 1
     mid = slice(r // 3 + 1, 2 * (r // 3) + 1)
@@ -142,19 +132,16 @@ def test_zero_insert_conv_bump_in_top_third():
     assert 0 < peak < len(interior) - 1  # strict local maximum inside the band
 
 
-def test_generator_spec_validation():
-    with pytest.raises(PixmapError):
-        GeneratorSpec(kind="real", family="A", brightness_shift=0, noise_sigma=0,
-                      size=63, seed=1)
-    with pytest.raises(PixmapError):
-        GeneratorSpec(kind="fake", family="A", brightness_shift=0, noise_sigma=0,
-                      size=64, seed=1, upsampler="bicubic")
-    with pytest.raises(PixmapError):
-        GeneratorSpec(kind="real", family="C", brightness_shift=0, noise_sigma=0,
-                      size=64, seed=1)
-    with pytest.raises(PixmapError):
-        GeneratorSpec(kind="real", family="A", brightness_shift=0, noise_sigma=-1,
-                      size=64, seed=1)
+def test_manifest_entry_and_dataset_validation():
+    entry = _entry("real", "A", 1)
+    for size, noise in ((63, 0), (64, -1)):
+        with pytest.raises(PixmapError) as err:
+            DatasetManifest((entry,), size, noise)
+        assert err.value.code == "bad-generator"
+    for generator, family in (("bicubic", "A"), ("real", "C")):
+        with pytest.raises(PixmapError) as err:
+            _entry(generator, family, 1)
+        assert err.value.code == "bad-manifest"
 
 
 # --- benchmark construction -------------------------------------------------------
@@ -195,17 +182,15 @@ def test_labels_follow_generator_rule():
     for e in tr.entries:
         assert e.label == (0 if e.generator == "real" else 1)
     with pytest.raises(PixmapError):
-        DatasetManifest(
-            (ManifestEntry("x.ppm", 1, "real", "A", 0),), seed=0, spec_snapshot={}
-        )
+        ManifestEntry("x.ppm", 1, "real", "A", 0)
     with pytest.raises(PixmapError):
         DatasetManifest(
             (
                 ManifestEntry("x.ppm", 0, "real", "A", 0),
                 ManifestEntry("x.ppm", 0, "real", "A", 1),
             ),
-            seed=0,
-            spec_snapshot={},
+            size=64,
+            noise_sigma=DEFAULT_NOISE_SIGMA,
         )
 
 
@@ -217,7 +202,7 @@ def test_brightness_threshold_shortcut_inverts_under_swap():
     def means_labels(manifest):
         means, labels = [], []
         for e in manifest.entries:
-            img = generate(entry_spec(e, 32, 2.0))
+            img = generate(e, 32, 2.0)
             means.append(float(img.data.mean()))
             labels.append(e.label)
         return np.array(means), np.array(labels)
@@ -241,8 +226,8 @@ def test_regeneration_from_manifest_is_byte_identical():
     from pixmap.image import encode_ppm
 
     tr, _ = build_benchmark("bilinear", "nearest", True, 3, seed=9, size=32)
-    first = {e.path: encode_ppm(generate(entry_spec(e, 32, 2.0))) for e in tr.entries}
-    second = {e.path: encode_ppm(generate(entry_spec(e, 32, 2.0))) for e in tr.entries}
+    first = {e.path: encode_ppm(generate(e, 32, 2.0)) for e in tr.entries}
+    second = {e.path: encode_ppm(generate(e, 32, 2.0)) for e in tr.entries}
     assert first == second
 
 
@@ -266,9 +251,11 @@ def test_manifest_csv_round_trip(tmp_path):
         b"/tmp/real_0001.ppm,0,real,A,1",
         b"train/real_0001.ppm,1,real,A,1",
         b"train/real_0000.ppm,0,real,A,1",
+        b"train/fake_0000.ppm,1,foo,A,1",
+        b"train/fake_0000.ppm,1,nearest,Z,1",
     ],
     ids=["non-numeric-seed", "label-2", "non-ascii", "dotdot-path", "absolute-path",
-         "label-contradicts-generator", "repeated-path"],
+         "label-contradicts-generator", "repeated-path", "unknown-generator", "unknown-family"],
 )
 def test_manifest_csv_rejects_bad_rows(tmp_path, row):
     path = tmp_path / "m.csv"

@@ -15,6 +15,9 @@ The commands:
 
 * ``gen --confound --n 64 --seed S`` and ``report --epochs 2`` on it, for S = 701..710;
 * ``gen --n 32 --size 128 --seed 701``;
+* ``gen --n 8 --seed 703`` with the zero-insert upsampler on train, nearest
+  on test and ``--noise-sigma 0``, so every upsampler and the noise-free
+  branch of the generator are covered;
 * ``train --reducer random --epochs 3 --seed 701`` on the seed-701 confound
   corpus, and ``eval --out`` of those weights on its test split;
 * ``spectrum --heatmap`` of the 128-px corpus for each of the six reducers
@@ -47,6 +50,8 @@ def commands(work: Path):
         yield ["report", "--data", corpus, "--epochs", "2", "--out", work / f"report{seed}.csv"]
     big = work / "gen128"
     yield ["gen", "--n", "32", "--size", "128", "--seed", "701", "--out", big]
+    yield ["gen", "--n", "8", "--seed", "703", "--train-upsampler", "zero_insert_conv",
+           "--test-upsampler", "nearest", "--noise-sigma", "0", "--out", work / "zero703"]
     model = work / "random.w1"
     yield ["train", "--data", work / "confound701", "--reducer", "random", "--epochs", "3",
            "--seed", "701", "--out", model]
