@@ -7,8 +7,8 @@ and a small hand-backpropagated detector, all behind the ``pixmap`` CLI.
 Each library module below is registered in ``sys.modules`` and bound here
 at import, but runs only on its first attribute access
 (``importlib.util.LazyLoader``), so a CLI command executes only the modules
-it calls. The names they export resolve the same way, through the module
-``__getattr__``.
+it calls. Their names are reached through the module, as in
+``pixmap.image.crop``.
 """
 
 import importlib.util
@@ -18,31 +18,7 @@ __version__ = "0.1.0"
 
 from .errors import PixmapError
 
-_EXPORTS = {
-    "image": (
-        "Image8", "ImageF", "crop", "decode_ppm", "encode_ppm", "quantize", "read_imagef",
-        "write_imagef",
-    ),
-    "mapping": (
-        "MappingTable", "apply_mapping", "build_fixed_table", "build_random_tables",
-    ),
-    "reducers": ("ReducerSpec", "apply_reducer", "highpass", "npr_residual", "patch_shuffle"),
-    "rng": ("SplitMix64", "derive_seed"),
-    "spectral": (
-        "RadialProfile", "Spectrum2D", "azimuthal_profile", "band_ratio", "mean_spectrum",
-        "power_spectrum",
-    ),
-    "synthgen": (
-        "DatasetManifest", "ManifestEntry", "build_benchmark", "generate", "read_manifest_csv",
-        "write_manifest_csv",
-    ),
-    "detector": (
-        "AdamState", "DetectorParams", "EvalReport", "TrainConfig", "adam_step",
-        "average_precision", "backward", "evaluate", "forward", "init_params", "load_images",
-        "load_params", "loss", "save_params", "train",
-    ),
-}
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_MODULES = ("image", "mapping", "reducers", "rng", "spectral", "synthgen", "detector")
 
 
 def _register_lazily(name: str):
@@ -55,14 +31,7 @@ def _register_lazily(name: str):
     return module
 
 
-for _module in _EXPORTS:
+for _module in _MODULES:
     globals()[_module] = _register_lazily(_module)
 
-
-def __getattr__(name: str):
-    if name in _HOME:
-        return getattr(globals()[_HOME[name]], name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = sorted(["PixmapError", "errors", *_EXPORTS, *_HOME])
+__all__ = sorted(["PixmapError", "errors", *_MODULES])

@@ -92,10 +92,12 @@ def _load_config_file(path: str) -> dict[str, str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, sep, value = line.partition("=")
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
             raise PixmapError("bad-config", f"{path}:{lineno}: expected key=value")
-        values[key.strip()] = value.strip()
+        if key in values:
+            raise PixmapError("bad-config", f"{path}:{lineno}: repeated key {key!r}")
+        values[key] = value
     return values
 
 
@@ -238,7 +240,7 @@ def _reduce_file(path: Path, reducer, reducer_root: int, tag: str, crop_size=Non
     ``crop_size`` is given. ``spectrum`` and ``map`` both turn a file into
     a raster through this.
     """
-    data = image.decode_ppm(path.read_bytes()).data
+    data = image.read_ppm(path).data
     return reducers.crop_batch([data], reducer, reducer_root, [(tag,)], crop_size)[0]
 
 
@@ -255,10 +257,10 @@ def _cmd_map(args) -> int:
     image.write_imagef(out_path, image.ImageF(reduced.transpose(1, 2, 0)))
     outputs = [out_path]
     if tables is not None:
-        header = "value,output" if len(tables) == 1 else "value,ch0,ch1,ch2"
-        lines = [header] + [",".join(map(repr, [v, *row])) for v, row in enumerate(tables.T.tolist())]
+        header = ("value", "output") if len(tables) == 1 else ("value", "ch0", "ch1", "ch2")
         csv_path = Path(args.table_csv)
-        image.write_atomic(csv_path, ("\n".join(lines) + "\n").encode("ascii"))
+        rows = [(v, *row) for v, row in enumerate(tables.T.tolist())]
+        image.write_atomic(csv_path, image.format_csv(header, rows).encode("ascii"))
         outputs.append(csv_path)
     _write_run_manifest(
         out_path.with_name(out_path.name + ".run.json"), args, started, {"reducer": reducer_root},
@@ -310,15 +312,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _breakdown_csv(report) -> str:
-    lines = ["generator,n,accuracy,average_precision"]
-    for tag in sorted(report.per_generator):
-        stats = report.per_generator[tag]
-        ap = "" if stats.average_precision is None else repr(stats.average_precision)
-        lines.append(f"{tag},{stats.n},{stats.accuracy!r},{ap}")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_eval(args) -> int:
     started = time.time()
     params, model_reducer, reducer_seed, crop_size = detector.load_params(args.model)
@@ -335,7 +328,12 @@ def _cmd_eval(args) -> int:
     print(f"n={report.n}")
     if args.out:
         out_path = Path(args.out)
-        image.write_atomic(out_path, _breakdown_csv(report).encode("ascii"))
+        rows = [
+            (tag, s.n, s.accuracy, "" if s.average_precision is None else s.average_precision)
+            for tag, s in sorted(report.per_generator.items())
+        ]
+        csv_text = image.format_csv(("generator", "n", "accuracy", "average_precision"), rows)
+        image.write_atomic(out_path, csv_text.encode("ascii"))
         _write_run_manifest(
             out_path.with_name(out_path.name + ".run.json"), args, started, {"reducer": reducer_seed},
             [args.model, args.data], [out_path], reducer=requested.canonical(),
@@ -386,10 +384,8 @@ def run_experiment(data_dir, config: TrainConfig) -> str:
     rows = _fork_map(
         _report_row, runs, initializer=_init_report_worker, initargs=(train_split, test_split, reducer_seed)
     )
-    lines = ["reducer,train_acc,test_acc,test_ap"]
-    for name, (train_acc, test_acc, test_ap) in zip(REPORT_REDUCERS, rows):
-        lines.append(f"{name},{train_acc!r},{test_acc!r},{test_ap!r}")
-    return "\n".join(lines) + "\n"
+    header = ("reducer", "train_acc", "test_acc", "test_ap")
+    return image.format_csv(header, [(name, *row) for name, row in zip(REPORT_REDUCERS, rows)])
 
 
 def _cmd_report(args) -> int:

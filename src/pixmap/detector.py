@@ -36,9 +36,9 @@ import numpy as np
 
 from .config import TrainConfig
 from .errors import PixmapError
-from .image import Image8, decode_ppm, format_rows, parse_rows, random_crop_origins, write_atomic
+from .image import Image8, format_rows, parse_rows, random_crop_origins, read_ppm, write_atomic
 from .reducers import ReducerSpec, crop_batch
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64, derive_seed, seeded_permutations
 from .synthgen import ManifestEntry
 
 LOSS_EPS = 1e-7
@@ -357,14 +357,7 @@ def load_images(entries, root) -> list[Image8]:
     The commands decode each split once with this and hand the images to
     :func:`train` and :func:`evaluate`.
     """
-    root = Path(root)
-    images = []
-    for e in entries:
-        path = root / e.path
-        if not path.is_file():
-            raise PixmapError("missing-file", f"image not found: {path}")
-        images.append(decode_ppm(path.read_bytes()))
-    return images
+    return [read_ppm(Path(root) / e.path) for e in entries]
 
 
 @np.errstate(all="ignore")
@@ -394,8 +387,7 @@ def train(
     trace = []
     n = len(entries)
     for epoch in range(config.epochs):
-        order = list(range(n))
-        SplitMix64(derive_seed(config.seed, "order", epoch)).shuffle(order)
+        order = seeded_permutations([derive_seed(config.seed, "order", epoch)], n)[0].tolist()
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             chunk = order[start : start + config.batch_size]
@@ -490,20 +482,10 @@ def evaluate(
     real_mask = labels == 0
     for tag in sorted({e.generator for e in entries}):
         mask = np.array([e.generator == tag for e in entries])
-        if tag == "real":
-            per_generator[tag] = GeneratorStats(
-                n=int(mask.sum()),
-                accuracy=accuracy_at_half(scores[mask], labels[mask]),
-                average_precision=None,
-            )
-        else:
-            pool = mask | real_mask  # this generator's fakes against all reals
-            ap = average_precision(scores[pool], labels[pool]) if real_mask.any() else None
-            per_generator[tag] = GeneratorStats(
-                n=int(mask.sum()),
-                accuracy=accuracy_at_half(scores[pool], labels[pool]),
-                average_precision=ap,
-            )
+        # A generator's fakes are scored against all reals; the reals have no AP of their own.
+        pool = mask if tag == "real" else mask | real_mask
+        ap = average_precision(scores[pool], labels[pool]) if tag != "real" and real_mask.any() else None
+        per_generator[tag] = GeneratorStats(int(mask.sum()), accuracy_at_half(scores[pool], labels[pool]), ap)
 
     overall_ap = average_precision(scores, labels) if (labels == 1).any() else float("nan")
     return EvalReport(

@@ -12,6 +12,8 @@ File formats:
 * ``PIXMAP-IMF1`` is a plain-text container for ``ImageF`` using shortest
   round-trip decimals, exact under write/read. Its rows, and the detector's
   weights file, go through :func:`format_rows` and :func:`parse_rows`.
+* Every CSV the commands write (manifests, profiles, breakdowns, the
+  report, mapping tables) goes through :func:`format_csv`.
 * PGM ``P5`` is write-only, for grayscale heatmap export.
 
 Every file writer in the package goes through :func:`write_atomic`, so a
@@ -169,6 +171,19 @@ def decode_ppm(raw: bytes) -> Image8:
     return Image8(arr)
 
 
+def read_ppm(path) -> Image8:
+    """Read and decode the PPM file at ``path``; a decode error keeps its code and names the file.
+
+    A path that is not a file raises ``missing-file``.
+    """
+    if not Path(path).is_file():
+        raise PixmapError("missing-file", f"image not found: {path}")
+    try:
+        return decode_ppm(Path(path).read_bytes())
+    except PixmapError as exc:
+        raise PixmapError(exc.code, f"{path}: {exc.message}") from exc
+
+
 def encode_ppm(img: Image8) -> bytes:
     """Encode to the canonical P6 byte form; identical images give identical bytes."""
     header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
@@ -257,6 +272,16 @@ def quantize(img: ImageF, lo: float, hi: float) -> Image8:
 def format_rows(rows: np.ndarray) -> list[str]:
     """One line per row of a 2-D array, in shortest round-trip decimals."""
     return [" ".join(repr(x) for x in row) for row in rows.tolist()]
+
+
+def format_csv(header, rows) -> str:
+    """CSV text of a header and rows: strings verbatim, every other value by ``repr``.
+
+    An int prints as its digits and a float reads back to the same bits.
+    """
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def parse_rows(lines, n_rows: int, width: int, what: str) -> np.ndarray:

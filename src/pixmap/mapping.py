@@ -2,8 +2,9 @@
 
 A mapping table replaces each 8-bit pixel value with a real number. Breaking
 the monotone ordering of adjacent values turns smooth image regions into
-high-frequency texture while keeping the lookup invertible enough to preserve
-local pixel relationships (equal inputs stay equal outputs).
+high-frequency texture. A table maps equal values to equal values, so the
+pixels that nearest upsampling repeats stay equal; it keeps no linear
+relation, so a bilinear midpoint stops being the mean of its neighbours.
 
 Two constructions are provided:
 

@@ -7,10 +7,14 @@ on, suppressing scene content by a different mechanism:
 * ``highpass``  - remove a DC-centered low-frequency disk in the DFT domain
 * ``shuffle``   - permute square tiles, destroying global layout
 * ``npr``       - subtract each block's top-left pixel (residual proxy)
-* ``fixed`` / ``random`` - pixel-value mapping tables (see ``mapping``)
+* ``fixed`` / ``random`` - pixel-value mapping tables (see ``mapping``):
+  equal values stay equal, so the pixels nearest upsampling repeats stay
+  equal, but a bilinear midpoint stops being the mean of its neighbours
 
-Non-mapping reducers are rescaled by 1/127.5 so every variant feeds the
-detector values on a comparable, roughly unit range.
+Non-mapping reducers are rescaled by 1/127.5. That does not put the
+variants on one scale: on centre 32-px crops of a seed-701 confound train
+split the detector-input std is about 0.08 for npr, 0.11 for highpass,
+0.30 for none, 0.58 for random and 0.74 for fixed.
 
 Each kind has one implementation, :func:`reduce_batch`, which maps an
 ``N x 3 x h x w`` uint8 batch (NCHW) to float64 of the same shape.

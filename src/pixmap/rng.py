@@ -186,23 +186,9 @@ class SplitMix64:
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle, one ``randrange(i + 1)`` per step.
 
-        The n-1 words are drawn in bulk and checked against every rejection
-        bound at once. If one is rejected (each with probability below
-        n / 2**64), the counter rewinds to it and the scalar path finishes the
-        shuffle, so the stream and the permutation equal the scalar loop's.
+        Batches of shuffles go through :func:`seeded_permutations`, which
+        draws every row in one vector draw and equals this loop row by row.
         """
-        n = len(items)
-        if n < 2:
-            return
-        start = self._counter
-        words = self._bulk_u64(n - 1)
-        m = np.arange(n, 1, -1, dtype=np.uint64)  # i + 1 for i = n-1 .. 1
-        rejected = np.flatnonzero(_rejected(words, m))
-        stop = int(rejected[0]) if rejected.size else n - 1
-        for i, j in zip(range(n - 1, n - 1 - stop, -1), (words[:stop] % m[:stop]).tolist()):
+        for i in range(len(items) - 1, 0, -1):
+            j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
-        if stop < n - 1:
-            self._counter = start + stop
-            for i in range(n - 1 - stop, 0, -1):
-                j = self.randrange(i + 1)
-                items[i], items[j] = items[j], items[i]

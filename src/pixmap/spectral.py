@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import PixmapError
-from .image import ImageF
+from .image import ImageF, format_csv
 
 
 @dataclass(frozen=True)
@@ -162,10 +162,8 @@ def band_ratio(profile: RadialProfile) -> float:
 
 def profile_csv(profile: RadialProfile) -> str:
     """Render a radial profile as CSV: radius, mean_power, count."""
-    lines = ["radius,mean_power,count"]
-    for r, (v, c) in enumerate(zip(profile.values.tolist(), profile.counts.tolist())):
-        lines.append(f"{r},{v!r},{c}")
-    return "\n".join(lines) + "\n"
+    rows = zip(range(len(profile.values)), profile.values.tolist(), profile.counts.tolist())
+    return format_csv(("radius", "mean_power", "count"), rows)
 
 
 def heatmap_u8(spec: Spectrum2D) -> np.ndarray:

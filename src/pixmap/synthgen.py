@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULT_NOISE_SIGMA, UPSAMPLERS
 from .errors import PixmapError
-from .image import Image8, ImageF, encode_ppm, quantize, write_atomic
+from .image import Image8, ImageF, encode_ppm, format_csv, quantize, write_atomic
 from .rng import SplitMix64, derive_seed
 
 FAMILIES = ("A", "B")
@@ -281,14 +281,13 @@ def materialize(manifest: DatasetManifest, out_dir) -> None:
         write_atomic(target, encode_ppm(generate(entry, manifest.size, manifest.noise_sigma)))
 
 
-_MANIFEST_HEADER = "path,label,generator,family,seed"
+_MANIFEST_FIELDS = ("path", "label", "generator", "family", "seed")
+_MANIFEST_HEADER = ",".join(_MANIFEST_FIELDS)
 
 
 def write_manifest_csv(path, manifest: DatasetManifest) -> None:
-    lines = [_MANIFEST_HEADER]
-    for e in manifest.entries:
-        lines.append(f"{e.path},{e.label},{e.generator},{e.family},{e.seed}")
-    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
+    rows = [(e.path, e.label, e.generator, e.family, e.seed) for e in manifest.entries]
+    write_atomic(path, format_csv(_MANIFEST_FIELDS, rows).encode("ascii"))
 
 
 def read_manifest_csv(path) -> list[ManifestEntry]:

@@ -138,6 +138,17 @@ def test_train_non_ascii_config(capsys, tmp_path):
     assert line.startswith("error: bad-config: ")
 
 
+def test_train_config_repeated_key(capsys, tmp_path):
+    config = tmp_path / "cfg.txt"
+    config.write_text("lr=0.001\n# a comment\nlr=0.002\n")
+    line = run_cli_error(
+        capsys,
+        ["train", "--data", tmp_path, "--reducer", "none", "--out", tmp_path / "m.w1",
+         "--config", config],
+    )
+    assert line == f"error: bad-config: {config}:3: repeated key 'lr'"
+
+
 def test_report_checks_every_reducer_before_training(capsys, tmp_path, monkeypatch):
     assert cli.main(["gen", "--out", str(tmp_path), "--confound", "--n", "2", "--size", "32"]) == 0
     capsys.readouterr()
@@ -323,7 +334,7 @@ def test_every_exported_name_is_the_defining_modules_object():
         "    return getattr(sys.modules[obj.__module__], name)\n"
         "print(len(pixmap.__all__), [n for n in pixmap.__all__ if home(n, getattr(pixmap, n)) is not getattr(pixmap, n)])"
     )
-    assert _python_last_line(code) == "55 []"
+    assert _python_last_line(code) == "9 []"
 
 
 def test_spectrum_highpass_odd_crop_end_to_end(tmp_path):
@@ -369,6 +380,33 @@ def test_every_subcommand_reports_one_error_line(capsys, tmp_path, subcommand):
     argv, code = BAD_INPUTS[subcommand]
     line = run_cli_error(capsys, argv(tmp_path))
     assert line.startswith(f"error: {code}: ") and len(line) > len(f"error: {code}: ")
+
+
+# Every command that reads a corpus image names the file when it cannot decode it.
+READS_TRAIN_IMAGE = {
+    "spectrum": lambda t, img: ["spectrum", "--in", t, "--out", t / "p.csv"],
+    "map": lambda t, img: ["map", "--reducer", "none", "--in", img, "--out", t / "o.imf"],
+    "train": lambda t, img: ["train", "--data", t, "--reducer", "none", "--out", t / "m.w1"],
+    "eval": lambda t, img: ["eval", "--model", t / "m.w1", "--data", t, "--reducer", "none", "--split", "train"],
+    "report": lambda t, img: ["report", "--data", t, "--out", t / "r.csv"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(READS_TRAIN_IMAGE))
+@pytest.mark.parametrize(
+    "damage, detail",
+    [(lambda raw: raw[:-5], "truncated-payload: {}: need 3072 bytes, got 3067"),
+     (lambda raw: b"P5" + raw[2:], "unsupported-format: {}: expected P6 magic, got 'P5'")],
+    ids=["truncated", "p5"],
+)
+def test_decode_error_names_the_file(capsys, tmp_path, subcommand, damage, detail):
+    _gen_confound(tmp_path, 2)
+    save_params(tmp_path / "m.w1", init_params(1), ReducerSpec.parse("none"), reducer_seed=1, crop_size=8)
+    capsys.readouterr()
+    img = tmp_path / "train" / "real_0001.ppm"
+    img.write_bytes(damage(img.read_bytes()))
+    line = run_cli_error(capsys, READS_TRAIN_IMAGE[subcommand](tmp_path, img))
+    assert line == "error: " + detail.format(img)
 
 
 # A bad corpus or training setting, as a flag or a config-file line: each

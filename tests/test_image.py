@@ -12,9 +12,11 @@ from pixmap.image import (
     crop_origin,
     decode_ppm,
     encode_ppm,
+    format_csv,
     quantize,
     random_crop_origins,
     read_imagef,
+    read_ppm,
     write_atomic,
     write_imagef,
 )
@@ -78,6 +80,21 @@ def test_decode_rejects_dimension_past_int_digit_limit():
     with pytest.raises(PixmapError) as err:
         decode_ppm(b"P6\n" + b"9" * 5000 + b" 1\n255\n\x00\x00\x00")
     assert err.value.code == "malformed-header"
+
+
+def test_read_ppm_names_the_file(tmp_path):
+    img = _random_image(3, 2, 2)
+    good = tmp_path / "good.ppm"
+    good.write_bytes(encode_ppm(img))
+    assert read_ppm(good) == img
+    bad = tmp_path / "bad.ppm"
+    bad.write_bytes(b"P5\n1 1\n255\n\x00")
+    with pytest.raises(PixmapError) as err:
+        read_ppm(bad)
+    assert (err.value.code, err.value.message) == ("unsupported-format", f"{bad}: expected P6 magic, got 'P5'")
+    with pytest.raises(PixmapError) as err:
+        read_ppm(tmp_path / "absent.ppm")
+    assert err.value.code == "missing-file"
 
 
 # --- types ------------------------------------------------------------------
@@ -259,6 +276,20 @@ def test_read_imagef_rejects_garbage(tmp_path, text, code):
     with pytest.raises(PixmapError) as err:
         read_imagef(path)
     assert err.value.code == code
+
+def test_format_csv():
+    floats = [0.1, 1 / 3, 1e-300, -2.5e16, 0.0]
+    text = format_csv(("name", "n", "x", "note"), [("a b", 7, f, "") for f in floats])
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    header, *rows = text[:-1].split("\n")
+    assert header == "name,n,x,note"
+    assert [row.split(",")[:2] for row in rows] == [["a b", "7"]] * len(floats)
+    assert [row.split(",")[3] for row in rows] == [""] * len(floats)
+    parsed = [float(row.split(",")[2]) for row in rows]
+    assert np.array(parsed).view(np.uint64).tolist() == np.array(floats).view(np.uint64).tolist()
+    assert [row.split(",")[2] for row in rows] == ["0.1", "0.3333333333333333", "1e-300", "-2.5e+16", "0.0"]
+    assert format_csv(("a", "b"), []) == "a,b\n"
+
 
 def test_write_atomic_keeps_old_file_on_failure(tmp_path):
     path = tmp_path / "out.bin"

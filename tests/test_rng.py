@@ -123,37 +123,6 @@ def test_bulk_shuffle_leaves_counter_where_scalar_does():
             assert rng.next_u64() == ref.next_u64()
 
 
-def test_forced_rejection_falls_back_to_reference(monkeypatch):
-    n = 300
-    refs = {seed: _scalar_shuffle(seed, n) for seed in SHUFFLE_SEEDS}
-    real_bulk = SplitMix64._bulk_u64
-    real_randrange = SplitMix64.randrange
-    scalar_draws = []
-
-    def counting_randrange(self, m):
-        scalar_draws.append(m)
-        return real_randrange(self, m)
-
-    monkeypatch.setattr(SplitMix64, "randrange", counting_randrange)
-    for position in (0, 1, 150, n - 3):
-        m = n - position  # the bound i + 1 at this step; not a power of 2
-        assert m & (m - 1) != 0
-
-        def bulk_with_reject(self, count, position=position):
-            words = real_bulk(self, count)
-            words[position] = np.uint64(2**64 - 1)  # above every non-power-of-2 bound
-            return words
-
-        monkeypatch.setattr(SplitMix64, "_bulk_u64", bulk_with_reject)
-        for seed in SHUFFLE_SEEDS:
-            scalar_draws.clear()
-            rng = SplitMix64(seed)
-            items = list(range(n))
-            rng.shuffle(items)
-            assert (items, rng._counter) == refs[seed]
-            assert scalar_draws == list(range(m, 1, -1))  # scalar path took over there
-
-
 # --- multi-seed draws --------------------------------------------------------------
 
 MANY_SEEDS = list(SHUFFLE_SEEDS) + [derive_seed(5, "perm", k) for k in range(40)]
