@@ -8,12 +8,10 @@ against finite differences and a full training run takes seconds:
 
 Convolutions are valid (no padding, stride 1). The mean pool uses stride-2
 windows that shrink to partial windows on odd edges, so any input of at
-least 7x7 flows through. When conv1's output has even sides (30x30 at
-the default 32-px crop) every window is full: the pool sums one reshaped
-view, and its backward pass fuses with the ReLU mask into one broadcast.
-Odd sides take a loop over the four window taps with partial windows.
-The optimizer is Adam with decoupled weight decay (weights shrink by
-lr * wd before the moment update). Each training step runs the forward
+least 7x7 flows through. Its forward and backward passes each loop over
+the four window taps, one path for even and odd sides alike. The
+optimizer is Adam with decoupled weight decay (weights shrink by lr * wd
+before the moment update). Each training step runs the forward
 pass once and caches only what the backward pass reads: both im2col
 matrices, the ReLU masks ``m1``/``m2`` (``a > 0``, taken before each ReLU
 runs in place) and the pool's window counts. conv2's matrix is freed
@@ -23,8 +21,8 @@ identical seeds give bit-identical weights.
 
 :func:`train` and :func:`evaluate` build every batch with
 ``reducers.crop_batch``, the path ``spectrum`` and ``map`` use too;
-training hands it random crop origins and ``(path, epoch)`` tags,
-evaluation centre crops and ``(path,)`` tags.
+training hands it one crop seed per sample and ``(path, epoch)`` tags,
+evaluation no seeds (centre crops) and ``(path,)`` tags.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .errors import PixmapError
-from .image import Image8, format_rows, parse_rows, random_crop_origins, read_ppm, write_atomic
+from .image import Image8, format_rows, parse_rows, read_ppm, write_atomic
 from .reducers import ReducerSpec, crop_batch
 from .rng import SplitMix64, derive_seed, seeded_permutations
 from .synthgen import ManifestEntry
@@ -146,19 +144,13 @@ def _conv_input_grad(grad_out, x_shape, w):
 
 
 def _meanpool_forward(x):
-    """2x2 mean pool; returns (pooled, counts), counts None when every window is full.
+    """2x2 mean pool over stride-2 windows; returns (pooled, counts).
 
-    Both paths start from zeros and add the (0,0), (0,1), (1,0), (1,1)
-    taps in that order, so they agree bit for bit.
+    Windows on an odd edge are partial, and ``counts`` holds each window's
+    number of taps. The sums start from zeros and add the (0,0), (0,1),
+    (1,0), (1,1) taps in that order.
     """
     n, c, h, w = x.shape
-    if h % 2 == 0 and w % 2 == 0:
-        windows = x.reshape(n, c, h // 2, 2, w // 2, 2)
-        sums = np.zeros((n, c, h // 2, w // 2))
-        for dy in (0, 1):
-            for dx in (0, 1):
-                sums += windows[:, :, :, dy, :, dx]
-        return sums / 4.0, None
     sums = np.zeros((n, c, (h + 1) // 2, (w + 1) // 2))
     counts = np.zeros(sums.shape[2:])
     for dy in (0, 1):
@@ -182,20 +174,17 @@ def _keep(mask, x):
 
 
 def _pool_relu_backward(grad_out, counts, mask):
-    """Gradient at conv1's pre-ReLU output from the pooled gradient; ``mask`` is ``a1 > 0``."""
-    if counts is None:
-        grad = np.empty(mask.shape)
-        spread = grad_out / 4.0
-        for dy in (0, 1):
-            for dx in (0, 1):
-                grad[:, :, dy::2, dx::2] = spread
-    else:
-        grad = np.zeros(mask.shape)
-        spread = grad_out / counts
-        for dy in (0, 1):
-            for dx in (0, 1):
-                sub = grad[:, :, dy::2, dx::2]
-                sub += spread[:, :, : sub.shape[2], : sub.shape[3]]
+    """Gradient at conv1's pre-ReLU output from the pooled gradient; ``mask`` is ``a1 > 0``.
+
+    The stride-2 windows tile the input, so each tap's slice is assigned
+    once and no entry needs a zero fill.
+    """
+    grad = np.empty(mask.shape)
+    spread = grad_out / counts
+    for dy in (0, 1):
+        for dx in (0, 1):
+            sub = grad[:, :, dy::2, dx::2]
+            sub[...] = spread[:, :, : sub.shape[2], : sub.shape[3]]
     return _keep(mask, grad)
 
 
@@ -394,9 +383,8 @@ def train(
             paths = [entries[i].path for i in chunk]
             datas = [images[i].data for i in chunk]
             seeds = [derive_seed(config.seed, "crop", epoch, path) for path in paths]
-            origins = random_crop_origins([d.shape[:2] for d in datas], config.crop, seeds)
             tags = [(path, epoch) for path in paths]
-            batch = crop_batch(datas, config.reducer, reducer_root, tags, config.crop, origins)
+            batch = crop_batch(datas, config.reducer, reducer_root, tags, config.crop, seeds)
             y = np.array([entries[i].label for i in chunk], dtype=np.float64)
             probs, grads = _forward_backward(params, batch, y)
             epoch_loss += loss(probs, y) * len(chunk)
@@ -428,29 +416,14 @@ def average_precision(scores, labels) -> float:
     npos = int(np.sum(y == 1))
     if npos == 0:
         raise PixmapError("degenerate-labels", "average precision needs a positive sample")
-    if np.isnan(s).any():  # NaN equals no score, so its tie group would never end
+    if np.isnan(s).any():  # a NaN score has no place in the ranking
         raise PixmapError("bad-scores", "average precision needs scores that are not NaN")
     order = np.argsort(-s, kind="stable")
     s = s[order]
-    y = y[order]
-    ap = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    n = len(s)
-    while i < n:
-        j = i
-        group_tp = 0
-        while j < n and s[j] == s[i]:
-            group_tp += int(y[j] == 1)
-            j += 1
-        prev_tp = tp
-        tp += group_tp
-        seen = j
-        if group_tp:
-            ap += ((tp - prev_tp) / npos) * (tp / seen)
-        i = j
-    return float(ap)
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True))  # last index of each tie group
+    tp = np.cumsum(y[order] == 1)[ends]
+    terms = (np.diff(tp, prepend=0) / npos) * (tp / (ends + 1))
+    return float(np.cumsum(terms)[-1])  # summed left to right, in the groups' order
 
 
 @np.errstate(all="ignore")

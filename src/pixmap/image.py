@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import PixmapError
-from .rng import SplitMix64, _rejected, seeded_words
+from .rng import SplitMix64
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -143,6 +143,8 @@ def decode_ppm(raw: bytes) -> Image8:
     if len(raw) < 2 or raw[:2] != b"P6":
         magic = raw[:2].decode("ascii", "replace") if len(raw) >= 2 else "<empty>"
         raise PixmapError("unsupported-format", f"expected P6 magic, got {magic!r}")
+    if not (raw[2:3].isspace() or raw[2:3] == b"#"):
+        raise PixmapError("malformed-header", f"expected whitespace or '#' after P6, got {raw[2:3]!r}")
     pos = 2
     fields = []
     for _ in range(3):
@@ -218,26 +220,6 @@ def crop_origin(height: int, width: int, size: int, seed: int | None = None) -> 
     rng = SplitMix64(seed)
     top = rng.randrange(height - size + 1)
     return top, rng.randrange(width - size + 1)
-
-
-def random_crop_origins(sizes, size: int, seeds) -> list:
-    """:func:`crop_origin` of a seeded crop for each (height, width) and seed.
-
-    Every row's top and left offsets come from one
-    ``seeded_words(seeds, 2)`` draw, with each randrange rejection bound
-    checked at once. A row that meets a rejected word (probability below
-    image side / 2**64), or whose image is smaller than the crop, goes
-    through :func:`crop_origin` itself, so each origin equals its scalar one.
-    """
-    m = np.array(sizes, dtype=np.int64).reshape(-1, 2) - (size - 1)
-    fits = (m > 0).all(axis=1)
-    m = np.maximum(m, 1).astype(np.uint64)
-    words = seeded_words(seeds, 2)
-    fast = (fits & ~_rejected(words, m).any(axis=1)).tolist()
-    return [
-        offsets if ok else crop_origin(h, w, size, seed)
-        for offsets, ok, (h, w), seed in zip((words % m).tolist(), fast, sizes, seeds)
-    ]
 
 
 def crop(img: Image8, size: int, seed: int | None = None) -> Image8:

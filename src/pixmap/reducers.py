@@ -19,7 +19,8 @@ split the detector-input std is about 0.08 for npr, 0.11 for highpass,
 Each kind has one implementation, :func:`reduce_batch`, which maps an
 ``N x 3 x h x w`` uint8 batch (NCHW) to float64 of the same shape.
 :func:`crop_batch` is the one path from images to that batch: it crops
-(centred, or at given origins), stacks to contiguous NCHW and reduces.
+(centred, or drawn from one seed per image by ``image.crop_origin``),
+stacks to contiguous NCHW and reduces.
 Detector training and evaluation, ``spectrum`` and ``map`` all call it,
 and it lives here so ``spectrum`` never loads the detector.
 :func:`apply_reducer`, :func:`highpass`, :func:`patch_shuffle`,
@@ -234,23 +235,24 @@ def reduce_batch(spec: ReducerSpec, batch: np.ndarray, seed_root: int, tags) -> 
     raise PixmapError("bad-reducer", f"unknown reducer {spec.kind!r}")
 
 
-def crop_batch(datas, spec: ReducerSpec, seed_root: int, tags, crop_size=None, origins=None) -> np.ndarray:
+def crop_batch(datas, spec: ReducerSpec, seed_root: int, tags, crop_size=None, crop_seeds=None) -> np.ndarray:
     """Crop H x W x 3 uint8 images, stack them and reduce them as one batch; returns float64 NCHW.
 
-    Each image is cut to the ``crop_size`` square at its ``origins`` entry
-    (top, left), or at its centre when ``origins`` is None; ``crop_size``
-    None keeps whole images of one size. The stack is transposed once to a
-    contiguous batch, so every kernel and each ``rfft2`` runs on contiguous
-    rows. The result equals stacking ``apply_reducer(crop(...))`` per
-    image, bit for bit.
+    Image k is cut to the ``crop_size`` square at
+    ``image.crop_origin(h, w, crop_size, crop_seeds[k])``: drawn from its
+    seed, or centred when ``crop_seeds`` is None. ``crop_size`` None keeps
+    whole images of one size. The stack is transposed once to a contiguous
+    batch, so every kernel and each ``rfft2`` runs on contiguous rows. The
+    result equals stacking ``apply_reducer(crop(...))`` per image, bit for
+    bit.
     """
     if crop_size is None:
         crops = np.stack(datas)
     else:
-        if origins is None:
-            origins = [crop_origin(d.shape[0], d.shape[1], crop_size) for d in datas]
+        seeds = [None] * len(datas) if crop_seeds is None else crop_seeds
         crops = np.empty((len(datas), crop_size, crop_size, 3), dtype=np.uint8)
-        for k, (data, (top, left)) in enumerate(zip(datas, origins)):
+        for k, (data, seed) in enumerate(zip(datas, seeds)):
+            top, left = crop_origin(data.shape[0], data.shape[1], crop_size, seed)
             crops[k] = data[top : top + crop_size, left : left + crop_size]
     return reduce_batch(spec, np.ascontiguousarray(crops.transpose(0, 3, 1, 2)), seed_root, tags)
 

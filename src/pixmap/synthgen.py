@@ -52,11 +52,23 @@ BLUR_SIGMA_RANGE = (1.0, 3.0)
 _ZERO_INSERT_KERNEL = np.full((3, 3), 4.0 / 9.0)
 
 
+# Largest |draw| of ``SplitMix64.normals``: sqrt(-2 ln 2**-53) is about 8.57.
+_MAX_NORMAL = 8.6
+
+
 def _check_size_and_noise(size: int, noise_sigma: float) -> None:
+    """Reject a size or noise level that no image could be made with, as ``bad-generator``.
+
+    The float64 H x W x 3 stack, the largest array :func:`generate` makes,
+    must have a byte count that fits ``np.intp``, and the largest noise
+    draw must stay finite in float64.
+    """
     if size < 2 or size % 2 != 0:
         raise PixmapError("bad-generator", f"size must be even and >= 2, got {size}")
-    if not (noise_sigma >= 0 and math.isfinite(noise_sigma)):
-        raise PixmapError("bad-generator", f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    if size * size * 3 * 8 > np.iinfo(np.intp).max:
+        raise PixmapError("bad-generator", f"size {size} needs a larger array than numpy can index")
+    if not (noise_sigma >= 0 and math.isfinite(noise_sigma * _MAX_NORMAL)):
+        raise PixmapError("bad-generator", f"noise_sigma must be >= 0 and its noise finite, got {noise_sigma}")
 
 
 @dataclass(frozen=True)

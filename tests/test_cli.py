@@ -268,6 +268,18 @@ def test_gen_dead_worker_is_worker_failed(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.glob("*_manifest.csv")) == []
 
 
+def _materialize_out_of_memory(*args):
+    raise MemoryError("Unable to allocate 22.4 TiB for an array with shape (1000000, 1000000, 3)")
+
+
+def test_gen_worker_memory_error_is_one_error_line(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.synthgen, "materialize", _materialize_out_of_memory)  # forked workers inherit it
+    line = run_cli_error(capsys, ["gen", "--out", tmp_path, "--n", 2, "--size", 16])
+    assert line == "error: out-of-memory: Unable to allocate 22.4 TiB for an array with shape (1000000, 1000000, 3)"
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.glob("*_manifest.csv")) == []
+
+
 def test_cli_import_loads_no_process_pool():
     code = (
         "import sys, pixmap.cli; "
@@ -416,6 +428,8 @@ BAD_SETTINGS = {
     "gen-negative-noise": (["gen", "--noise-sigma", -1], "bad-generator"),
     "gen-inf-noise": (["gen", "--noise-sigma", "inf"], "bad-generator"),
     "gen-nan-noise": (["gen", "--noise-sigma", "nan"], "bad-generator"),
+    "gen-overflowing-noise": (["gen", "--noise-sigma", "1e308"], "bad-generator"),
+    "gen-unindexable-size": (["gen", "--size", 100000000000], "bad-generator"),
     "train-inf-lr": (["train", "--reducer", "none", "--lr", "inf"], "bad-config"),
     "train-nan-lr": (["train", "--reducer", "none", "--lr", "nan"], "bad-config"),
     "train-nan-weight-decay": (["train", "--reducer", "none", "--weight-decay", "nan"], "bad-config"),

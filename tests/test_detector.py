@@ -92,6 +92,26 @@ def brute_force_ap(scores, labels):
     return total / len(positives)
 
 
+def loop_ap(scores, labels):
+    """The tie-group sweep as a scalar loop, one group at a time, summing left to right."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels)
+    npos = int(np.sum(y == 1))
+    order = np.argsort(-s, kind="stable")
+    s, y = s[order], y[order]
+    ap, tp, i, n = 0.0, 0, 0, len(s)
+    while i < n:
+        j, group_tp = i, 0
+        while j < n and s[j] == s[i]:
+            group_tp += int(y[j] == 1)
+            j += 1
+        prev_tp, tp = tp, tp + group_tp
+        if group_tp:
+            ap += ((tp - prev_tp) / npos) * (tp / j)
+        i = j
+    return float(ap)
+
+
 def _rand_batch(seed, n=2, h=9, w=9):
     return SplitMix64(seed).uniforms(n * 3 * h * w, -1.0, 1.0).reshape(n, 3, h, w)
 
@@ -374,25 +394,8 @@ def test_meanpool_matches_window_loop(h, w):
     x = np.maximum(_rand_batch(derive_seed(31, h, w), n=2, h=h, w=w), 0.0)
     pooled, counts = _meanpool_forward(x)
     assert np.array_equal(pooled, loop_meanpool(x))
-    assert (counts is None) == (h % 2 == 0 and w % 2 == 0)
-
-
-def test_fused_pool_relu_backward_matches_window_loop(monkeypatch):
-    params = init_params(14)
-    x = _rand_batch(15, n=3, h=10, w=12)  # conv1 output 8x10: every window full
-    y = np.array([1.0, 0.0, 1.0])
-    probs, grads = _forward_backward(params, x, y)
-
-    def full_counts(r1):
-        pooled, counts = _meanpool_forward(r1)
-        assert counts is None
-        return pooled, np.full(pooled.shape[2:], 4.0)
-
-    monkeypatch.setattr(detector, "_meanpool_forward", full_counts)
-    loop_probs, loop_grads = _forward_backward(params, x, y)
-    assert np.array_equal(probs, loop_probs)
-    for name in _SHAPES:
-        assert np.array_equal(grads[name], loop_grads[name])
+    taps = [np.minimum(2, side - 2 * np.arange((side + 1) // 2)) for side in (h, w)]
+    assert np.array_equal(counts, np.outer(*taps))
 
 
 def test_keep_equals_where_bit_for_bit():
@@ -522,6 +525,19 @@ def test_ap_random_grid_lists_match_oracle():
                 got = average_precision(scores, labels)
                 want = brute_force_ap(scores, labels)
                 assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_ap_equals_tie_group_loop_bit_for_bit():
+    # approx comparisons cannot see a change in summation order; float.hex can.
+    rng = SplitMix64(321)
+    for n in (1, 2, 3, 5, 17, 64, 128, 255, 300):
+        for levels in (2, 7, 40, 1000):
+            for _ in range(5):
+                scores = [rng.randrange(levels) / levels for _ in range(n)]
+                labels = [rng.randrange(2) for _ in range(n)]
+                labels[rng.randrange(n)] = 1
+                want = loop_ap(scores, labels)
+                assert average_precision(scores, labels).hex() == want.hex(), (n, levels)
 
 
 # --- train / evaluate --------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from pixmap.cli import REPORT_REDUCERS
 from pixmap.errors import PixmapError
-from pixmap.image import Image8, crop, random_crop_origins
+from pixmap.image import Image8, crop
 from pixmap.reducers import (
     ReducerSpec,
     apply_reducer,
@@ -296,17 +296,15 @@ def test_crop_batch_equals_per_image_reducers():
         reducer = ReducerSpec.parse(name)
         for seed, epoch in ((None, None), (5, 3)):
             if epoch is None:  # evaluation: centre crops tagged (path,)
-                crop_seeds = [None] * len(indices)
+                crop_seeds = None
                 tags = [(paths[i],) for i in indices]
-                origins = None
             else:  # training: seeded random crops tagged (path, epoch)
                 crop_seeds = [derive_seed(seed, "crop", epoch, paths[i]) for i in indices]
                 tags = [(paths[i], epoch) for i in indices]
-                origins = random_crop_origins([d.shape[:2] for d in datas], 8, crop_seeds)
-            got = crop_batch(datas, reducer, 77, tags, 8, origins)
+            got = crop_batch(datas, reducer, 77, tags, 8, crop_seeds)
             want = [
                 apply_reducer(reducer, crop(images[i], 8, crop_seed), 77, *tag).data.transpose(2, 0, 1)
-                for i, crop_seed, tag in zip(indices, crop_seeds, tags)
+                for i, crop_seed, tag in zip(indices, crop_seeds or [None] * len(indices), tags)
             ]
             assert got.dtype == np.float64
             assert np.array_equal(got, np.stack(want)), (name, epoch)

