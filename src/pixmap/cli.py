@@ -1,15 +1,15 @@
 """Command-line driver: gen / map / spectrum / train / eval / report.
 
-Every subcommand writes a JSON run manifest next to its primary output
-(atomically, via rename) recording its flags, derived seeds, inputs,
-outputs, tool version, and wall clock. The one exception is ``eval``
-without ``--out``, which only prints its scores and writes no file; the
-model's own ``.run.json`` sits next to the weights. The flags are the
-parsed flags, with two replacements: ``reducer`` in canonical form
-(``ReducerSpec.canonical``), and for ``train`` and ``report`` every
-training setting as resolved from flags, config file and defaults.
-Deterministic subcommands reproduce byte-identical outputs when re-run with
-the flags stored in their manifest.
+Each subcommand returns what it read and wrote, and :func:`main`, which
+times it, writes that as its JSON run manifest (atomically, via rename):
+flags, derived seeds, inputs, outputs, tool version and wall clock, next to
+the primary output as ``<out>.run.json`` (``gen``: ``run.json`` in its
+directory). A command that fails writes none, nor does ``eval`` without
+``--out``, which only prints; the model's own ``.run.json`` sits next to the
+weights. The flags are the parsed flags, with ``reducer`` in canonical form
+(``ReducerSpec.canonical``) and every training setting as resolved from
+flags, config file and defaults. Deterministic subcommands reproduce
+byte-identical outputs when re-run with the flags stored in their manifest.
 
 Errors print exactly one line to stderr, ``error: <code>: <detail>``, and
 exit nonzero; exit code 0 means success.
@@ -66,29 +66,53 @@ class _Parser(argparse.ArgumentParser):
         raise PixmapError("bad-usage", message)
 
 
-def _write_run_manifest(path: Path, args, started: float, seeds: dict, inputs, outputs, **resolved) -> None:
-    """Write a command's ``run.json``: the parsed ``args`` as flags, overridden by ``resolved``."""
+@dataclasses.dataclass(frozen=True)
+class _Run:
+    """What a command read and wrote: :func:`main` writes it to ``manifest``, then prints ``summary``.
+
+    ``config`` holds the resolved training settings of ``train`` and ``report``.
+    """
+
+    manifest: Path
+    seeds: dict
+    inputs: list
+    outputs: list
+    config: TrainConfig | None = None
+    summary: str = ""
+
+
+def _sidecar(out) -> Path:
+    """The ``<out>.run.json`` manifest path of a command whose primary output is ``out``."""
+    return Path(f"{out}.run.json")
+
+
+def _write_run_manifest(args, started: float, run: _Run) -> None:
+    """Write a finished command's ``run.json``; only :func:`main` calls this, so a failed command writes none.
+
+    The flags are the parsed ``args``, with a ``reducer`` flag in canonical
+    form and every TrainConfig setting at its value in ``run.config``.
+    """
     flags = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
+    if "reducer" in flags:
+        flags["reducer"] = reducers.ReducerSpec.parse(flags["reducer"]).canonical()
+    if run.config is not None:
+        flags.update((k, getattr(run.config, k)) for k in flags.keys() & _SETTINGS.keys())
     manifest = {
         "subcommand": args.subcommand,
-        "flags": {**flags, **resolved},
-        "seeds": seeds,
+        "flags": flags,
+        "seeds": run.seeds,
         "version": __version__,
-        "inputs": [str(p) for p in inputs],
-        "outputs": [str(p) for p in outputs],
+        "inputs": [str(p) for p in run.inputs],
+        "outputs": [str(p) for p in run.outputs],
         "started_utc": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
         "duration_s": round(time.time() - started, 3),
     }
-    image.write_atomic(path, (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode("ascii"))
+    image.write_atomic(run.manifest, (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode("ascii"))
 
 
 def _load_config_file(path: str) -> dict[str, str]:
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except UnicodeDecodeError as exc:
-        raise PixmapError("bad-config", f"{path} is not ASCII") from exc
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    for lineno, raw in enumerate(image.read_ascii_lines(path, "bad-config", f"{path} is not ASCII"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -199,8 +223,7 @@ def _materialize_share(share) -> None:
     synthgen.materialize(manifest, out_dir)
 
 
-def _cmd_gen(args) -> int:
-    started = time.time()
+def _cmd_gen(args) -> _Run:
     train_manifest, test_manifest = synthgen.build_benchmark(
         train_fake_upsampler=args.train_upsampler,
         test_fake_upsampler=args.test_upsampler,
@@ -211,7 +234,6 @@ def _cmd_gen(args) -> int:
         noise_sigma=args.noise_sigma,
     )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # Each image depends only on its entry, so every manifest is split into
     # one interleaved share per worker, and each worker writes its own files.
     workers = min(_usable_cpus(), len(train_manifest.entries))
@@ -223,14 +245,11 @@ def _cmd_gen(args) -> int:
             for k in range(workers)
         ],
     )
-    outputs = []
-    for split, manifest in (("train", train_manifest), ("test", test_manifest)):
-        csv_path = out_dir / f"{split}_manifest.csv"
+    outputs = [out_dir / f"{split}_manifest.csv" for split in ("train", "test")]
+    for csv_path, manifest in zip(outputs, (train_manifest, test_manifest)):
         synthgen.write_manifest_csv(csv_path, manifest)
-        outputs.append(csv_path)
-    _write_run_manifest(out_dir / "run.json", args, started, {"root": args.seed}, [], outputs)
-    print(f"wrote {len(train_manifest.entries) + len(test_manifest.entries)} images under {out_dir}")
-    return 0
+    summary = f"wrote {len(train_manifest.entries) + len(test_manifest.entries)} images under {out_dir}\n"
+    return _Run(out_dir / "run.json", {"root": args.seed}, [], outputs, summary=summary)
 
 
 def _reduce_file(path: Path, reducer, reducer_root: int, tag: str, crop_size=None):
@@ -244,8 +263,7 @@ def _reduce_file(path: Path, reducer, reducer_root: int, tag: str, crop_size=Non
     return reducers.crop_batch([data], reducer, reducer_root, [(tag,)], crop_size)[0]
 
 
-def _cmd_map(args) -> int:
-    started = time.time()
+def _cmd_map(args) -> _Run:
     reducer = reducers.ReducerSpec.parse(args.reducer)
     reducer_root = rng.derive_seed(args.seed, "reducer")
     in_path, out_path = Path(getattr(args, "in")), Path(args.out)
@@ -262,15 +280,10 @@ def _cmd_map(args) -> int:
         rows = [(v, *row) for v, row in enumerate(tables.T.tolist())]
         image.write_atomic(csv_path, image.format_csv(header, rows).encode("ascii"))
         outputs.append(csv_path)
-    _write_run_manifest(
-        out_path.with_name(out_path.name + ".run.json"), args, started, {"reducer": reducer_root},
-        [getattr(args, "in")], outputs, reducer=reducer.canonical(),
-    )
-    return 0
+    return _Run(_sidecar(out_path), {"reducer": reducer_root}, [getattr(args, "in")], outputs)
 
 
-def _cmd_spectrum(args) -> int:
-    started = time.time()
+def _cmd_spectrum(args) -> _Run:
     reducer = reducers.ReducerSpec.parse(args.reducer)
     in_dir = Path(getattr(args, "in"))
     paths = sorted(in_dir.rglob("*.ppm"))
@@ -287,15 +300,10 @@ def _cmd_spectrum(args) -> int:
     if args.heatmap:
         image.write_pgm(args.heatmap, spectral.heatmap_u8(spec))
         outputs.append(Path(args.heatmap))
-    _write_run_manifest(
-        out_path.with_name(out_path.name + ".run.json"), args, started, {"reducer": reducer_root},
-        paths, outputs, reducer=reducer.canonical(),
-    )
-    return 0
+    return _Run(_sidecar(out_path), {"reducer": reducer_root}, paths, outputs)
 
 
-def _cmd_train(args) -> int:
-    started = time.time()
+def _cmd_train(args) -> _Run:
     reducer = reducers.ReducerSpec.parse(args.reducer)
     config = _resolve_train_config(args, reducer)
     entries, images = _load_split(args.data, "train")
@@ -304,41 +312,29 @@ def _cmd_train(args) -> int:
     out_path = Path(args.out)
     detector.save_params(out_path, params, reducer, reducer_seed, config.crop)
     seeds = {"root": config.seed, "init": rng.derive_seed(config.seed, "init"), "reducer": reducer_seed}
-    _write_run_manifest(
-        out_path.with_name(out_path.name + ".run.json"), args, started, seeds, [args.data], [out_path],
-        reducer=reducer.canonical(), **{k: getattr(config, k) for k in _SETTINGS},
-    )
-    print(f"final_epoch_loss={trace[-1]!r}")
-    return 0
+    return _Run(_sidecar(out_path), seeds, [args.data], [out_path], config, f"final_epoch_loss={trace[-1]!r}\n")
 
 
-def _cmd_eval(args) -> int:
-    started = time.time()
+def _cmd_eval(args) -> _Run | None:
     params, model_reducer, reducer_seed, crop_size = detector.load_params(args.model)
-    requested = reducers.ReducerSpec.parse(args.reducer)
-    if requested.canonical() != model_reducer.canonical():
-        raise PixmapError(
-            "reducer-mismatch",
-            f"model was trained with {model_reducer.canonical()}, got {requested.canonical()}",
-        )
+    got, trained = reducers.ReducerSpec.parse(args.reducer).canonical(), model_reducer.canonical()
+    if got != trained:
+        raise PixmapError("reducer-mismatch", f"model was trained with {trained}, got {got}")
     entries, images = _load_split(args.data, args.split)
     report = detector.evaluate(params, entries, images, model_reducer, reducer_seed, crop_size)
     print(f"accuracy={report.accuracy!r}")
     print(f"average_precision={report.average_precision!r}")
     print(f"n={report.n}")
-    if args.out:
-        out_path = Path(args.out)
-        rows = [
-            (tag, s.n, s.accuracy, "" if s.average_precision is None else s.average_precision)
-            for tag, s in sorted(report.per_generator.items())
-        ]
-        csv_text = image.format_csv(("generator", "n", "accuracy", "average_precision"), rows)
-        image.write_atomic(out_path, csv_text.encode("ascii"))
-        _write_run_manifest(
-            out_path.with_name(out_path.name + ".run.json"), args, started, {"reducer": reducer_seed},
-            [args.model, args.data], [out_path], reducer=requested.canonical(),
-        )
-    return 0
+    if not args.out:
+        return None
+    out_path = Path(args.out)
+    rows = [
+        (tag, s.n, s.accuracy, "" if s.average_precision is None else s.average_precision)
+        for tag, s in sorted(report.per_generator.items())
+    ]
+    csv_text = image.format_csv(("generator", "n", "accuracy", "average_precision"), rows)
+    image.write_atomic(out_path, csv_text.encode("ascii"))
+    return _Run(_sidecar(out_path), {"reducer": reducer_seed}, [args.model, args.data], [out_path])
 
 
 # The decoded splits and the reducer seed of the report a worker serves. Set
@@ -388,19 +384,13 @@ def run_experiment(data_dir, config: TrainConfig) -> str:
     return image.format_csv(header, [(name, *row) for name, row in zip(REPORT_REDUCERS, rows)])
 
 
-def _cmd_report(args) -> int:
-    started = time.time()
+def _cmd_report(args) -> _Run:
     # run_experiment swaps in each reducer; the first one only fills the field.
     config = _resolve_train_config(args, reducers.ReducerSpec.parse(REPORT_REDUCERS[0]))
     csv_text = run_experiment(args.data, config)
     out_path = Path(args.out)
     image.write_atomic(out_path, csv_text.encode("ascii"))
-    _write_run_manifest(
-        out_path.with_name(out_path.name + ".run.json"), args, started, {"root": config.seed}, [args.data],
-        [out_path], **{k: getattr(config, k) for k in _REPORT_SETTINGS},
-    )
-    print(csv_text, end="")
-    return 0
+    return _Run(_sidecar(out_path), {"root": config.seed}, [args.data], [out_path], config, csv_text)
 
 
 # --- parser --------------------------------------------------------------------
@@ -494,7 +484,12 @@ def main(argv=None) -> int:
     _retain_freed_memory()
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        started = time.time()
+        run = args.func(args)
+        if run is not None:
+            _write_run_manifest(args, started, run)
+            print(run.summary, end="")
+        return 0
     except PixmapError as exc:
         print(f"error: {exc.code}: {exc.message}", file=sys.stderr)
         return 2 if exc.code == "bad-usage" else 1

@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .errors import PixmapError
-from .image import Image8, format_rows, parse_rows, read_ppm, write_atomic
+from .image import Image8, format_rows, parse_rows, read_ascii_lines, read_ppm, write_atomic
 from .reducers import ReducerSpec, crop_batch
 from .rng import SplitMix64, derive_seed, seeded_permutations
 from .synthgen import ManifestEntry
@@ -503,10 +503,7 @@ def load_params(path) -> tuple[DetectorParams, ReducerSpec, int, int]:
     ``truncated-payload`` (the file ends inside a tensor or lacks one) or
     ``bad-params`` (a non-finite value).
     """
-    try:
-        lines = iter(Path(path).read_text(encoding="ascii").splitlines())
-    except UnicodeDecodeError as exc:
-        raise PixmapError("unsupported-format", f"not a {_W1_MAGIC} file: {path}") from exc
+    lines = iter(read_ascii_lines(path, "unsupported-format", f"not a {_W1_MAGIC} file: {path}"))
     if next(lines, "").strip() != _W1_MAGIC:
         raise PixmapError("unsupported-format", f"not a {_W1_MAGIC} file: {path}")
     fields = {}

@@ -17,7 +17,8 @@ File formats:
 * PGM ``P5`` is write-only, for grayscale heatmap export.
 
 Every file writer in the package goes through :func:`write_atomic`, so a
-crash never leaves a partial file under the target name.
+crash never leaves a partial file under the target name, and every text
+reader through :func:`read_ascii_lines`.
 """
 
 from __future__ import annotations
@@ -52,6 +53,14 @@ def write_atomic(path, data: bytes) -> None:
             raise
     except OSError as exc:  # name the target: the temp name differs on every run
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
+def read_ascii_lines(path, code: str, detail: str) -> list[str]:
+    """Lines of the text file at ``path``; a non-ASCII byte raises ``PixmapError(code, detail)``."""
+    try:
+        return Path(path).read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise PixmapError(code, detail) from exc
 
 
 @dataclass(frozen=True)
@@ -309,10 +318,7 @@ def read_imagef(path) -> ImageF:
     wrong length), ``truncated-payload`` (the file ends early) or
     ``non-finite``.
     """
-    try:
-        lines = iter(Path(path).read_text(encoding="ascii").splitlines())
-    except UnicodeDecodeError as exc:
-        raise PixmapError("unsupported-format", f"not a {_IMF_MAGIC} file: {path}") from exc
+    lines = iter(read_ascii_lines(path, "unsupported-format", f"not a {_IMF_MAGIC} file: {path}"))
     magic = next(lines, "").strip()
     if magic != _IMF_MAGIC:
         raise PixmapError("unsupported-format", f"expected {_IMF_MAGIC}, got {magic!r}")

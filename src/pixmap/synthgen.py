@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULT_NOISE_SIGMA, UPSAMPLERS
 from .errors import PixmapError
-from .image import Image8, ImageF, encode_ppm, format_csv, quantize, write_atomic
+from .image import Image8, ImageF, encode_ppm, format_csv, quantize, read_ascii_lines, write_atomic
 from .rng import SplitMix64, derive_seed
 
 FAMILIES = ("A", "B")
@@ -288,9 +288,11 @@ def materialize(manifest: DatasetManifest, out_dir) -> None:
     """Write every manifest entry's image under ``out_dir``, each atomically."""
     root = Path(out_dir)
     for entry in manifest.entries:
+        # The bytes come first, so an image that cannot be made leaves no empty directory.
+        data = encode_ppm(generate(entry, manifest.size, manifest.noise_sigma))
         target = root / entry.path
         target.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(target, encode_ppm(generate(entry, manifest.size, manifest.noise_sigma)))
+        write_atomic(target, data)
 
 
 _MANIFEST_FIELDS = ("path", "label", "generator", "family", "seed")
@@ -313,10 +315,7 @@ def read_manifest_csv(path) -> list[ManifestEntry]:
     PixmapError("bad-manifest"), as :class:`ManifestEntry` and
     :class:`DatasetManifest` do.
     """
-    try:
-        lines = Path(path).read_text(encoding="ascii").splitlines()
-    except UnicodeDecodeError as exc:
-        raise PixmapError("bad-manifest", f"{path} is not ASCII") from exc
+    lines = read_ascii_lines(path, "bad-manifest", f"{path} is not ASCII")
     header = lines[0].strip() if lines else ""
     if header != _MANIFEST_HEADER:
         raise PixmapError("bad-manifest", f"unexpected manifest header {header!r}")

@@ -8,6 +8,7 @@ import pickle
 import signal
 import subprocess
 import sys
+from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -268,16 +269,16 @@ def test_gen_dead_worker_is_worker_failed(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.glob("*_manifest.csv")) == []
 
 
-def _materialize_out_of_memory(*args):
+def _generate_out_of_memory(*args):
     raise MemoryError("Unable to allocate 22.4 TiB for an array with shape (1000000, 1000000, 3)")
 
 
 def test_gen_worker_memory_error_is_one_error_line(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli.synthgen, "materialize", _materialize_out_of_memory)  # forked workers inherit it
+    monkeypatch.setattr(cli.synthgen, "generate", _generate_out_of_memory)  # forked workers inherit it
     line = run_cli_error(capsys, ["gen", "--out", tmp_path, "--n", 2, "--size", 16])
     assert line == "error: out-of-memory: Unable to allocate 22.4 TiB for an array with shape (1000000, 1000000, 3)"
     assert multiprocessing.active_children() == []
-    assert list(tmp_path.glob("*_manifest.csv")) == []
+    assert list(tmp_path.iterdir()) == []  # no train/, test/, manifest CSV or run.json
 
 
 def test_cli_import_loads_no_process_pool():
@@ -641,6 +642,24 @@ def test_run_manifest_records_the_resolved_flags(capsys, tmp_path, small_corpus,
     assert manifest["version"] == __version__
     assert manifest["inputs"] == [str(p) for p in inputs]
     assert manifest["outputs"] == [str(p) for p in outputs]
+    assert type(manifest["duration_s"]) in (int, float) and manifest["duration_s"] >= 0
+    assert datetime.fromisoformat(manifest["started_utc"]).utcoffset() == timedelta(0)
+
+
+def test_summary_is_printed_after_the_run_manifest(capsys, tmp_path):
+    (tmp_path / "run.json").mkdir()  # gen's manifest write fails
+    code = cli.main(["gen", "--out", str(tmp_path), "--n", "1", "--size", "16"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith("error: io: ") and captured.err.count("\n") == 1
+
+
+def test_failed_command_writes_no_run_manifest(capsys, tmp_path, small_corpus):
+    out, heatmap = tmp_path / "p.csv", tmp_path / "missing" / "h.pgm"
+    line = run_cli_error(capsys, ["spectrum", "--in", small_corpus, "--out", out, "--heatmap", heatmap])
+    assert line.startswith("error: io: ")
+    assert out.is_file()  # written before the heatmap failed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
 
 
 def test_eval_without_out_writes_no_file(capsys, tmp_path, small_corpus):

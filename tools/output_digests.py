@@ -6,10 +6,13 @@ Usage: python3 tools/output_digests.py --src CHECKOUT --work DIR > digests.txt
 Runs the commands below one at a time as ``python -m pixmap.cli``, with
 CHECKOUT/src on PYTHONPATH and BLAS at one thread, writing everything under
 DIR (created; it must not hold files yet). Then prints one ``sha256  relpath``
-line per file under DIR, sorted by path. A ``run.json`` is hashed with its
-``started_utc`` and ``duration_s`` fields dropped and DIR replaced by
-``<work>``, so two checkouts that write the same outputs print the same
-lines. Run it once per checkout, each with its own DIR, and diff the two.
+line per file under DIR, sorted by path, and one ``sha256  stdout of ARGS``
+line per command, in run order, for what the command printed. A
+``run.json`` is hashed with its ``started_utc`` and ``duration_s`` fields
+dropped, and DIR is replaced by ``<work>`` in a ``run.json``, in a printed
+stdout and in ARGS, so two checkouts that write and print the same outputs
+print the same lines. Run it once per checkout, each with its own DIR, and
+diff the two.
 
 The commands:
 
@@ -19,7 +22,8 @@ The commands:
   on test and ``--noise-sigma 0``, so every upsampler and the noise-free
   branch of the generator are covered;
 * ``train --reducer random --epochs 3 --seed 701`` on the seed-701 confound
-  corpus, and ``eval --out`` of those weights on its test split;
+  corpus, and ``eval`` of those weights on its test split, with ``--out``
+  and without, when it only prints;
 * ``train --reducer highpass --crop 31 --epochs 3 --seed 702`` on the same
   corpus and ``eval --out`` of those weights: an odd crop, so conv1's
   output has odd sides and the mean pool has partial windows;
@@ -60,6 +64,7 @@ def commands(work: Path):
            "--seed", "701", "--out", model]
     yield ["eval", "--model", model, "--data", work / "confound701", "--reducer", "random",
            "--out", work / "eval.csv"]
+    yield ["eval", "--model", model, "--data", work / "confound701", "--reducer", "random"]
     odd = work / "highpass-crop31.w1"
     yield ["train", "--data", work / "confound701", "--reducer", "highpass", "--crop", "31",
            "--epochs", "3", "--seed", "702", "--out", odd]
@@ -99,14 +104,18 @@ def main(argv=None) -> int:
     if any(work.iterdir()):
         parser.error(f"{work} is not empty")
     env = dict(os.environ, PYTHONPATH=str(src), **THREAD_ENV)
+    stdouts = []
     for argv_ in commands(work):
         cmd = [sys.executable, "-m", "pixmap.cli", *map(str, argv_)]
-        result = subprocess.run(cmd, cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+        result = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
         if result.returncode != 0:
             print(f"error: {' '.join(cmd[2:])} exited {result.returncode}: {result.stderr.strip()}", file=sys.stderr)
             return 1
+        printed = hashlib.sha256(result.stdout.replace(str(work), "<work>").encode()).hexdigest()
+        stdouts.append(f"{printed}  stdout of {' '.join(cmd[3:]).replace(str(work), '<work>')}")
     for path in sorted(p for p in work.rglob("*") if p.is_file()):
         print(f"{digest(path, work)}  {path.relative_to(work).as_posix()}")
+    print(*stdouts, sep="\n")
     return 0
 
 
