@@ -642,7 +642,7 @@ def test_run_manifest_records_the_resolved_flags(capsys, tmp_path, small_corpus,
     assert manifest["version"] == __version__
     assert manifest["inputs"] == [str(p) for p in inputs]
     assert manifest["outputs"] == [str(p) for p in outputs]
-    assert type(manifest["duration_s"]) in (int, float) and manifest["duration_s"] >= 0
+    assert isinstance(manifest["duration_s"], float) and manifest["duration_s"] >= 0
     assert datetime.fromisoformat(manifest["started_utc"]).utcoffset() == timedelta(0)
 
 
