@@ -272,7 +272,7 @@ def _cmd_map(args) -> _Run:
     # Fetched before anything is read or written: a reducer with no table is bad-usage.
     tables = reducers.mapping_tables(reducer, reducer_root, [(tag,)])[0] if args.table_csv else None
     reduced = _reduce_file(in_path, reducer, reducer_root, tag)
-    image.write_imagef(out_path, image.ImageF(reduced.transpose(1, 2, 0)))
+    image.write_imagef(out_path, reduced.transpose(1, 2, 0))
     outputs = [out_path]
     if tables is not None:
         header = ("value", "output") if len(tables) == 1 else ("value", "ch0", "ch1", "ch2")
@@ -290,15 +290,14 @@ def _cmd_spectrum(args) -> _Run:
     if not paths:
         raise PixmapError("empty-input", f"no .ppm files under {in_dir}")
     reducer_root = rng.derive_seed(args.seed, "reducer")
-    spec = spectral.mean_spectrum_chw(
+    power = spectral.mean_spectrum_chw(
         _reduce_file(p, reducer, reducer_root, p.relative_to(in_dir).as_posix(), args.crop) for p in paths
     )
-    profile = spectral.azimuthal_profile(spec)
     out_path = Path(args.out)
-    image.write_atomic(out_path, spectral.profile_csv(profile).encode("ascii"))
+    image.write_atomic(out_path, spectral.profile_csv(*spectral.azimuthal_profile(power)).encode("ascii"))
     outputs = [out_path]
     if args.heatmap:
-        image.write_pgm(args.heatmap, spectral.heatmap_u8(spec))
+        image.write_pgm(args.heatmap, spectral.heatmap_u8(power))
         outputs.append(Path(args.heatmap))
     return _Run(_sidecar(out_path), {"reducer": reducer_root}, paths, outputs)
 

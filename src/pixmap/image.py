@@ -1,15 +1,15 @@
-"""Raster types, cropping, quantization, and bit-exact file I/O.
+"""The 8-bit raster, cropping, quantization, and bit-exact file I/O.
 
-Two raster types cover the whole package: ``Image8`` is the 8-bit RGB ingest
-unit, ``ImageF`` the float64 result of any preprocessing. Both wrap read-only
-numpy arrays, so values can be shared freely across threads.
+``Image8``, a read-only 8-bit RGB raster, is the one raster type: it guards
+the PPM bytes that come in and go out. Every computed raster (a reducer's
+output, a mapped image) is a plain H x W x C float64 numpy array.
 
 File formats:
 
 * PPM ``P6`` (maxval 255) is the sole 8-bit interchange format. The encoder
   emits one canonical byte form (single-space tokens, newline before the
   payload) so identical images always produce identical files.
-* ``PIXMAP-IMF1`` is a plain-text container for ``ImageF`` using shortest
+* ``PIXMAP-IMF1`` is a plain-text container for a float raster using shortest
   round-trip decimals, exact under write/read. Its rows, and the detector's
   weights file, go through :func:`format_rows` and :func:`parse_rows`.
 * Every CSV the commands write (manifests, profiles, breakdowns, the
@@ -89,35 +89,6 @@ class Image8:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Image8) and np.array_equal(self.data, other.data)
-
-
-@dataclass(frozen=True)
-class ImageF:
-    """H x W x C float64 raster; all samples finite."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[2] < 1:
-            raise PixmapError("bad-shape", f"ImageF needs HxWxC data, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise PixmapError("non-finite", "ImageF samples must be finite")
-        arr = np.ascontiguousarray(arr).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[2]
 
 
 # --- PPM P6 -----------------------------------------------------------------
@@ -238,7 +209,7 @@ def crop(img: Image8, size: int, seed: int | None = None) -> Image8:
 
 
 def as_batch(img) -> np.ndarray:
-    """An ``Image8`` or ``ImageF`` as a 1 x C x H x W view: a batch of one."""
+    """An ``Image8`` as a 1 x C x H x W view: a batch of one."""
     return img.data.transpose(2, 0, 1)[None]
 
 
@@ -247,13 +218,14 @@ def batch_image(batch: np.ndarray) -> np.ndarray:
     return batch[0].transpose(1, 2, 0)
 
 
-def quantize(img: ImageF, lo: float, hi: float) -> Image8:
-    """Affinely map [lo, hi] to [0, 255], clamp, and round half to even."""
+def quantize(x: np.ndarray, lo: float, hi: float) -> Image8:
+    """Affinely map [lo, hi] to [0, 255], clamp, and round half to even.
+
+    ``x`` is H x W x 3; any other shape raises ``bad-shape`` from ``Image8``.
+    """
     if not lo < hi:
         raise PixmapError("bad-range", f"quantize needs lo < hi, got [{lo}, {hi}]")
-    if img.channels != 3:
-        raise PixmapError("bad-shape", f"quantize needs 3 channels, got {img.channels}")
-    scaled = (img.data - lo) * (255.0 / (hi - lo))
+    scaled = (x - lo) * (255.0 / (hi - lo))
     return Image8(np.rint(np.clip(scaled, 0.0, 255.0)).astype(np.uint8))
 
 
@@ -297,26 +269,27 @@ def parse_rows(lines, n_rows: int, width: int, what: str) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(n_rows, width)
 
 
-# --- ImageF text container ----------------------------------------------------
+# --- IMF text container --------------------------------------------------------
 
 _IMF_MAGIC = "PIXMAP-IMF1"
 
 
-def write_imagef(path, img: ImageF) -> None:
-    """Write an ImageF as text: magic, dims, one line of decimals per row."""
-    lines = [_IMF_MAGIC, f"{img.height} {img.width} {img.channels}"]
-    lines += format_rows(img.data.reshape(img.height, img.width * img.channels))
+def write_imagef(path, x: np.ndarray) -> None:
+    """Write an H x W x C float64 array as text: magic, dims, one line of decimals per row."""
+    h, w, c = x.shape
+    lines = [_IMF_MAGIC, f"{h} {w} {c}"]
+    lines += format_rows(x.reshape(h, w * c))
     write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
-def read_imagef(path) -> ImageF:
+def read_imagef(path) -> np.ndarray:
     """Read a PIXMAP-IMF1 file; exact inverse of :func:`write_imagef`.
 
     A bad file raises PixmapError with code ``unsupported-format`` (not an
     ASCII IMF file), ``malformed-header`` (a bad dimensions line),
     ``malformed-payload`` (a value that is not a number, or a row of the
     wrong length), ``truncated-payload`` (the file ends early) or
-    ``non-finite``.
+    ``non-finite`` (a nan or inf sample).
     """
     lines = iter(read_ascii_lines(path, "unsupported-format", f"not a {_IMF_MAGIC} file: {path}"))
     magic = next(lines, "").strip()
@@ -328,4 +301,7 @@ def read_imagef(path) -> ImageF:
         raise PixmapError("malformed-header", f"bad IMF dimensions: {exc}") from exc
     if min(h, w, c) < 1:
         raise PixmapError("malformed-header", f"bad IMF dimensions {h}x{w}x{c}")
-    return ImageF(parse_rows(lines, h, w * c, "IMF").reshape(h, w, c))
+    x = parse_rows(lines, h, w * c, "IMF").reshape(h, w, c)
+    if not np.all(np.isfinite(x)):
+        raise PixmapError("non-finite", f"IMF samples must be finite: {path}")
+    return x

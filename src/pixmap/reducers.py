@@ -1,6 +1,6 @@
 """Semantic-reduction baselines and the shared preprocessing dispatch.
 
-Each reducer turns an 8-bit image into the float raster a detector trains
+Each reducer turns an 8-bit image into the float64 array a detector trains
 on, suppressing scene content by a different mechanism:
 
 * ``none``      - standard normalization v / 127.5 - 1 (the raw baseline)
@@ -24,12 +24,14 @@ stacks to contiguous NCHW and reduces.
 Detector training and evaluation, ``spectrum`` and ``map`` all call it,
 and it lives here so ``spectrum`` never loads the detector.
 :func:`apply_reducer`, :func:`highpass`, :func:`patch_shuffle`,
-:func:`npr_residual` and ``mapping.apply_mapping`` check their input and
-run the same code on a batch of one; a bad cutoff or patch raises
-``bad-reducer`` there as in :class:`ReducerSpec`. Channels come
-before rows so the highpass FFT runs over the two trailing, contiguous
-axes. The input is real, so highpass uses ``rfft2``/``irfft2`` over axes
-(2, 3), about half the work of ``fft2``/``ifft2``.
+:func:`npr_residual` and ``mapping.apply_mapping`` check their input,
+run the same code on a batch of one and return its H x W x 3 view: a
+plain array, or for ``patch_shuffle``, which only moves pixels, an
+``Image8``. A bad cutoff or patch raises ``bad-reducer`` there as in
+:class:`ReducerSpec`. Channels come before rows so the highpass FFT runs
+over the two trailing, contiguous axes. The input is real, so highpass
+uses ``rfft2``/``irfft2`` over axes (2, 3), about half the work of
+``fft2``/``ifft2``.
 
 ``random`` and ``shuffle`` draw every sample's tables or tile permutation
 in one multi-seed draw (``rng.seeded_uniforms``, ``rng.seeded_permutations``),
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PixmapError
-from .image import Image8, ImageF, as_batch, batch_image, crop_origin
+from .image import Image8, as_batch, batch_image, crop_origin
 from .mapping import build_fixed_table, map_batch, random_table_entries
 from .rng import derive_seed, seeded_permutations
 from .spectral import dc_distance
@@ -164,7 +166,7 @@ def _npr(batch: np.ndarray, block: int) -> np.ndarray:
     return (blocks - blocks[:, :, :, :1, :, :1]).reshape(n, c, h, w)
 
 
-def highpass(img: Image8, cutoff_fraction: float) -> ImageF:
+def highpass(img: Image8, cutoff_fraction: float) -> np.ndarray:
     """Zero all frequencies within radius cutoff_fraction * min(H, W) / 2 of DC.
 
     The mask is the DC-centred disk, applied per channel; the inverse
@@ -173,7 +175,7 @@ def highpass(img: Image8, cutoff_fraction: float) -> ImageF:
     ``bad-reducer``, as ``ReducerSpec`` does.
     """
     spec = ReducerSpec("highpass", cutoff=cutoff_fraction)
-    return ImageF(batch_image(_highpass(as_batch(img), spec.cutoff)))
+    return batch_image(_highpass(as_batch(img), spec.cutoff))
 
 
 def patch_shuffle(img: Image8, patch: int, seed: int) -> Image8:
@@ -187,14 +189,9 @@ def patch_shuffle(img: Image8, patch: int, seed: int) -> Image8:
     return Image8(batch_image(_shuffle(as_batch(img), spec.patch, [seed])))
 
 
-def npr_residual(img: Image8, block: int = NPR_BLOCK) -> ImageF:
+def npr_residual(img: Image8, block: int = NPR_BLOCK) -> np.ndarray:
     """Subtract each block's top-left pixel from the whole block, per channel."""
-    return ImageF(batch_image(_npr(as_batch(img), block)))
-
-
-@functools.lru_cache(maxsize=1)
-def _fixed_table():
-    return build_fixed_table()
+    return batch_image(_npr(as_batch(img), block))
 
 
 def mapping_tables(spec: ReducerSpec, seed_root: int, tags) -> np.ndarray:
@@ -206,7 +203,7 @@ def mapping_tables(spec: ReducerSpec, seed_root: int, tags) -> np.ndarray:
     table and raises ``bad-usage``.
     """
     if spec.kind == "fixed":
-        return _fixed_table().entries[None, None]
+        return build_fixed_table()[None, None]
     if spec.kind == "random":
         return random_table_entries([derive_seed(seed_root, "table", *tag) for tag in tags])
     raise PixmapError("bad-usage", f"{spec.canonical()} has no mapping table; fixed and random do")
@@ -222,7 +219,7 @@ def reduce_batch(spec: ReducerSpec, batch: np.ndarray, seed_root: int, tags) -> 
     if spec.kind == "none":
         return batch / 127.5 - 1.0
     if spec.kind == "fixed":
-        return _fixed_table().entries[batch]
+        return build_fixed_table()[batch]
     if spec.kind == "random":
         return map_batch(batch, mapping_tables(spec, seed_root, tags))
     if spec.kind == "highpass":
@@ -241,27 +238,30 @@ def crop_batch(datas, spec: ReducerSpec, seed_root: int, tags, crop_size=None, c
     Image k is cut to the ``crop_size`` square at
     ``image.crop_origin(h, w, crop_size, crop_seeds[k])``: drawn from its
     seed, or centred when ``crop_seeds`` is None. ``crop_size`` None keeps
-    whole images of one size. The stack is transposed once to a contiguous
-    batch, so every kernel and each ``rfft2`` runs on contiguous rows. The
-    result equals stacking ``apply_reducer(crop(...))`` per image, bit for
-    bit.
+    whole images of one size. Every origin is taken before the stack is
+    allocated, so a bad ``crop_size`` raises ``bad-crop`` or
+    ``crop-too-large`` from ``crop_origin``. The stack is transposed once to
+    a contiguous batch, so every kernel and each ``rfft2`` runs on
+    contiguous rows. Image k of the result equals
+    ``apply_reducer(crop(...))`` of image k, transposed to C x H x W, bit
+    for bit.
     """
     if crop_size is None:
         crops = np.stack(datas)
     else:
         seeds = [None] * len(datas) if crop_seeds is None else crop_seeds
+        origins = [crop_origin(d.shape[0], d.shape[1], crop_size, s) for d, s in zip(datas, seeds)]
         crops = np.empty((len(datas), crop_size, crop_size, 3), dtype=np.uint8)
-        for k, (data, seed) in enumerate(zip(datas, seeds)):
-            top, left = crop_origin(data.shape[0], data.shape[1], crop_size, seed)
+        for k, (data, (top, left)) in enumerate(zip(datas, origins)):
             crops[k] = data[top : top + crop_size, left : left + crop_size]
     return reduce_batch(spec, np.ascontiguousarray(crops.transpose(0, 3, 1, 2)), seed_root, tags)
 
 
-def apply_reducer(spec: ReducerSpec, img: Image8, seed_root: int, *sample_tags) -> ImageF:
-    """Run one reducer on one image, returning the detector-ready raster.
+def apply_reducer(spec: ReducerSpec, img: Image8, seed_root: int, *sample_tags) -> np.ndarray:
+    """Run one reducer on one image, returning the detector-ready H x W x 3 float64 raster.
 
     ``seed_root`` plus ``sample_tags`` (typically the image path, and the
     epoch during training) determine every stochastic choice, so any sample
     presentation can be regenerated in isolation.
     """
-    return ImageF(batch_image(reduce_batch(spec, as_batch(img), seed_root, [sample_tags])))
+    return batch_image(reduce_batch(spec, as_batch(img), seed_root, [sample_tags]))

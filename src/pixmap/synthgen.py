@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULT_NOISE_SIGMA, UPSAMPLERS
 from .errors import PixmapError
-from .image import Image8, ImageF, encode_ppm, format_csv, quantize, read_ascii_lines, write_atomic
+from .image import Image8, encode_ppm, format_csv, quantize, read_ascii_lines, write_atomic
 from .rng import SplitMix64, derive_seed
 
 FAMILIES = ("A", "B")
@@ -229,7 +229,7 @@ def generate(entry: ManifestEntry, size: int, noise_sigma: float) -> Image8:
     stacked = np.repeat(img[:, :, None], 3, axis=2)
     if noise_sigma > 0:
         stacked = stacked + noise_sigma * rng.normals(size * size * 3).reshape(size, size, 3)
-    return quantize(ImageF(stacked), 0.0, 255.0)
+    return quantize(stacked, 0.0, 255.0)
 
 
 def build_benchmark(

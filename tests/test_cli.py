@@ -128,6 +128,26 @@ def test_spectrum_zero_crop(capsys, tmp_path, ppm_path):
     assert line.startswith("error: bad-crop: ")
 
 
+@pytest.mark.parametrize(
+    "command, crop, code",
+    [("spectrum", -3, "bad-crop"), ("spectrum", 10**20, "crop-too-large"), ("eval", -3, "bad-crop")],
+    ids=["spectrum-negative", "spectrum-huge", "eval-negative"],
+)
+def test_bad_crop_size_is_one_error_line(capsys, tmp_path, small_corpus, command, crop, code):
+    # The crop size is checked before the crop stack is allocated.
+    out = tmp_path / "out.csv"
+    if command == "spectrum":
+        argv = ["spectrum", "--in", small_corpus, "--crop", crop, "--out", out]
+    else:
+        model = tmp_path / "m.w1"
+        save_params(model, init_params(1), ReducerSpec.parse("none"), reducer_seed=1, crop_size=crop)
+        argv = ["eval", "--model", model, "--data", small_corpus, "--reducer", "none", "--out", out]
+    assert cli.main([str(a) for a in argv]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {code}: "), lines
+    assert not out.exists()
+
+
 def test_train_non_ascii_config(capsys, tmp_path):
     config = tmp_path / "cfg.txt"
     config.write_bytes(b"lr=0.001 \xe2\x80\x94 faster\n")
@@ -511,7 +531,7 @@ def test_spectrum_profile_equals_per_image_reference(tmp_path, reducer):
         for p in sorted(data.rglob("*.ppm"))
     ]
     assert len(images) == 8
-    expected = profile_csv(azimuthal_profile(mean_spectrum(images)))
+    expected = profile_csv(*azimuthal_profile(mean_spectrum(images)))
     assert out.read_bytes() == expected.encode("ascii")
 
 
@@ -534,12 +554,12 @@ def test_map_writes_the_raster_spectrum_reduces(tmp_path, small_corpus, reducer)
         out, csv = tmp_path / f"{src.stem}.imf", tmp_path / f"{src.stem}.csv"
         argv = ["map", "--in", src, "--reducer", reducer, "--seed", 5, "--out", out]
         assert cli.main([str(a) for a in argv + ["--table-csv", csv] * table]) == 0
-        raster = read_imagef(out).data
+        raster = read_imagef(out)
         img = decode_ppm(src.read_bytes())
         # spectrum --in test/ tags this file with its name alone
-        assert raster.tobytes() == apply_reducer(spec, img, root, src.name).data.tobytes()
+        assert raster.tobytes() == apply_reducer(spec, img, root, src.name).tobytes()
         if spec.kind == "fixed":
-            assert raster.tobytes() == apply_mapping(img, build_fixed_table()).data.tobytes()
+            assert raster.tobytes() == apply_mapping(img, build_fixed_table()).tobytes()
         if table:
             rows = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
             assert rows[:, 0].tolist() == list(range(256))

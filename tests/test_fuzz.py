@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from pixmap.cli import _load_config_file
 from pixmap.detector import init_params, load_params, save_params
 from pixmap.errors import PixmapError
-from pixmap.image import ImageF, decode_ppm, parse_rows, read_imagef, write_imagef
+from pixmap.image import decode_ppm, parse_rows, read_imagef, write_imagef
 from pixmap.reducers import ReducerSpec
 from pixmap.synthgen import read_manifest_csv
 
@@ -143,7 +143,7 @@ def _written(write) -> str:
         return path.read_text()
 
 
-_IMF_TEXT = _written(lambda p: write_imagef(p, ImageF(np.arange(12.0).reshape(2, 3, 2) / 7)))
+_IMF_TEXT = _written(lambda p: write_imagef(p, np.arange(12.0).reshape(2, 3, 2) / 7))
 _W1_TEXT = _written(
     lambda p: save_params(p, init_params(3), ReducerSpec.parse("shuffle:8"), reducer_seed=5, crop_size=32)
 )

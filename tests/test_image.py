@@ -1,4 +1,4 @@
-"""Raster types, PPM codec, cropping, and quantization."""
+"""The 8-bit raster, PPM codec, cropping, quantization, and the IMF container."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from pixmap.errors import PixmapError
 from pixmap.image import (
     Image8,
-    ImageF,
     crop,
     decode_ppm,
     encode_ppm,
@@ -95,7 +94,7 @@ def test_read_ppm_names_the_file(tmp_path):
     assert err.value.code == "missing-file"
 
 
-# --- types ------------------------------------------------------------------
+# --- Image8 ------------------------------------------------------------------
 
 
 def test_image8_validation_and_immutability():
@@ -106,13 +105,6 @@ def test_image8_validation_and_immutability():
     img = _random_image(1, 3, 3)
     with pytest.raises(ValueError):
         img.data[0, 0, 0] = 1
-
-
-def test_imagef_rejects_non_finite():
-    bad = np.zeros((2, 2, 1))
-    bad[0, 0, 0] = np.nan
-    with pytest.raises(PixmapError):
-        ImageF(bad)
 
 
 # --- crop ------------------------------------------------------------------
@@ -170,50 +162,60 @@ def test_crop_size_below_one_rejected():
 
 def test_quantize_half_even_midpoint():
     # 0.0 on [-1, 1] lands exactly on 127.5; half-even rounds up to 128
-    img = ImageF(np.zeros((1, 1, 3)))
-    assert quantize(img, -1.0, 1.0).data[0, 0, 0] == 128
+    assert quantize(np.zeros((1, 1, 3)), -1.0, 1.0).data[0, 0, 0] == 128
 
 
 def test_quantize_clamps():
-    img = ImageF(np.full((1, 1, 3), -3.0))
-    assert quantize(img, -1.0, 1.0).data[0, 0, 0] == 0
-    img = ImageF(np.full((1, 1, 3), 9.0))
-    assert quantize(img, -1.0, 1.0).data[0, 0, 0] == 255
+    assert quantize(np.full((1, 1, 3), -3.0), -1.0, 1.0).data[0, 0, 0] == 0
+    assert quantize(np.full((1, 1, 3), 9.0), -1.0, 1.0).data[0, 0, 0] == 255
 
 
 def test_quantize_rejects_bad_range():
     with pytest.raises(PixmapError):
-        quantize(ImageF(np.zeros((1, 1, 3))), 1.0, 1.0)
+        quantize(np.zeros((1, 1, 3)), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("channels", [1, 4])
+def test_quantize_rejects_channel_count_other_than_three(channels):
+    with pytest.raises(PixmapError) as err:
+        quantize(np.zeros((2, 2, channels)), 0.0, 1.0)
+    assert err.value.code == "bad-shape"
 
 
 def test_quantize_monotone():
     # row-major flattening of (n, 1, 3) preserves the sorted order
     vals = np.sort(SplitMix64(11).uniforms(501, -2.0, 2.0)).reshape(-1, 1, 3)
-    out = quantize(ImageF(vals), -1.0, 1.0).data.ravel()
+    out = quantize(vals, -1.0, 1.0).data.ravel()
     assert np.all(np.diff(out.astype(int)) >= 0)
 
 
 def test_quantize_identity_on_lattice():
     img = _random_image(6, 8, 8)
-    assert quantize(ImageF(img.data.astype(np.float64)), 0.0, 255.0) == img
+    assert quantize(img.data.astype(np.float64), 0.0, 255.0) == img
 
 
-# --- ImageF container -----------------------------------------------------------
+# --- IMF container --------------------------------------------------------------
 
 
 def test_imagef_file_round_trip_exact(tmp_path):
     rng = SplitMix64(77)
     data = rng.uniforms(5 * 4 * 3, -1.5, 1.5).reshape(5, 4, 3)
-    img = ImageF(data)
     path = tmp_path / "x.imf"
-    write_imagef(path, img)
-    back = read_imagef(path)
-    assert np.array_equal(back.data, img.data)
+    write_imagef(path, data)
+    assert np.array_equal(read_imagef(path), data)
     # writing again produces identical bytes
     path2 = tmp_path / "y.imf"
-    write_imagef(path2, img)
+    write_imagef(path2, data)
     assert path.read_bytes() == path2.read_bytes()
 
+
+def test_write_imagef_of_strided_view_matches_contiguous_copy(tmp_path):
+    chw = SplitMix64(78).uniforms(3 * 5 * 4, -1.5, 1.5).reshape(3, 5, 4)
+    view = chw.transpose(1, 2, 0)
+    assert not view.flags.c_contiguous
+    write_imagef(tmp_path / "view.imf", view)
+    write_imagef(tmp_path / "copy.imf", np.ascontiguousarray(view))
+    assert (tmp_path / "view.imf").read_bytes() == (tmp_path / "copy.imf").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -221,8 +223,9 @@ def test_imagef_file_round_trip_exact(tmp_path):
     [
         (b"PIXMAP-IMF1\n1 2 1\n0.5 abc\n", "malformed-payload"),
         (b"PIXMAP-IMF1\n1 2 1\n0.5 \xff\n", "unsupported-format"),
+        (b"PIXMAP-IMF1\n1 2 1\n0.5 nan\n", "non-finite"),
     ],
-    ids=["non-numeric", "non-ascii"],
+    ids=["non-numeric", "non-ascii", "nan"],
 )
 def test_read_imagef_rejects_garbage(tmp_path, text, code):
     path = tmp_path / "bad.imf"

@@ -50,7 +50,7 @@ def naive_highpass_channel(chan, cutoff):
 def test_highpass_constant_image_zero():
     img = Image8(np.full((8, 8, 3), 77, dtype=np.uint8))
     out = highpass(img, 0.5)
-    assert np.max(np.abs(out.data)) < 1e-9
+    assert np.max(np.abs(out)) < 1e-9
 
 
 def test_highpass_tiny_cutoff_subtracts_mean():
@@ -58,7 +58,7 @@ def test_highpass_tiny_cutoff_subtracts_mean():
     out = highpass(img, 0.01)  # radius < 0.04: only the DC bin
     for c in range(3):
         chan = img.data[:, :, c].astype(float)
-        assert np.allclose(out.data[:, :, c], chan - chan.mean(), atol=1e-9)
+        assert np.allclose(out[:, :, c], chan - chan.mean(), atol=1e-9)
 
 
 def test_highpass_matches_naive_oracle():
@@ -67,7 +67,7 @@ def test_highpass_matches_naive_oracle():
         out = highpass(img, cutoff)
         for c in range(3):
             oracle = naive_highpass_channel(img.data[:, :, c].astype(float), cutoff)
-            assert np.max(np.abs(out.data[:, :, c] - oracle)) < 1e-9
+            assert np.max(np.abs(out[:, :, c] - oracle)) < 1e-9
 
 
 @pytest.mark.parametrize("h,w", [(9, 7), (7, 8)])
@@ -77,7 +77,7 @@ def test_highpass_matches_naive_oracle_odd_sizes(h, w):
         out = highpass(img, cutoff)
         for c in range(3):
             oracle = naive_highpass_channel(img.data[:, :, c].astype(float), cutoff)
-            assert np.max(np.abs(out.data[:, :, c] - oracle)) < 1e-9
+            assert np.max(np.abs(out[:, :, c] - oracle)) < 1e-9
 
 
 def test_highpass_nyquist_checkerboard_survives():
@@ -88,24 +88,24 @@ def test_highpass_nyquist_checkerboard_survives():
     # all non-DC energy sits at the maximal radius, so only the mean drops
     expect = board.astype(float) - 128.0
     for c in range(3):
-        assert np.allclose(out.data[:, :, c], expect, atol=1e-9)
+        assert np.allclose(out[:, :, c], expect, atol=1e-9)
 
 
 def test_highpass_zero_mean_and_idempotent():
     img = _random_image(5, 12, 10)
     out = highpass(img, 0.25)
     for c in range(3):
-        assert abs(out.data[:, :, c].mean()) < 1e-9
+        assert abs(out[:, :, c].mean()) < 1e-9
     # apply again on the quantral path: rerun the mask on the float result
-    again = np.empty_like(out.data)
+    again = np.empty_like(out)
     h, w = 12, 10
     cy, cx = h // 2, w // 2
     yy, xx = np.ogrid[:h, :w]
     keep = np.hypot(yy - cy, xx - cx) >= 0.25 * (min(h, w) / 2.0)
     for c in range(3):
-        freq = np.fft.fftshift(np.fft.fft2(out.data[:, :, c]))
+        freq = np.fft.fftshift(np.fft.fft2(out[:, :, c]))
         again[:, :, c] = np.fft.ifft2(np.fft.ifftshift(freq * keep)).real
-    assert np.max(np.abs(again - out.data)) < 1e-9
+    assert np.max(np.abs(again - out)) < 1e-9
 
 
 def test_highpass_rejects_bad_cutoff():
@@ -194,29 +194,29 @@ def test_shuffle_rejects_non_divisible_patch():
 
 def test_npr_constant_image_zero():
     img = Image8(np.full((4, 4, 3), 200, dtype=np.uint8))
-    assert np.all(npr_residual(img).data == 0)
+    assert np.all(npr_residual(img) == 0)
 
 
 def test_npr_anchor_positions_zero():
     img = _random_image(11, 8, 8)
     out = npr_residual(img)
-    assert np.all(out.data[::2, ::2, :] == 0)
+    assert np.all(out[::2, ::2, :] == 0)
 
 
 def test_npr_block_example():
     block = np.array([[10, 12], [14, 16]], dtype=np.uint8)
     img = Image8(np.repeat(block[:, :, None], 3, axis=2))
     out = npr_residual(img)
-    assert np.array_equal(out.data[:, :, 0], np.array([[0, 2], [4, 6]]))
+    assert np.array_equal(out[:, :, 0], np.array([[0, 2], [4, 6]]))
 
 
 def test_npr_range_and_shuffled_constant():
     img = _random_image(12, 8, 8)
     out = npr_residual(img)
-    assert out.data.min() >= -255 and out.data.max() <= 255
+    assert out.min() >= -255 and out.max() <= 255
     const = Image8(np.full((8, 8, 3), 42, dtype=np.uint8))
     shuffled = patch_shuffle(const, 2, seed=9)
-    assert np.all(npr_residual(shuffled).data == 0)
+    assert np.all(npr_residual(shuffled) == 0)
 
 
 def test_npr_rejects_non_divisible():
@@ -254,7 +254,7 @@ def test_reducer_validate_for_crop():
 def test_apply_reducer_none_is_standard_normalization():
     img = _random_image(14, 8, 8)
     out = apply_reducer(ReducerSpec.parse("none"), img, 0)
-    assert np.allclose(out.data, img.data / 127.5 - 1.0)
+    assert np.allclose(out, img.data / 127.5 - 1.0)
 
 
 def test_apply_reducer_fixed_matches_mapping():
@@ -262,7 +262,7 @@ def test_apply_reducer_fixed_matches_mapping():
 
     img = _random_image(15, 8, 8)
     out = apply_reducer(ReducerSpec.parse("fixed"), img, 0)
-    assert np.array_equal(out.data, apply_mapping(img, build_fixed_table()).data)
+    assert np.array_equal(out, apply_mapping(img, build_fixed_table()))
 
 
 def test_apply_reducer_random_deterministic_per_tags():
@@ -271,16 +271,16 @@ def test_apply_reducer_random_deterministic_per_tags():
     a = apply_reducer(spec, img, 1, "img.ppm")
     b = apply_reducer(spec, img, 1, "img.ppm")
     c = apply_reducer(spec, img, 1, "other.ppm")
-    assert np.array_equal(a.data, b.data)
-    assert not np.array_equal(a.data, c.data)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_apply_reducer_scales_match_ops():
     img = _random_image(17, 8, 8)
     hp = apply_reducer(ReducerSpec.parse("highpass"), img, 0)
-    assert np.allclose(hp.data, highpass(img, 0.25).data / 127.5)
+    assert np.allclose(hp, highpass(img, 0.25) / 127.5)
     nr = apply_reducer(ReducerSpec.parse("npr"), img, 0)
-    assert np.allclose(nr.data, npr_residual(img).data / 127.5)
+    assert np.allclose(nr, npr_residual(img) / 127.5)
 
 
 # --- crop_batch -------------------------------------------------------------------
@@ -303,13 +303,13 @@ def test_crop_batch_equals_per_image_reducers():
                 tags = [(paths[i], epoch) for i in indices]
             got = crop_batch(datas, reducer, 77, tags, 8, crop_seeds)
             want = [
-                apply_reducer(reducer, crop(images[i], 8, crop_seed), 77, *tag).data.transpose(2, 0, 1)
+                apply_reducer(reducer, crop(images[i], 8, crop_seed), 77, *tag).transpose(2, 0, 1)
                 for i, crop_seed, tag in zip(indices, crop_seeds or [None] * len(indices), tags)
             ]
             assert got.dtype == np.float64
             assert np.array_equal(got, np.stack(want)), (name, epoch)
         whole = crop_batch([images[0].data, images[3].data], reducer, 77, [("a",), ("b",)])
-        want = [apply_reducer(reducer, images[k], 77, tag).data.transpose(2, 0, 1) for k, tag in ((0, "a"), (3, "b"))]
+        want = [apply_reducer(reducer, images[k], 77, tag).transpose(2, 0, 1) for k, tag in ((0, "a"), (3, "b"))]
         assert np.array_equal(whole, np.stack(want)), name
     with pytest.raises(PixmapError) as err:
         crop_batch(datas, ReducerSpec.parse("none"), 77, tags, 17)
