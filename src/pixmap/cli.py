@@ -86,6 +86,16 @@ def _sidecar(out) -> Path:
     return Path(f"{out}.run.json")
 
 
+def _out_path(out) -> Path:
+    """``out`` as a Path, after a look at its directory: one that is missing raises the error writing would."""
+    path = Path(out)
+    try:
+        os.stat(path.parent)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    return path
+
+
 def _write_run_manifest(args, started: float, run: _Run) -> None:
     """Write a finished command's ``run.json``; only :func:`main` calls this, so a failed command writes none.
 
@@ -259,8 +269,7 @@ def _reduce_file(path: Path, reducer, reducer_root: int, tag: str, crop_size=Non
     ``crop_size`` is given. ``spectrum`` and ``map`` both turn a file into
     a raster through this.
     """
-    data = image.read_ppm(path).data
-    return reducers.crop_batch([data], reducer, reducer_root, [(tag,)], crop_size)[0]
+    return reducers.crop_batch([image.read_ppm(path)], reducer, reducer_root, [(tag,)], crop_size)[0]
 
 
 def _cmd_map(args) -> _Run:
@@ -305,10 +314,10 @@ def _cmd_spectrum(args) -> _Run:
 def _cmd_train(args) -> _Run:
     reducer = reducers.ReducerSpec.parse(args.reducer)
     config = _resolve_train_config(args, reducer)
+    out_path = _out_path(args.out)
     entries, images = _load_split(args.data, "train")
     params, trace = detector.train(entries, images, config)
     reducer_seed = rng.derive_seed(config.seed, "reducer")
-    out_path = Path(args.out)
     detector.save_params(out_path, params, reducer, reducer_seed, config.crop)
     seeds = {"root": config.seed, "init": rng.derive_seed(config.seed, "init"), "reducer": reducer_seed}
     return _Run(_sidecar(out_path), seeds, [args.data], [out_path], config, f"final_epoch_loss={trace[-1]!r}\n")
@@ -386,8 +395,8 @@ def run_experiment(data_dir, config: TrainConfig) -> str:
 def _cmd_report(args) -> _Run:
     # run_experiment swaps in each reducer; the first one only fills the field.
     config = _resolve_train_config(args, reducers.ReducerSpec.parse(REPORT_REDUCERS[0]))
+    out_path = _out_path(args.out)
     csv_text = run_experiment(args.data, config)
-    out_path = Path(args.out)
     image.write_atomic(out_path, csv_text.encode("ascii"))
     return _Run(_sidecar(out_path), {"root": config.seed}, [args.data], [out_path], config, csv_text)
 

@@ -17,7 +17,8 @@ matrices, the ReLU masks ``m1``/``m2`` (``a > 0``, taken before each ReLU
 runs in place) and the pool's window counts. conv2's matrix is freed
 before its input gradient allocates a matrix of the same size.
 Everything is plain float64 numpy with a fixed reduction order, so
-identical seeds give bit-identical weights.
+identical seeds give bit-identical weights. Weights, gradients and Adam
+moments are dicts of arrays keyed by the names of ``_SHAPES``, in its order.
 
 :func:`train` and :func:`evaluate` build every batch with
 ``reducers.crop_batch``, the path ``spectrum`` and ``map`` use too;
@@ -34,7 +35,7 @@ import numpy as np
 
 from .config import TrainConfig
 from .errors import PixmapError
-from .image import Image8, format_rows, parse_rows, read_ascii_lines, read_ppm, write_atomic
+from .image import format_rows, parse_rows, read_ascii_lines, read_ppm, write_atomic
 from .reducers import ReducerSpec, crop_batch
 from .rng import SplitMix64, derive_seed, seeded_permutations
 from .synthgen import ManifestEntry
@@ -52,29 +53,15 @@ _SHAPES = {
 }
 
 
-@dataclass
-class DetectorParams:
-    conv1_w: np.ndarray
-    conv1_b: np.ndarray
-    conv2_w: np.ndarray
-    conv2_b: np.ndarray
-    linear_w: np.ndarray
-    linear_b: np.ndarray
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in _SHAPES}
-
-    def __post_init__(self):
-        for name, shape in _SHAPES.items():
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != shape:
-                raise PixmapError("bad-params", f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise PixmapError("bad-params", f"{name} contains non-finite values")
-            setattr(self, name, arr)
+def _finite(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``params`` in ``_SHAPES`` order; a tensor with a non-finite value raises ``bad-params``."""
+    for name in _SHAPES:
+        if not np.all(np.isfinite(params[name])):
+            raise PixmapError("bad-params", f"{name} contains non-finite values")
+    return {name: params[name] for name in _SHAPES}
 
 
-def init_params(seed: int) -> DetectorParams:
+def init_params(seed: int) -> dict[str, np.ndarray]:
     """He-uniform weights, zero biases, drawn from one seeded stream."""
     rng = SplitMix64(seed)
     out = {}
@@ -85,7 +72,7 @@ def init_params(seed: int) -> DetectorParams:
             fan_in = int(np.prod(shape[1:]))
             bound = np.sqrt(6.0 / fan_in)
             out[name] = rng.uniforms(int(np.prod(shape)), -bound, bound).reshape(shape)
-    return DetectorParams(**out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -214,28 +201,28 @@ _EVAL_BATCH = 64
 _FORWARD_CHUNK = 8
 
 
-def _features(params: DetectorParams, x):
+def _features(params: dict[str, np.ndarray], x):
     """conv1 -> ReLU -> pool -> conv2 -> ReLU -> mean; returns (g, (cols1, m1, counts, p1_shape, m2, cols2))."""
-    a1, cols1 = _conv_forward(x, params.conv1_w, params.conv1_b)
+    a1, cols1 = _conv_forward(x, params["conv1_w"], params["conv1_b"])
     m1 = a1 > 0
     p1, counts = _meanpool_forward(np.maximum(a1, 0.0, out=a1))
     del a1
-    a2, cols2 = _conv_forward(p1, params.conv2_w, params.conv2_b)
+    a2, cols2 = _conv_forward(p1, params["conv2_w"], params["conv2_b"])
     m2 = a2 > 0
     g = np.maximum(a2, 0.0, out=a2).mean(axis=(2, 3))
     return g, (cols1, m1, counts, p1.shape, m2, cols2)
 
 
-def _head(params: DetectorParams, g):
-    return _sigmoid((g @ params.linear_w.T + params.linear_b)[:, 0])
+def _head(params: dict[str, np.ndarray], g):
+    return _sigmoid((g @ params["linear_w"].T + params["linear_b"])[:, 0])
 
 
-def _forward_full(params: DetectorParams, batch):
+def _forward_full(params: dict[str, np.ndarray], batch):
     g, cache = _features(params, _check_batch(batch))
     return _head(params, g), g, cache
 
 
-def forward(params: DetectorParams, batch) -> np.ndarray:
+def forward(params: dict[str, np.ndarray], batch) -> np.ndarray:
     """Per-sample fake probabilities in (0, 1) for an NxCxHxW batch.
 
     The conv layers run over chunks of ``_FORWARD_CHUNK`` samples; each
@@ -245,7 +232,7 @@ def forward(params: DetectorParams, batch) -> np.ndarray:
     match :func:`_forward_full`.
     """
     x = _check_batch(batch)
-    g = np.empty((len(x), params.linear_w.shape[1]))
+    g = np.empty((len(x), params["linear_w"].shape[1]))
     for start in range(0, len(x), _FORWARD_CHUNK):
         g[start : start + _FORWARD_CHUNK] = _features(params, x[start : start + _FORWARD_CHUNK])[0]
     return _head(params, g)
@@ -258,7 +245,7 @@ def loss(probs, labels) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def _forward_backward(params: DetectorParams, batch, labels):
+def _forward_backward(params: dict[str, np.ndarray], batch, labels):
     """One forward pass plus the exact gradient; returns (probs, grads).
 
     Where the probability clamp is active the computed loss is locally
@@ -274,13 +261,13 @@ def _forward_backward(params: DetectorParams, batch, labels):
 
     grad_linear_w = (dz[:, None] * g).sum(axis=0, keepdims=True)
     grad_linear_b = np.array([dz.sum()])
-    dg = dz[:, None] * params.linear_w[0][None, :]
+    dg = dz[:, None] * params["linear_w"][0][None, :]
 
     # grad steps back from conv2's output to conv1's; rebinding frees each step's.
     grad = _keep(m2, (dg / (m2.shape[2] * m2.shape[3]))[:, :, None, None])
     grad_conv2_w, grad_conv2_b = _conv_param_grads(grad, cols2)
     del m2, cols2  # before conv2's input gradient allocates its patch matrix
-    grad = _conv_input_grad(grad, p1_shape, params.conv2_w)
+    grad = _conv_input_grad(grad, p1_shape, params["conv2_w"])
     grad = _pool_relu_backward(grad, counts, m1)
     grad_conv1_w, grad_conv1_b = _conv_param_grads(grad, cols1)
 
@@ -294,7 +281,7 @@ def _forward_backward(params: DetectorParams, batch, labels):
     }
 
 
-def backward(params: DetectorParams, batch, labels) -> dict[str, np.ndarray]:
+def backward(params: dict[str, np.ndarray], batch, labels) -> dict[str, np.ndarray]:
     """Exact gradient of loss(forward(batch)) for every parameter tensor."""
     return _forward_backward(params, batch, labels)[1]
 
@@ -317,16 +304,16 @@ class AdamState:
 
 
 def adam_step(
-    params: DetectorParams,
+    params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: AdamState,
     config: TrainConfig,
-) -> tuple[DetectorParams, AdamState]:
-    """One Adam update with bias correction and decoupled weight decay."""
+) -> tuple[dict[str, np.ndarray], AdamState]:
+    """One Adam update with bias correction and decoupled weight decay; a non-finite result is ``bad-params``."""
     state.t += 1
     t = state.t
     new = {}
-    for name, theta in params.as_dict().items():
+    for name, theta in params.items():
         g = grads[name]
         theta = theta * (1.0 - config.lr * config.weight_decay)
         m = state.m[name] = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
@@ -334,13 +321,13 @@ def adam_step(
         m_hat = m / (1.0 - config.beta1**t)
         v_hat = v / (1.0 - config.beta2**t)
         new[name] = theta - config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return DetectorParams(**new), state
+    return _finite(new), state
 
 
 # --- training / evaluation --------------------------------------------------------
 
 
-def load_images(entries, root) -> list[Image8]:
+def load_images(entries, root) -> list[np.ndarray]:
     """Decode every entry's PPM under ``root``, in manifest order.
 
     The commands decode each split once with this and hand the images to
@@ -351,8 +338,8 @@ def load_images(entries, root) -> list[Image8]:
 
 @np.errstate(all="ignore")
 def train(
-    entries: list[ManifestEntry], images: list[Image8], config: TrainConfig
-) -> tuple[DetectorParams, list[float]]:
+    entries: list[ManifestEntry], images: list[np.ndarray], config: TrainConfig
+) -> tuple[dict[str, np.ndarray], list[float]]:
     """Train on decoded manifest images; returns final weights and per-epoch mean loss.
 
     Each epoch reshuffles the sample order, redraws every random crop, and
@@ -381,7 +368,7 @@ def train(
         for start in range(0, n, config.batch_size):
             chunk = order[start : start + config.batch_size]
             paths = [entries[i].path for i in chunk]
-            datas = [images[i].data for i in chunk]
+            datas = [images[i] for i in chunk]
             seeds = [derive_seed(config.seed, "crop", epoch, path) for path in paths]
             tags = [(path, epoch) for path in paths]
             batch = crop_batch(datas, config.reducer, reducer_root, tags, config.crop, seeds)
@@ -428,9 +415,9 @@ def average_precision(scores, labels) -> float:
 
 @np.errstate(all="ignore")
 def evaluate(
-    params: DetectorParams,
+    params: dict[str, np.ndarray],
     entries: list[ManifestEntry],
-    images: list[Image8],
+    images: list[np.ndarray],
     reducer: ReducerSpec,
     reducer_seed: int,
     crop_size: int,
@@ -446,9 +433,9 @@ def evaluate(
     scores = np.empty(len(entries))
     for start in range(0, len(entries), _EVAL_BATCH):
         stop = start + _EVAL_BATCH
-        datas = [img.data for img in images[start:stop]]
         tags = [(e.path,) for e in entries[start:stop]]
-        scores[start:stop] = forward(params, crop_batch(datas, reducer, reducer_seed, tags, crop_size))
+        batch = crop_batch(images[start:stop], reducer, reducer_seed, tags, crop_size)
+        scores[start:stop] = forward(params, batch)
     labels = np.array([e.label for e in entries])
 
     per_generator: dict[str, GeneratorStats] = {}
@@ -474,7 +461,7 @@ def evaluate(
 _W1_MAGIC = "PIXMAP-W1"
 
 
-def save_params(path, params: DetectorParams, reducer: ReducerSpec, reducer_seed: int, crop_size: int) -> None:
+def save_params(path, params: dict[str, np.ndarray], reducer: ReducerSpec, reducer_seed: int, crop_size: int) -> None:
     """Write weights as text, atomically: magic, preprocessing identity, tensors.
 
     Values use shortest round-trip decimals, so load_params recovers the
@@ -486,14 +473,14 @@ def save_params(path, params: DetectorParams, reducer: ReducerSpec, reducer_seed
         f"reducer_seed {reducer_seed}",
         f"crop {crop_size}",
     ]
-    for name, arr in params.as_dict().items():
+    for name, arr in params.items():
         dims = " ".join(str(d) for d in arr.shape)
         lines.append(f"tensor {name} {dims}")
         lines += format_rows(arr.reshape(arr.shape[0], -1))
     write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
 
 
-def load_params(path) -> tuple[DetectorParams, ReducerSpec, int, int]:
+def load_params(path) -> tuple[dict[str, np.ndarray], ReducerSpec, int, int]:
     """Inverse of save_params; returns (params, reducer, reducer_seed, crop).
 
     A bad file raises PixmapError with code ``unsupported-format`` (not an
@@ -535,4 +522,4 @@ def load_params(path) -> tuple[DetectorParams, ReducerSpec, int, int]:
     missing = set(_SHAPES) - set(tensors)
     if missing:
         raise PixmapError("truncated-payload", f"missing tensors: {sorted(missing)}")
-    return DetectorParams(**tensors), reducer, reducer_seed, crop_size
+    return _finite(tensors), reducer, reducer_seed, crop_size

@@ -1,8 +1,9 @@
-"""The 8-bit raster, cropping, quantization, and bit-exact file I/O.
+"""8-bit images, cropping, quantization, and bit-exact file I/O.
 
-``Image8``, a read-only 8-bit RGB raster, is the one raster type: it guards
-the PPM bytes that come in and go out. Every computed raster (a reducer's
-output, a mapped image) is a plain H x W x C float64 numpy array.
+Every raster is a plain numpy array: an 8-bit image is H x W x 3 ``uint8``,
+a computed one (a reducer's output, a mapped image) H x W x C float64.
+:func:`decode_ppm` and :func:`encode_ppm` check the bytes that come in and
+go out.
 
 File formats:
 
@@ -24,7 +25,6 @@ reader through :func:`read_ascii_lines`.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,34 +63,6 @@ def read_ascii_lines(path, code: str, detail: str) -> list[str]:
         raise PixmapError(code, detail) from exc
 
 
-@dataclass(frozen=True)
-class Image8:
-    """H x W x 3 unsigned 8-bit raster."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.ndim != 3 or arr.shape[2] != 3:
-            raise PixmapError("bad-shape", f"Image8 needs HxWx3 data, got {arr.shape}")
-        if arr.dtype != np.uint8:
-            raise PixmapError("bad-dtype", f"Image8 needs uint8 data, got {arr.dtype}")
-        arr = np.ascontiguousarray(arr).copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Image8) and np.array_equal(self.data, other.data)
-
-
 # --- PPM P6 -----------------------------------------------------------------
 
 
@@ -114,8 +86,8 @@ def _read_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     return buf[start:pos], pos
 
 
-def decode_ppm(raw: bytes) -> Image8:
-    """Decode a binary PPM (P6, maxval 255).
+def decode_ppm(raw: bytes) -> np.ndarray:
+    """Decode a binary PPM (P6, maxval 255) to a read-only H x W x 3 ``uint8`` view of ``raw``.
 
     Accepts standard header whitespace and '#' comments; rejects any other
     PNM variant, maxval != 255, short payloads, and trailing bytes.
@@ -143,17 +115,16 @@ def decode_ppm(raw: bytes) -> Image8:
     if pos >= len(raw) or not raw[pos : pos + 1].isspace():
         raise PixmapError("malformed-header", "missing whitespace before payload")
     pos += 1
-    payload = raw[pos:]
+    size = len(raw) - pos
     expected = width * height * 3
-    if len(payload) < expected:
-        raise PixmapError("truncated-payload", f"need {expected} bytes, got {len(payload)}")
-    if len(payload) > expected:
-        raise PixmapError("oversized-payload", f"{len(payload) - expected} trailing bytes")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return Image8(arr)
+    if size < expected:
+        raise PixmapError("truncated-payload", f"need {expected} bytes, got {size}")
+    if size > expected:
+        raise PixmapError("oversized-payload", f"{size - expected} trailing bytes")
+    return np.frombuffer(raw, np.uint8, count=expected, offset=pos).reshape(height, width, 3)
 
 
-def read_ppm(path) -> Image8:
+def read_ppm(path) -> np.ndarray:
     """Read and decode the PPM file at ``path``; a decode error keeps its code and names the file.
 
     A path that is not a file raises ``missing-file``.
@@ -166,10 +137,12 @@ def read_ppm(path) -> Image8:
         raise PixmapError(exc.code, f"{path}: {exc.message}") from exc
 
 
-def encode_ppm(img: Image8) -> bytes:
-    """Encode to the canonical P6 byte form; identical images give identical bytes."""
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + img.data.tobytes()
+def encode_ppm(img: np.ndarray) -> bytes:
+    """Encode an H x W x 3 ``uint8`` array to the canonical P6 bytes; any other array is ``bad-shape``."""
+    if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
+        raise PixmapError("bad-shape", f"PPM writer needs an HxWx3 uint8 array, got {img.shape} {img.dtype}")
+    h, w = img.shape[:2]
+    return f"P6\n{w} {h}\n255\n".encode("ascii") + img.tobytes()
 
 
 def write_pgm(path, gray: np.ndarray) -> None:
@@ -202,15 +175,15 @@ def crop_origin(height: int, width: int, size: int, seed: int | None = None) -> 
     return top, rng.randrange(width - size + 1)
 
 
-def crop(img: Image8, size: int, seed: int | None = None) -> Image8:
-    """Cut the size x size window at :func:`crop_origin`: centred, or drawn from ``seed``."""
-    top, left = crop_origin(img.height, img.width, size, seed)
-    return Image8(img.data[top : top + size, left : left + size])
+def crop(img: np.ndarray, size: int, seed: int | None = None) -> np.ndarray:
+    """A view of the size x size window at :func:`crop_origin`: centred, or drawn from ``seed``."""
+    top, left = crop_origin(img.shape[0], img.shape[1], size, seed)
+    return img[top : top + size, left : left + size]
 
 
 def as_batch(img) -> np.ndarray:
-    """An ``Image8`` as a 1 x C x H x W view: a batch of one."""
-    return img.data.transpose(2, 0, 1)[None]
+    """An H x W x C image as a 1 x C x H x W view: a batch of one."""
+    return img.transpose(2, 0, 1)[None]
 
 
 def batch_image(batch: np.ndarray) -> np.ndarray:
@@ -218,15 +191,12 @@ def batch_image(batch: np.ndarray) -> np.ndarray:
     return batch[0].transpose(1, 2, 0)
 
 
-def quantize(x: np.ndarray, lo: float, hi: float) -> Image8:
-    """Affinely map [lo, hi] to [0, 255], clamp, and round half to even.
-
-    ``x`` is H x W x 3; any other shape raises ``bad-shape`` from ``Image8``.
-    """
+def quantize(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Affinely map [lo, hi] to [0, 255], clamp, and round half to even, to ``uint8`` of ``x``'s shape."""
     if not lo < hi:
         raise PixmapError("bad-range", f"quantize needs lo < hi, got [{lo}, {hi}]")
     scaled = (x - lo) * (255.0 / (hi - lo))
-    return Image8(np.rint(np.clip(scaled, 0.0, 255.0)).astype(np.uint8))
+    return np.rint(np.clip(scaled, 0.0, 255.0)).astype(np.uint8)
 
 
 # --- shortest-repr text rows -------------------------------------------------

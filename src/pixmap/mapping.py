@@ -24,7 +24,7 @@ import functools
 import numpy as np
 
 from .errors import PixmapError
-from .image import Image8, as_batch, batch_image
+from .image import as_batch, batch_image
 from .rng import seeded_uniforms
 
 
@@ -74,7 +74,7 @@ def map_batch(batch: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return entries.reshape(-1)[batch + offsets]
 
 
-def apply_mapping(img: Image8, tables: np.ndarray) -> np.ndarray:
+def apply_mapping(img: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """Look up every sample into an H x W x 3 array: out[x, y, c] = tables[c][img[x, y, c]].
 
     Pass one (256,) table to share it across all three channels (fixed

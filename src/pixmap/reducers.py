@@ -25,9 +25,9 @@ Detector training and evaluation, ``spectrum`` and ``map`` all call it,
 and it lives here so ``spectrum`` never loads the detector.
 :func:`apply_reducer`, :func:`highpass`, :func:`patch_shuffle`,
 :func:`npr_residual` and ``mapping.apply_mapping`` check their input,
-run the same code on a batch of one and return its H x W x 3 view: a
-plain array, or for ``patch_shuffle``, which only moves pixels, an
-``Image8``. A bad cutoff or patch raises ``bad-reducer`` there as in
+run the same code on a batch of one and return its H x W x 3 view:
+float64, or ``uint8`` for ``patch_shuffle``, which only moves pixels. A
+bad cutoff or patch raises ``bad-reducer`` there as in
 :class:`ReducerSpec`. Channels come before rows so the highpass FFT runs
 over the two trailing, contiguous axes. The input is real, so highpass
 uses ``rfft2``/``irfft2`` over axes (2, 3), about half the work of
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PixmapError
-from .image import Image8, as_batch, batch_image, crop_origin
+from .image import as_batch, batch_image, crop_origin
 from .mapping import build_fixed_table, map_batch, random_table_entries
 from .rng import derive_seed, seeded_permutations
 from .spectral import dc_distance
@@ -166,7 +166,7 @@ def _npr(batch: np.ndarray, block: int) -> np.ndarray:
     return (blocks - blocks[:, :, :, :1, :, :1]).reshape(n, c, h, w)
 
 
-def highpass(img: Image8, cutoff_fraction: float) -> np.ndarray:
+def highpass(img: np.ndarray, cutoff_fraction: float) -> np.ndarray:
     """Zero all frequencies within radius cutoff_fraction * min(H, W) / 2 of DC.
 
     The mask is the DC-centred disk, applied per channel; the inverse
@@ -178,7 +178,7 @@ def highpass(img: Image8, cutoff_fraction: float) -> np.ndarray:
     return batch_image(_highpass(as_batch(img), spec.cutoff))
 
 
-def patch_shuffle(img: Image8, patch: int, seed: int) -> Image8:
+def patch_shuffle(img: np.ndarray, patch: int, seed: int) -> np.ndarray:
     """Permute non-overlapping patch x patch tiles with a seeded Fisher-Yates.
 
     Output tile i (row-major over the tile grid) is input tile perm[i],
@@ -186,10 +186,10 @@ def patch_shuffle(img: Image8, patch: int, seed: int) -> Image8:
     patch below 1 raises ``bad-reducer``, as ``ReducerSpec`` does.
     """
     spec = ReducerSpec("shuffle", patch=patch)
-    return Image8(batch_image(_shuffle(as_batch(img), spec.patch, [seed])))
+    return batch_image(_shuffle(as_batch(img), spec.patch, [seed]))
 
 
-def npr_residual(img: Image8, block: int = NPR_BLOCK) -> np.ndarray:
+def npr_residual(img: np.ndarray, block: int = NPR_BLOCK) -> np.ndarray:
     """Subtract each block's top-left pixel from the whole block, per channel."""
     return batch_image(_npr(as_batch(img), block))
 
@@ -257,7 +257,7 @@ def crop_batch(datas, spec: ReducerSpec, seed_root: int, tags, crop_size=None, c
     return reduce_batch(spec, np.ascontiguousarray(crops.transpose(0, 3, 1, 2)), seed_root, tags)
 
 
-def apply_reducer(spec: ReducerSpec, img: Image8, seed_root: int, *sample_tags) -> np.ndarray:
+def apply_reducer(spec: ReducerSpec, img: np.ndarray, seed_root: int, *sample_tags) -> np.ndarray:
     """Run one reducer on one image, returning the detector-ready H x W x 3 float64 raster.
 
     ``seed_root`` plus ``sample_tags`` (typically the image path, and the

@@ -28,7 +28,7 @@ import numpy as np
 
 from .config import DEFAULT_NOISE_SIGMA, UPSAMPLERS
 from .errors import PixmapError
-from .image import Image8, encode_ppm, format_csv, quantize, read_ascii_lines, write_atomic
+from .image import encode_ppm, format_csv, quantize, read_ascii_lines, write_atomic
 from .rng import SplitMix64, derive_seed
 
 FAMILIES = ("A", "B")
@@ -210,8 +210,8 @@ def _upsample2x(base: np.ndarray, method: str) -> np.ndarray:
     raise PixmapError("bad-generator", f"unknown upsampler {method!r}")
 
 
-def generate(entry: ManifestEntry, size: int, noise_sigma: float) -> Image8:
-    """Synthesize ``entry``'s size x size image from its seed.
+def generate(entry: ManifestEntry, size: int, noise_sigma: float) -> np.ndarray:
+    """Synthesize ``entry``'s size x size x 3 ``uint8`` image from its seed.
 
     A ``real`` entry is a smooth full-resolution field, the stand-in for
     camera imagery; any other is a half-resolution field upsampled 2x by its

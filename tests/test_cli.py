@@ -17,7 +17,7 @@ import pytest
 from pixmap import __version__, cli
 from pixmap.detector import TrainConfig, evaluate, init_params, save_params, train
 from pixmap.errors import PixmapError
-from pixmap.image import Image8, encode_ppm
+from pixmap.image import encode_ppm
 from pixmap.reducers import ReducerSpec
 from pixmap.rng import derive_seed
 from pixmap.synthgen import build_benchmark, materialize, write_manifest_csv
@@ -38,7 +38,7 @@ def run_cli_error(capsys, argv):
 def ppm_path(tmp_path):
     data = (np.arange(16 * 16 * 3) % 251).astype(np.uint8).reshape(16, 16, 3)
     path = tmp_path / "in.ppm"
-    path.write_bytes(encode_ppm(Image8(data)))
+    path.write_bytes(encode_ppm(data))
     return path
 
 
@@ -85,6 +85,20 @@ def test_eval_model_with_non_numeric_value(capsys, tmp_path, weights_text):
         capsys, ["eval", "--model", model, "--data", tmp_path, "--reducer", "none"]
     )
     assert line.startswith("error: malformed-payload: ")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_eval_model_with_non_finite_value(capsys, tmp_path, weights_text, value):
+    model = tmp_path / "nan.w1"
+    lines = weights_text.splitlines()
+    row = lines.index("tensor linear_w 1 16") + 1
+    lines[row] = f"{value} " + lines[row].split(" ", 1)[1]
+    model.write_text("\n".join(lines) + "\n")
+    code = cli.main(["eval", "--model", str(model), "--data", str(tmp_path), "--reducer", "none"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: bad-params: linear_w contains non-finite values\n"
+    assert captured.out == ""
 
 
 @pytest.fixture
@@ -181,6 +195,20 @@ def test_report_checks_every_reducer_before_training(capsys, tmp_path, monkeypat
     assert line.startswith("error: patch-mismatch: ")
     assert calls == []
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["train", "--reducer", "none"], ["report"]], ids=["train", "report"])
+def test_missing_out_directory_fails_before_training(capsys, tmp_path, monkeypatch, command):
+    assert cli.main(["gen", "--out", str(tmp_path), "--confound", "--n", "2", "--size", "32"]) == 0
+    capsys.readouterr()
+    calls = []
+    monkeypatch.setattr(cli.detector, "train", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli.detector, "load_images", lambda *args: calls.append(args))
+    out = tmp_path / "missing" / "out"
+    line = run_cli_error(capsys, [*command, "--data", tmp_path, "--epochs", 1, "--out", out])
+    assert line == f"error: io: [Errno 2] No such file or directory: '{out}'"
+    assert calls == []
+    assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("code", ["single-class", "bad-usage", "worker-failed", "io"])
@@ -564,7 +592,7 @@ def test_map_writes_the_raster_spectrum_reduces(tmp_path, small_corpus, reducer)
             rows = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
             assert rows[:, 0].tolist() == list(range(256))
             entries = rows[:, 1:].T[None]
-            batch = img.data.transpose(2, 0, 1)[None]
+            batch = img.transpose(2, 0, 1)[None]
             assert map_batch(batch, entries)[0].transpose(1, 2, 0).tobytes() == raster.tobytes()
 
 

@@ -9,7 +9,6 @@ import pytest
 from pixmap import detector
 from pixmap.detector import (
     AdamState,
-    DetectorParams,
     TrainConfig,
     _SHAPES,
     _conv_forward,
@@ -70,13 +69,13 @@ def scalar_forward_oracle(params, x):
                     out[ci, i, j] = sum(cells) / len(cells)
         return out
 
-    a1 = conv(x, params.conv1_w, params.conv1_b)
+    a1 = conv(x, params["conv1_w"], params["conv1_b"])
     r1 = np.maximum(a1, 0)
     p1 = pool(r1)
-    a2 = conv(p1, params.conv2_w, params.conv2_b)
+    a2 = conv(p1, params["conv2_w"], params["conv2_b"])
     r2 = np.maximum(a2, 0)
     g = r2.mean(axis=(1, 2))
-    z = float(params.linear_w[0] @ g + params.linear_b[0])
+    z = float(params["linear_w"][0] @ g + params["linear_b"][0])
     return 1.0 / (1.0 + math.exp(-z))
 
 
@@ -122,7 +121,7 @@ def _rand_batch(seed, n=2, h=9, w=9):
 def test_forward_zero_params_gives_half():
     params = init_params(1)
     for name in _SHAPES:
-        getattr(params, name)[:] = 0.0
+        params[name][:] = 0.0
     probs = forward(params, _rand_batch(0))
     assert np.all(probs == 0.5)
 
@@ -197,7 +196,7 @@ def finite_difference_check(seed, h=8, w=8, n=2, step=1e-5):
     grads = backward(params, x, y)
     worst_rel, worst_abs = 0.0, 0.0
     for name in _SHAPES:
-        arr = getattr(params, name)
+        arr = params[name]
         flat = arr.reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
@@ -230,8 +229,8 @@ def test_gradient_matches_finite_differences_partial_pool_windows(h, w):
 
 def test_zero_input_kills_kernel_gradients_not_bias():
     params = init_params(5)
-    params.conv1_b[:] = 0.1
-    params.conv2_b[:] = 0.1
+    params["conv1_b"][:] = 0.1
+    params["conv2_b"][:] = 0.1
     x = np.zeros((2, 3, 8, 8))
     grads = backward(params, x, np.array([1.0, 0.0]))
     assert np.all(grads["conv1_w"] == 0)
@@ -311,10 +310,10 @@ def reference_forward_backward(params, batch, labels):
     """The training step with every forward intermediate kept until the
     gradients are done, built from the module's own layers."""
     x = detector._check_batch(batch)
-    a1, cols1 = _conv_forward(x, params.conv1_w, params.conv1_b)
+    a1, cols1 = _conv_forward(x, params["conv1_w"], params["conv1_b"])
     r1 = np.maximum(a1, 0.0)
     p1, counts = _meanpool_forward(r1)
-    a2, cols2 = _conv_forward(p1, params.conv2_w, params.conv2_b)
+    a2, cols2 = _conv_forward(p1, params["conv2_w"], params["conv2_b"])
     r2 = np.maximum(a2, 0.0)
     g = r2.mean(axis=(2, 3))
     probs = detector._head(params, g)
@@ -323,9 +322,9 @@ def reference_forward_backward(params, batch, labels):
     dz = np.where(clamped, 0.0, probs - y) / len(probs)
     grad_linear_w = (dz[:, None] * g).sum(axis=0, keepdims=True)
     grad_linear_b = np.array([dz.sum()])
-    dg = dz[:, None] * params.linear_w[0][None, :]
+    dg = dz[:, None] * params["linear_w"][0][None, :]
     da2 = detector._keep(a2 > 0, (dg / (r2.shape[2] * r2.shape[3]))[:, :, None, None])
-    dp1 = _conv_input_grad(da2, p1.shape, params.conv2_w)
+    dp1 = _conv_input_grad(da2, p1.shape, params["conv2_w"])
     grad_conv2_w, grad_conv2_b = _conv_param_grads(da2, cols2)
     da1 = detector._pool_relu_backward(dp1, counts, a1 > 0)
     grad_conv1_w, grad_conv1_b = _conv_param_grads(da1, cols1)
@@ -421,11 +420,11 @@ def _config(**kw):
 
 def test_adam_zero_grads_no_motion_without_decay():
     params = init_params(7)
-    before = {k: v.copy() for k, v in params.as_dict().items()}
+    before = {k: v.copy() for k, v in params.items()}
     grads = {k: np.zeros(s) for k, s in _SHAPES.items()}
     updated, _ = adam_step(params, grads, AdamState.zeros(), _config(weight_decay=0.0))
     for name in _SHAPES:
-        assert np.array_equal(getattr(updated, name), before[name])
+        assert np.array_equal(updated[name], before[name])
 
 
 def test_adam_first_step_magnitude_is_lr():
@@ -434,19 +433,19 @@ def test_adam_first_step_magnitude_is_lr():
     cfg = _config(weight_decay=0.0, lr=2e-4)
     updated, _ = adam_step(params, grads, AdamState.zeros(), cfg)
     for name in _SHAPES:
-        delta = getattr(updated, name) - getattr(params, name)
+        delta = updated[name] - params[name]
         assert np.allclose(np.abs(delta), cfg.lr, rtol=1e-6)
         assert np.all(np.sign(delta) == -1)  # descend against positive grads
 
 
 def test_adam_elementwise_independence_across_tensors():
     params = init_params(9)
-    params.conv2_b[:8] = params.conv1_b
+    params["conv2_b"][:8] = params["conv1_b"]
     grads = {k: np.zeros(s) for k, s in _SHAPES.items()}
     grads["conv1_b"][:] = np.arange(8) * 0.1
     grads["conv2_b"][:8] = np.arange(8) * 0.1
     updated, _ = adam_step(params, grads, AdamState.zeros(), _config())
-    assert np.array_equal(updated.conv1_b, updated.conv2_b[:8])
+    assert np.array_equal(updated["conv1_b"], updated["conv2_b"][:8])
 
 
 def test_adam_decoupled_decay_shrinks_weights():
@@ -454,7 +453,7 @@ def test_adam_decoupled_decay_shrinks_weights():
     grads = {k: np.zeros(s) for k, s in _SHAPES.items()}
     cfg = _config(weight_decay=0.5, lr=0.1)
     updated, _ = adam_step(params, grads, AdamState.zeros(), cfg)
-    assert np.allclose(updated.conv1_w, params.conv1_w * (1 - 0.1 * 0.5))
+    assert np.allclose(updated["conv1_w"], params["conv1_w"] * (1 - 0.1 * 0.5))
 
 
 # --- metrics --------------------------------------------------------------------
@@ -571,7 +570,7 @@ def test_train_deterministic_and_label_sensitive(tiny_benchmark):
     p2, t2 = train(train_entries, load_images(train_entries, root), cfg)
     assert t1 == t2
     for name in _SHAPES:
-        assert getattr(p1, name).tobytes() == getattr(p2, name).tobytes()
+        assert p1[name].tobytes() == p2[name].tobytes()
 
     flipped = [
         type(e)(e.path, 1 - e.label, "real" if e.label else "nearest", e.family, e.seed)
@@ -579,7 +578,7 @@ def test_train_deterministic_and_label_sensitive(tiny_benchmark):
     ]
     p3, _ = train(flipped, load_images(flipped, root), cfg)
     assert any(
-        getattr(p1, name).tobytes() != getattr(p3, name).tobytes() for name in _SHAPES
+        p1[name].tobytes() != p3[name].tobytes() for name in _SHAPES
     )
 
 
@@ -654,7 +653,7 @@ def test_weights_round_trip_exact(tmp_path):
     save_params(path, params, ReducerSpec.parse("shuffle:8"), reducer_seed=42, crop_size=32)
     loaded, reducer, reducer_seed, crop_size = load_params(path)
     for name in _SHAPES:
-        assert getattr(loaded, name).tobytes() == getattr(params, name).tobytes()
+        assert loaded[name].tobytes() == params[name].tobytes()
     assert reducer.canonical() == "shuffle:8"
     assert reducer_seed == 42
     assert crop_size == 32
@@ -685,10 +684,17 @@ def test_weights_reject_garbage(tmp_path):
         load_params(path)
     assert err.value.code == "malformed-payload"
 
+    for value in ("nan", "inf", "-inf"):
+        lines[row] = " ".join([value] + text.splitlines()[row].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(PixmapError) as err:
+            load_params(path)
+        assert (err.value.code, err.value.message) == ("bad-params", "conv1_w contains non-finite values")
+
 
 def test_save_params_replaces_atomically(tmp_path):
     path = tmp_path / "model.w1"
     for seed in (35, 36):
         save_params(path, init_params(seed), ReducerSpec.parse("npr"), reducer_seed=2, crop_size=16)
-        assert load_params(path)[0].conv1_w.tobytes() == init_params(seed).conv1_w.tobytes()
+        assert load_params(path)[0]["conv1_w"].tobytes() == init_params(seed)["conv1_w"].tobytes()
     assert [p.name for p in tmp_path.iterdir()] == ["model.w1"]  # no temp file left

@@ -1,11 +1,10 @@
-"""The 8-bit raster, PPM codec, cropping, quantization, and the IMF container."""
+"""8-bit images, the PPM codec, cropping, quantization, and the IMF container."""
 
 import numpy as np
 import pytest
 
 from pixmap.errors import PixmapError
 from pixmap.image import (
-    Image8,
     crop,
     decode_ppm,
     encode_ppm,
@@ -21,7 +20,7 @@ from pixmap.rng import SplitMix64
 
 def _random_image(seed, h, w):
     data = SplitMix64(seed)._bulk_u64(h * w * 3) % 256
-    return Image8(data.astype(np.uint8).reshape(h, w, 3))
+    return data.astype(np.uint8).reshape(h, w, 3)
 
 
 # --- PPM ------------------------------------------------------------------
@@ -30,13 +29,13 @@ def _random_image(seed, h, w):
 def test_decode_two_pixel_example():
     raw = b"P6\n2 1\n255\n" + bytes([0, 0, 0, 255, 255, 255])
     img = decode_ppm(raw)
-    assert (img.height, img.width) == (1, 2)
-    assert img.data[0, 0].tolist() == [0, 0, 0]
-    assert img.data[0, 1].tolist() == [255, 255, 255]
+    assert (img.shape, img.dtype) == ((1, 2, 3), np.uint8)
+    assert img[0, 0].tolist() == [0, 0, 0]
+    assert img[0, 1].tolist() == [255, 255, 255]
 
 
 def test_encode_canonical_single_black_pixel():
-    img = Image8(np.zeros((1, 1, 3), dtype=np.uint8))
+    img = np.zeros((1, 1, 3), dtype=np.uint8)
     assert encode_ppm(img) == b"P6\n1 1\n255\n\x00\x00\x00"
 
 
@@ -45,14 +44,14 @@ def test_round_trips_and_determinism():
         img = _random_image(seed, 6, 9)
         raw = encode_ppm(img)
         assert encode_ppm(decode_ppm(raw)) == raw
-        assert decode_ppm(raw) == img
+        assert np.array_equal(decode_ppm(raw), img)
         assert encode_ppm(img) == raw  # two encodes, identical bytes
 
 
 def test_decode_accepts_comments_and_whitespace():
     raw = b"P6 # comment\n# more\n 2\t1 \n255\n" + bytes(6)
     img = decode_ppm(raw)
-    assert (img.height, img.width) == (1, 2)
+    assert img.shape == (1, 2, 3)
 
 
 @pytest.mark.parametrize(
@@ -83,7 +82,7 @@ def test_read_ppm_names_the_file(tmp_path):
     img = _random_image(3, 2, 2)
     good = tmp_path / "good.ppm"
     good.write_bytes(encode_ppm(img))
-    assert read_ppm(good) == img
+    assert np.array_equal(read_ppm(good), img)
     bad = tmp_path / "bad.ppm"
     bad.write_bytes(b"P5\n1 1\n255\n\x00")
     with pytest.raises(PixmapError) as err:
@@ -94,17 +93,32 @@ def test_read_ppm_names_the_file(tmp_path):
     assert err.value.code == "missing-file"
 
 
-# --- Image8 ------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "img",
+    [np.zeros((2, 2), np.uint8), np.zeros((2, 2, 4), np.uint8), np.zeros((2, 2, 3))],
+    ids=["hw", "hwx4", "float64"],
+)
+def test_encode_rejects_anything_but_hxwx3_uint8(img):
+    with pytest.raises(PixmapError) as err:
+        encode_ppm(img)
+    assert err.value.code == "bad-shape"
 
 
-def test_image8_validation_and_immutability():
-    with pytest.raises(PixmapError):
-        Image8(np.zeros((2, 2), dtype=np.uint8))
-    with pytest.raises(PixmapError):
-        Image8(np.zeros((2, 2, 3), dtype=np.float64))
-    img = _random_image(1, 3, 3)
-    with pytest.raises(ValueError):
-        img.data[0, 0, 0] = 1
+@pytest.mark.parametrize("channels", [1, 4])
+def test_encode_rejects_quantized_channel_count_other_than_three(channels):
+    with pytest.raises(PixmapError) as err:
+        encode_ppm(quantize(np.zeros((2, 2, channels)), 0.0, 1.0))
+    assert err.value.code == "bad-shape"
+
+
+def test_decoded_image_and_its_crop_are_read_only_views():
+    raw = encode_ppm(_random_image(1, 3, 3))
+    img = decode_ppm(raw)
+    for arr in (img, crop(img, 2)):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1
+    assert np.shares_memory(crop(img, 2), img)
 
 
 # --- crop ------------------------------------------------------------------
@@ -112,22 +126,21 @@ def test_image8_validation_and_immutability():
 
 def test_center_crop_full_frame_is_identity():
     img = _random_image(2, 4, 4)
-    assert crop(img, 4) == img
+    assert np.array_equal(crop(img, 4), img)
 
 
 def test_center_crop_offsets():
     data = np.arange(27, dtype=np.uint8).reshape(3, 3, 3)
-    img = Image8(data)
-    out = crop(img, 1)
-    assert out.data[0, 0].tolist() == data[1, 1].tolist()
+    out = crop(data, 1)
+    assert out[0, 0].tolist() == data[1, 1].tolist()
 
 
 def test_random_crop_seeded_determinism():
     img = _random_image(3, 256, 256)
     a = crop(img, 128, seed=7)
     b = crop(img, 128, seed=7)
-    assert a == b
-    assert (a.height, a.width) == (128, 128)
+    assert np.array_equal(a, b)
+    assert a.shape == (128, 128, 3)
 
 
 def test_random_crop_is_window_of_source():
@@ -135,7 +148,7 @@ def test_random_crop_is_window_of_source():
     for seed in range(20):
         out = crop(img, 5, seed=seed)
         found = any(
-            np.array_equal(out.data, img.data[i : i + 5, j : j + 5])
+            np.array_equal(out, img[i : i + 5, j : j + 5])
             for i in range(16)
             for j in range(16)
         )
@@ -162,12 +175,12 @@ def test_crop_size_below_one_rejected():
 
 def test_quantize_half_even_midpoint():
     # 0.0 on [-1, 1] lands exactly on 127.5; half-even rounds up to 128
-    assert quantize(np.zeros((1, 1, 3)), -1.0, 1.0).data[0, 0, 0] == 128
+    assert quantize(np.zeros((1, 1, 3)), -1.0, 1.0)[0, 0, 0] == 128
 
 
 def test_quantize_clamps():
-    assert quantize(np.full((1, 1, 3), -3.0), -1.0, 1.0).data[0, 0, 0] == 0
-    assert quantize(np.full((1, 1, 3), 9.0), -1.0, 1.0).data[0, 0, 0] == 255
+    assert quantize(np.full((1, 1, 3), -3.0), -1.0, 1.0)[0, 0, 0] == 0
+    assert quantize(np.full((1, 1, 3), 9.0), -1.0, 1.0)[0, 0, 0] == 255
 
 
 def test_quantize_rejects_bad_range():
@@ -175,23 +188,16 @@ def test_quantize_rejects_bad_range():
         quantize(np.zeros((1, 1, 3)), 1.0, 1.0)
 
 
-@pytest.mark.parametrize("channels", [1, 4])
-def test_quantize_rejects_channel_count_other_than_three(channels):
-    with pytest.raises(PixmapError) as err:
-        quantize(np.zeros((2, 2, channels)), 0.0, 1.0)
-    assert err.value.code == "bad-shape"
-
-
 def test_quantize_monotone():
     # row-major flattening of (n, 1, 3) preserves the sorted order
     vals = np.sort(SplitMix64(11).uniforms(501, -2.0, 2.0)).reshape(-1, 1, 3)
-    out = quantize(vals, -1.0, 1.0).data.ravel()
+    out = quantize(vals, -1.0, 1.0).ravel()
     assert np.all(np.diff(out.astype(int)) >= 0)
 
 
 def test_quantize_identity_on_lattice():
     img = _random_image(6, 8, 8)
-    assert quantize(img.data.astype(np.float64), 0.0, 255.0) == img
+    assert np.array_equal(quantize(img.astype(np.float64), 0.0, 255.0), img)
 
 
 # --- IMF container --------------------------------------------------------------

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from pixmap.errors import PixmapError
-from pixmap.image import Image8
 from pixmap.mapping import (
     apply_mapping,
     build_fixed_table,
@@ -127,16 +126,15 @@ def test_map_batch_equals_take_along_axis(tn, tc):
 # --- application -------------------------------------------------------------------
 
 
-def _image_of(levels) -> Image8:
-    arr = np.array(levels, dtype=np.uint8)
-    return Image8(arr)
+def _image_of(levels) -> np.ndarray:
+    return np.array(levels, dtype=np.uint8)
 
 
 def test_identity_table_reproduces_to_float():
     identity = np.arange(256, dtype=np.float64)
     img = _image_of(np.arange(48).reshape(4, 4, 3) % 256)
     out = apply_mapping(img, identity)
-    assert np.array_equal(out, img.data.astype(np.float64))
+    assert np.array_equal(out, img.astype(np.float64))
 
 
 def test_constant_image_maps_to_constant():

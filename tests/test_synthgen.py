@@ -40,23 +40,23 @@ def _fake_image(seed, upsampler, noise=2.0):
 def test_gen_real_deterministic():
     a = _real_image(7, noise=0.0)
     b = _real_image(7, noise=0.0)
-    assert a == b
+    assert np.array_equal(a, b)
     c = _real_image(7)
     d = _real_image(7)
-    assert c == d
-    assert _real_image(8) != c
+    assert np.array_equal(c, d)
+    assert not np.array_equal(_real_image(8), c)
 
 
 def test_gen_real_histogram_span():
     img = _real_image(3)
-    assert len(np.unique(img.data)) > 30
+    assert len(np.unique(img)) > 30
 
 
 def test_gen_real_smooth_band_ratio():
     ratios = []
     for s in range(10):
         img = _real_image(derive_seed(1, "smooth", s))
-        values, _ = azimuthal_profile(mean_spectrum([img.data.astype(np.float64)]))
+        values, _ = azimuthal_profile(mean_spectrum([img.astype(np.float64)]))
         ratios.append(band_ratio(values))
     assert max(ratios) < 0.1
 
@@ -64,23 +64,22 @@ def test_gen_real_smooth_band_ratio():
 def test_gen_fake_deterministic_and_distinct_from_real():
     a = _fake_image(7, "nearest")
     b = _fake_image(7, "nearest")
-    assert a == b
-    assert a != _real_image(7)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, _real_image(7))
 
 
 def test_nearest_fake_blocks_constant_without_noise():
     img = _fake_image(5, "nearest", noise=0.0)
-    d = img.data
-    assert np.array_equal(d[0::2, :], d[1::2, :])
-    assert np.array_equal(d[:, 0::2], d[:, 1::2])
+    assert np.array_equal(img[0::2, :], img[1::2, :])
+    assert np.array_equal(img[:, 0::2], img[:, 1::2])
 
 
 def _paired_profiles(generator_a, generator_b, n=30):
     imgs_a, imgs_b = [], []
     for s in range(n):
         seed = derive_seed(13, "pair", s)
-        imgs_a.append(generate(_entry(generator_a, "A", seed), 64, 2.0).data.astype(np.float64))
-        imgs_b.append(generate(_entry(generator_b, "B", seed), 64, 2.0).data.astype(np.float64))
+        imgs_a.append(generate(_entry(generator_a, "A", seed), 64, 2.0).astype(np.float64))
+        imgs_b.append(generate(_entry(generator_b, "B", seed), 64, 2.0).astype(np.float64))
     pa, _ = azimuthal_profile(mean_spectrum(imgs_a))
     pb, _ = azimuthal_profile(mean_spectrum(imgs_b))
     return pa, pb
@@ -202,7 +201,7 @@ def test_brightness_threshold_shortcut_inverts_under_swap():
         means, labels = [], []
         for e in manifest.entries:
             img = generate(e, 32, 2.0)
-            means.append(float(img.data.mean()))
+            means.append(float(img.mean()))
             labels.append(e.label)
         return np.array(means), np.array(labels)
 

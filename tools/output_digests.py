@@ -6,12 +6,14 @@ Usage: python3 tools/output_digests.py --src CHECKOUT --work DIR > digests.txt
 Runs the commands below one at a time as ``python -m pixmap.cli``, with
 CHECKOUT/src on PYTHONPATH and BLAS at one thread, writing everything under
 DIR (created; it must not hold files yet). Then prints one ``sha256  relpath``
-line per file under DIR, sorted by path, and one ``sha256  stdout of ARGS``
-line per command, in run order, for what the command printed. A
-``run.json`` is hashed with its ``started_utc`` and ``duration_s`` fields
-dropped, and DIR is replaced by ``<work>`` in a ``run.json``, in a printed
-stdout and in ARGS, so two checkouts that write and print the same outputs
-print the same lines. Run it once per checkout, each with its own DIR, and
+line per file under DIR, sorted by path, one ``sha256  stdout of ARGS``
+line per command, in run order, for what the command printed, and one
+``sha256  stderr of ARGS`` line per failing command, over its exit code and
+what it printed to stderr. A ``run.json`` is hashed with its
+``started_utc`` and ``duration_s`` fields dropped, and DIR is replaced by
+``<work>`` in a ``run.json``, in a printed stdout or stderr and in ARGS, so
+two checkouts that write and print the same outputs and errors print the
+same lines. Run it once per checkout, each with its own DIR, and
 diff the two.
 
 The commands:
@@ -31,6 +33,15 @@ The commands:
   that perfbench's spectrum-sweep runs, uncropped and with ``--crop 64``;
 * ``map`` of one 128-px image for the same six reducers, with
   ``--table-csv`` for ``fixed`` and ``random``.
+
+The failing commands, run after those, read bad inputs written under
+DIR/bad:
+
+* ``spectrum`` over a directory that holds one truncated PPM;
+* ``map --in`` a ``P5`` file;
+* ``eval`` of ``random.w1`` with its first value replaced by ``nan``;
+* ``train --epochs 1 --out DIR/missing/m.w1``, into a missing directory;
+* ``report --crop 30``, which no ``shuffle:8`` patch divides.
 """
 
 from __future__ import annotations
@@ -81,6 +92,26 @@ def commands(work: Path):
                "--out", work / f"map-{name}.imf", *table]
 
 
+def failing_commands(work: Path) -> list:
+    """Write the bad inputs under ``work/bad`` and return the failing commands that read them."""
+    bad = work / "bad"
+    (bad / "truncated").mkdir(parents=True)
+    (bad / "truncated" / "short.ppm").write_bytes(b"P6\n2 2\n255\n" + bytes(11))
+    (bad / "gray.ppm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+    lines = (work / "random.w1").read_text().splitlines()
+    row = lines.index("tensor conv1_w 8 3 3 3") + 1
+    lines[row] = " ".join(["nan", *lines[row].split()[1:]])
+    (bad / "nan.w1").write_text("\n".join(lines) + "\n")
+    corpus = work / "confound701"
+    return [
+        ["spectrum", "--in", bad / "truncated", "--out", work / "bad-spectrum.csv"],
+        ["map", "--in", bad / "gray.ppm", "--reducer", "none", "--out", work / "bad-map.imf"],
+        ["eval", "--model", bad / "nan.w1", "--data", corpus, "--reducer", "random"],
+        ["train", "--data", corpus, "--reducer", "none", "--epochs", "1", "--out", work / "missing" / "m.w1"],
+        ["report", "--data", corpus, "--crop", "30", "--out", work / "bad-report.csv"],
+    ]
+
+
 def digest(path: Path, work: Path) -> str:
     data = path.read_bytes()
     if path.name.endswith("run.json"):
@@ -104,18 +135,28 @@ def main(argv=None) -> int:
     if any(work.iterdir()):
         parser.error(f"{work} is not empty")
     env = dict(os.environ, PYTHONPATH=str(src), **THREAD_ENV)
-    stdouts = []
-    for argv_ in commands(work):
+
+    def run(argv_):
         cmd = [sys.executable, "-m", "pixmap.cli", *map(str, argv_)]
-        result = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
+        return cmd, subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
+
+    def line(text, stream, cmd):
+        sha = hashlib.sha256(text.replace(str(work), "<work>").encode()).hexdigest()
+        return f"{sha}  {stream} of {' '.join(cmd[3:]).replace(str(work), '<work>')}"
+
+    printed = []
+    for argv_ in commands(work):
+        cmd, result = run(argv_)
         if result.returncode != 0:
             print(f"error: {' '.join(cmd[2:])} exited {result.returncode}: {result.stderr.strip()}", file=sys.stderr)
             return 1
-        printed = hashlib.sha256(result.stdout.replace(str(work), "<work>").encode()).hexdigest()
-        stdouts.append(f"{printed}  stdout of {' '.join(cmd[3:]).replace(str(work), '<work>')}")
+        printed.append(line(result.stdout, "stdout", cmd))
+    for argv_ in failing_commands(work):
+        cmd, result = run(argv_)
+        printed.append(line(f"{result.returncode}\n{result.stderr}", "stderr", cmd))
     for path in sorted(p for p in work.rglob("*") if p.is_file()):
         print(f"{digest(path, work)}  {path.relative_to(work).as_posix()}")
-    print(*stdouts, sep="\n")
+    print(*printed, sep="\n")
     return 0
 
 
