@@ -4,15 +4,16 @@ Each subcommand returns what it read and wrote, and :func:`main`, which
 times it, writes that as its JSON run manifest (atomically, via rename):
 flags, derived seeds, inputs, outputs, tool version and wall clock, next to
 the primary output as ``<out>.run.json`` (``gen``: ``run.json`` in its
-directory). A command that fails writes none, nor does ``eval`` without
-``--out``, which only prints; the model's own ``.run.json`` sits next to the
-weights. The flags are the parsed flags, with ``reducer`` in canonical form
-(``ReducerSpec.canonical``) and every training setting as resolved from
-flags, config file and defaults. Deterministic subcommands reproduce
-byte-identical outputs when re-run with the flags stored in their manifest.
+directory), and then prints the command's summary to stdout. A command that
+fails writes none, nor does ``eval`` without ``--out``, which only prints;
+the model's own ``.run.json`` sits next to the weights. The flags are the
+parsed flags, with ``reducer`` in canonical form (``ReducerSpec.canonical``)
+and every training setting as resolved from flags, config file and
+defaults. Deterministic subcommands reproduce byte-identical outputs when
+re-run with the flags stored in their manifest.
 
-Errors print exactly one line to stderr, ``error: <code>: <detail>``, and
-exit nonzero; exit code 0 means success.
+Errors print exactly one line to stderr, ``error: <code>: <detail>``, print
+nothing to stdout, and exit nonzero; exit code 0 means success.
 
 ``spectrum`` and ``map`` take the same ``--reducer`` grammar
 (``reducers.ReducerSpec.parse``) and ``--seed`` root, and turn a file into
@@ -70,10 +71,12 @@ class _Parser(argparse.ArgumentParser):
 class _Run:
     """What a command read and wrote: :func:`main` writes it to ``manifest``, then prints ``summary``.
 
-    ``config`` holds the resolved training settings of ``train`` and ``report``.
+    ``manifest`` is None for ``eval`` without ``--out``, which writes no
+    file. ``config`` holds the resolved training settings of ``train`` and
+    ``report``.
     """
 
-    manifest: Path
+    manifest: Path | None
     seeds: dict
     inputs: list
     outputs: list
@@ -228,37 +231,24 @@ def _fork_map(fn, items, initializer=None, initargs=()) -> list:
 
 
 def _materialize_share(share) -> None:
-    """Write one share of a manifest's images: ``share`` is (manifest, out_dir)."""
-    manifest, out_dir = share
-    synthgen.materialize(manifest, out_dir)
+    """Write one share of the corpus: ``share`` is the argument tuple of ``synthgen.materialize``."""
+    synthgen.materialize(*share)
 
 
 def _cmd_gen(args) -> _Run:
-    train_manifest, test_manifest = synthgen.build_benchmark(
-        train_fake_upsampler=args.train_upsampler,
-        test_fake_upsampler=args.test_upsampler,
-        confound=args.confound,
-        n_per_class=args.n,
-        seed=args.seed,
-        size=args.size,
-        noise_sigma=args.noise_sigma,
-    )
+    splits = synthgen.build_benchmark(args.train_upsampler, args.test_upsampler, args.confound, args.n, args.seed)
     out_dir = Path(args.out)
-    # Each image depends only on its entry, so every manifest is split into
-    # one interleaved share per worker, and each worker writes its own files.
-    workers = min(_usable_cpus(), len(train_manifest.entries))
+    # Each image depends only on its entry, so both splits' entries are dealt
+    # into one interleaved share per worker, and each worker writes its own files.
+    entries = splits[0] + splits[1]
+    workers = min(_usable_cpus(), len(entries))
     _fork_map(
-        _materialize_share,
-        [
-            (dataclasses.replace(manifest, entries=manifest.entries[k::workers]), out_dir)
-            for manifest in (train_manifest, test_manifest)
-            for k in range(workers)
-        ],
+        _materialize_share, [(entries[k::workers], out_dir, args.size, args.noise_sigma) for k in range(workers)]
     )
     outputs = [out_dir / f"{split}_manifest.csv" for split in ("train", "test")]
-    for csv_path, manifest in zip(outputs, (train_manifest, test_manifest)):
-        synthgen.write_manifest_csv(csv_path, manifest)
-    summary = f"wrote {len(train_manifest.entries) + len(test_manifest.entries)} images under {out_dir}\n"
+    for csv_path, split in zip(outputs, splits):
+        synthgen.write_manifest_csv(csv_path, split)
+    summary = f"wrote {len(entries)} images under {out_dir}\n"
     return _Run(out_dir / "run.json", {"root": args.seed}, [], outputs, summary=summary)
 
 
@@ -323,26 +313,24 @@ def _cmd_train(args) -> _Run:
     return _Run(_sidecar(out_path), seeds, [args.data], [out_path], config, f"final_epoch_loss={trace[-1]!r}\n")
 
 
-def _cmd_eval(args) -> _Run | None:
+def _cmd_eval(args) -> _Run:
+    out_path = _out_path(args.out) if args.out else None
     params, model_reducer, reducer_seed, crop_size = detector.load_params(args.model)
     got, trained = reducers.ReducerSpec.parse(args.reducer).canonical(), model_reducer.canonical()
     if got != trained:
         raise PixmapError("reducer-mismatch", f"model was trained with {trained}, got {got}")
     entries, images = _load_split(args.data, args.split)
     report = detector.evaluate(params, entries, images, model_reducer, reducer_seed, crop_size)
-    print(f"accuracy={report.accuracy!r}")
-    print(f"average_precision={report.average_precision!r}")
-    print(f"n={report.n}")
-    if not args.out:
-        return None
-    out_path = Path(args.out)
+    summary = f"accuracy={report.accuracy!r}\naverage_precision={report.average_precision!r}\nn={report.n}\n"
+    if out_path is None:
+        return _Run(None, {}, [], [], summary=summary)
     rows = [
         (tag, s.n, s.accuracy, "" if s.average_precision is None else s.average_precision)
         for tag, s in sorted(report.per_generator.items())
     ]
     csv_text = image.format_csv(("generator", "n", "accuracy", "average_precision"), rows)
     image.write_atomic(out_path, csv_text.encode("ascii"))
-    return _Run(_sidecar(out_path), {"reducer": reducer_seed}, [args.model, args.data], [out_path])
+    return _Run(_sidecar(out_path), {"reducer": reducer_seed}, [args.model, args.data], [out_path], summary=summary)
 
 
 # The decoded splits and the reducer seed of the report a worker serves. Set
@@ -494,9 +482,9 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         started = time.time()
         run = args.func(args)
-        if run is not None:
+        if run.manifest is not None:
             _write_run_manifest(args, started, run)
-            print(run.summary, end="")
+        print(run.summary, end="")
         return 0
     except PixmapError as exc:
         print(f"error: {exc.code}: {exc.message}", file=sys.stderr)

@@ -338,7 +338,7 @@ def load_images(entries, root) -> list[np.ndarray]:
 
 @np.errstate(all="ignore")
 def train(
-    entries: list[ManifestEntry], images: list[np.ndarray], config: TrainConfig
+    entries: tuple[ManifestEntry, ...], images: list[np.ndarray], config: TrainConfig
 ) -> tuple[dict[str, np.ndarray], list[float]]:
     """Train on decoded manifest images; returns final weights and per-epoch mean loss.
 
@@ -416,7 +416,7 @@ def average_precision(scores, labels) -> float:
 @np.errstate(all="ignore")
 def evaluate(
     params: dict[str, np.ndarray],
-    entries: list[ManifestEntry],
+    entries: tuple[ManifestEntry, ...],
     images: list[np.ndarray],
     reducer: ReducerSpec,
     reducer_seed: int,

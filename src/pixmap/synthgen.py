@@ -9,7 +9,10 @@ classic checkerboard source).
 
 A :class:`ManifestEntry` (path, label, generator, family, seed) is the one
 description of an image: :func:`generate` makes its bytes from it plus the
-dataset's image size and noise level, which :class:`DatasetManifest` holds.
+corpus's image size and noise level. A split is a tuple of entries, built by
+:func:`build_benchmark` or read back by :func:`read_manifest_csv`; the size
+and noise level are not part of it, and ``gen`` records them in its
+``run.json``.
 
 The benchmark builder ties content family to brightness (family A bright,
 family B dark) and, when the confound is enabled, aligns family with label
@@ -26,7 +29,7 @@ from pathlib import Path, PurePosixPath
 
 import numpy as np
 
-from .config import DEFAULT_NOISE_SIGMA, UPSAMPLERS
+from .config import UPSAMPLERS
 from .errors import PixmapError
 from .image import encode_ppm, format_csv, quantize, read_ascii_lines, write_atomic
 from .rng import SplitMix64, derive_seed
@@ -91,34 +94,6 @@ class ManifestEntry:
             raise PixmapError(
                 "bad-manifest", f"{self.path}: label {self.label} contradicts generator {self.generator!r}"
             )
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Entry list plus the image size and noise level that regenerate every image.
-
-    The manifest CSV keeps only the entries: the image size and noise level
-    are in ``gen``'s ``run.json``, so the CSV alone cannot regenerate them.
-    A size or noise level that :func:`generate` cannot use raises
-    ``bad-generator``; a repeated path raises ``bad-manifest``.
-    """
-
-    entries: tuple[ManifestEntry, ...]
-    size: int
-    noise_sigma: float
-
-    def __post_init__(self):
-        _check_size_and_noise(self.size, self.noise_sigma)
-        _check_entries(self.entries)
-
-
-def _check_entries(entries) -> None:
-    """Raise ``bad-manifest`` for a path that appears more than once."""
-    seen = set()
-    for e in entries:
-        if e.path in seen:
-            raise PixmapError("bad-manifest", f"path {e.path!r} appears more than once")
-        seen.add(e.path)
 
 
 def _gaussian_kernel(sigma: float) -> np.ndarray:
@@ -218,7 +193,10 @@ def generate(entry: ManifestEntry, size: int, noise_sigma: float) -> np.ndarray:
     generator, so it carries the upsampling artifact. Then the family
     pattern is added, then the family brightness (A bright, B dark), then
     sensor noise when ``noise_sigma`` is above 0, and the sum is quantized.
+    A size or noise level no image can be made with raises ``bad-generator``
+    before any array is allocated.
     """
+    _check_size_and_noise(size, noise_sigma)
     rng = SplitMix64(entry.seed)
     if entry.generator == "real":
         content = FIELD_CONTRAST * _smooth_field(rng, size)
@@ -238,18 +216,15 @@ def build_benchmark(
     confound: bool,
     n_per_class: int,
     seed: int,
-    size: int = 64,
-    noise_sigma: float = DEFAULT_NOISE_SIGMA,
-) -> tuple[DatasetManifest, DatasetManifest]:
-    """Assemble train/test manifests for the cross-upsampler benchmark.
+) -> tuple[tuple[ManifestEntry, ...], tuple[ManifestEntry, ...]]:
+    """Assemble the train and test splits of the cross-upsampler benchmark.
 
-    With the confound on, training reals are family A and training fakes
-    family B; the test split swaps the assignment and switches the fake
-    upsampler, so family and brightness anti-predict the label at test
-    time. With the confound off, families alternate within each class
-    identically on both splits. A size or noise level that
-    :class:`DatasetManifest` rejects raises its ``bad-generator`` error
-    here, before any image is made.
+    Each split holds ``n_per_class`` reals, then as many fakes, at the
+    distinct paths ``<split>/<kind>_<i>.ppm``. With the confound on,
+    training reals are family A and training fakes family B; the test split
+    swaps the assignment and switches the fake upsampler, so family and
+    brightness anti-predict the label at test time. With the confound off,
+    families alternate within each class identically on both splits.
     """
     if n_per_class < 1:
         raise PixmapError("bad-benchmark", "n_per_class must be >= 1")
@@ -264,32 +239,32 @@ def build_benchmark(
             return "A" if kind == "real" else "B"
         return "B" if kind == "real" else "A"
 
-    manifests = []
-    for split, upsampler in (("train", train_fake_upsampler), ("test", test_fake_upsampler)):
-        entries = []
-        for kind in ("real", "fake"):
-            generator = "real" if kind == "real" else upsampler
-            label = 0 if kind == "real" else 1
-            for i in range(n_per_class):
-                entries.append(
-                    ManifestEntry(
-                        path=f"{split}/{kind}_{i:04d}.ppm",
-                        label=label,
-                        generator=generator,
-                        family=family_for(split, kind, i),
-                        seed=derive_seed(seed, split, kind, i),
-                    )
-                )
-        manifests.append(DatasetManifest(tuple(entries), size, noise_sigma))
-    return manifests[0], manifests[1]
+    def split_entries(split: str, upsampler: str) -> tuple[ManifestEntry, ...]:
+        return tuple(
+            ManifestEntry(
+                path=f"{split}/{kind}_{i:04d}.ppm",
+                label=0 if kind == "real" else 1,
+                generator="real" if kind == "real" else upsampler,
+                family=family_for(split, kind, i),
+                seed=derive_seed(seed, split, kind, i),
+            )
+            for kind in ("real", "fake")
+            for i in range(n_per_class)
+        )
+
+    return split_entries("train", train_fake_upsampler), split_entries("test", test_fake_upsampler)
 
 
-def materialize(manifest: DatasetManifest, out_dir) -> None:
-    """Write every manifest entry's image under ``out_dir``, each atomically."""
+def materialize(entries, out_dir, size: int, noise_sigma: float) -> None:
+    """Write each entry's :func:`generate` image under ``out_dir`` at its path, atomically.
+
+    A bad size or noise level raises ``bad-generator`` before any file or
+    directory is made.
+    """
     root = Path(out_dir)
-    for entry in manifest.entries:
+    for entry in entries:
         # The bytes come first, so an image that cannot be made leaves no empty directory.
-        data = encode_ppm(generate(entry, manifest.size, manifest.noise_sigma))
+        data = encode_ppm(generate(entry, size, noise_sigma))
         target = root / entry.path
         target.parent.mkdir(parents=True, exist_ok=True)
         write_atomic(target, data)
@@ -299,27 +274,27 @@ _MANIFEST_FIELDS = ("path", "label", "generator", "family", "seed")
 _MANIFEST_HEADER = ",".join(_MANIFEST_FIELDS)
 
 
-def write_manifest_csv(path, manifest: DatasetManifest) -> None:
-    rows = [(e.path, e.label, e.generator, e.family, e.seed) for e in manifest.entries]
+def write_manifest_csv(path, entries) -> None:
+    rows = [(e.path, e.label, e.generator, e.family, e.seed) for e in entries]
     write_atomic(path, format_csv(_MANIFEST_FIELDS, rows).encode("ascii"))
 
 
-def read_manifest_csv(path) -> list[ManifestEntry]:
+def read_manifest_csv(path) -> tuple[ManifestEntry, ...]:
     """Inverse of :func:`write_manifest_csv`.
 
     Non-ASCII bytes, a wrong header or field count, a non-integer label or
     seed, an absolute path or one with a ``..`` part, a path that appears
-    twice, a generator other than ``real`` or an upsampler, a family
-    outside ``FAMILIES``, and a label that contradicts its generator (a
-    ``real`` row must have label 0, any other row label 1) all raise
-    PixmapError("bad-manifest"), as :class:`ManifestEntry` and
-    :class:`DatasetManifest` do.
+    twice (however spelled: ``a/./b`` and ``a//b`` are ``a/b``), a
+    generator other than ``real`` or an upsampler, a family outside
+    ``FAMILIES``, and a label that contradicts its generator (a ``real`` row
+    must have label 0, any other row label 1) all raise
+    PixmapError("bad-manifest"), the last three from :class:`ManifestEntry`.
     """
     lines = read_ascii_lines(path, "bad-manifest", f"{path} is not ASCII")
     header = lines[0].strip() if lines else ""
     if header != _MANIFEST_HEADER:
         raise PixmapError("bad-manifest", f"unexpected manifest header {header!r}")
-    entries = []
+    entries, seen = [], set()
     for lineno, line in enumerate(lines[1:], start=2):
         line = line.strip()
         if not line:
@@ -332,8 +307,11 @@ def read_manifest_csv(path) -> list[ManifestEntry]:
             label, seed = int(label), int(seed)
         except ValueError as exc:
             raise PixmapError("bad-manifest", f"line {lineno}: {exc}") from exc
-        if PurePosixPath(rel).is_absolute() or ".." in PurePosixPath(rel).parts:
+        where = PurePosixPath(rel)
+        if where.is_absolute() or ".." in where.parts:
             raise PixmapError("bad-manifest", f"line {lineno}: unsafe path {rel!r}")
+        if where in seen:
+            raise PixmapError("bad-manifest", f"line {lineno}: path {rel!r} appears more than once")
+        seen.add(where)
         entries.append(ManifestEntry(rel, label, generator, family, seed))
-    _check_entries(entries)
-    return entries
+    return tuple(entries)

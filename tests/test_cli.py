@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from pixmap import __version__, cli
+from pixmap.config import DEFAULT_NOISE_SIGMA
 from pixmap.detector import TrainConfig, evaluate, init_params, save_params, train
 from pixmap.errors import PixmapError
 from pixmap.image import encode_ppm
@@ -29,6 +30,7 @@ def run_cli_error(capsys, argv):
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert code != 0
+    assert captured.out == ""
     assert len(lines) == 1, captured.err
     assert lines[0].startswith("error: ")
     return lines[0]
@@ -121,11 +123,13 @@ def corpus_with_row(tmp_path):
         "/etc/passwd,0,real,A,2",
         "train/real_0001.ppm,1,real,A,2",
         "train/real_0000.ppm,0,real,A,1",
+        "train/./real_0000.ppm,0,real,A,1",
+        "train//real_0000.ppm,0,real,A,1",
         "train/fake_0000.ppm,1,foo,A,2",
         "train/fake_0000.ppm,1,nearest,Z,2",
     ],
     ids=["non-numeric-label", "absolute-path", "label-contradicts-generator", "repeated-path",
-         "unknown-generator", "unknown-family"],
+         "repeated-path-dot", "repeated-path-double-slash", "unknown-generator", "unknown-family"],
 )
 def test_train_rejects_bad_manifest_row(capsys, tmp_path, corpus_with_row, row):
     data = corpus_with_row(row)
@@ -197,15 +201,21 @@ def test_report_checks_every_reducer_before_training(capsys, tmp_path, monkeypat
     assert not (tmp_path / "r.csv").exists()
 
 
-@pytest.mark.parametrize("command", [["train", "--reducer", "none"], ["report"]], ids=["train", "report"])
+@pytest.mark.parametrize(
+    "command",
+    [lambda t: ["train", "--reducer", "none", "--epochs", 1], lambda t: ["report", "--epochs", 1],
+     lambda t: ["eval", "--model", t / "m.w1", "--reducer", "none"]],
+    ids=["train", "report", "eval"],
+)
 def test_missing_out_directory_fails_before_training(capsys, tmp_path, monkeypatch, command):
     assert cli.main(["gen", "--out", str(tmp_path), "--confound", "--n", "2", "--size", "32"]) == 0
+    save_params(tmp_path / "m.w1", init_params(1), ReducerSpec.parse("none"), reducer_seed=1, crop_size=8)
     capsys.readouterr()
     calls = []
-    monkeypatch.setattr(cli.detector, "train", lambda *args: calls.append(args))
-    monkeypatch.setattr(cli.detector, "load_images", lambda *args: calls.append(args))
+    for name in ("train", "load_images", "evaluate"):
+        monkeypatch.setattr(cli.detector, name, lambda *args: calls.append(args))
     out = tmp_path / "missing" / "out"
-    line = run_cli_error(capsys, [*command, "--data", tmp_path, "--epochs", 1, "--out", out])
+    line = run_cli_error(capsys, [*command(tmp_path), "--data", tmp_path, "--out", out])
     assert line == f"error: io: [Errno 2] No such file or directory: '{out}'"
     assert calls == []
     assert not (tmp_path / "missing").exists()
@@ -283,20 +293,34 @@ def _file_bytes(root):
     ],
 )
 def test_gen_equals_serial_oracle(capsys, tmp_path, flags):
+    got, expected = _gen_and_serial_oracle(tmp_path, **flags)
+    assert got == expected
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_gen_bytes_do_not_depend_on_worker_count(capsys, tmp_path, monkeypatch, workers):
+    # 20 entries dealt into 3 interleaved shares: each share holds train and test images.
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+    got, expected = _gen_and_serial_oracle(tmp_path, True, 5, "nearest", "bilinear")
+    assert got == expected
+
+
+def _gen_and_serial_oracle(tmp_path, confound, n, train_upsampler, test_upsampler):
+    """Run ``gen`` at 16 px and seed 7, write the same corpus serially, and return both trees' bytes.
+
+    ``gen``'s ``run.json`` is left out: it records the wall clock.
+    """
     data, oracle = tmp_path / "data", tmp_path / "oracle"
-    argv = ["gen", "--out", str(data), "--n", str(flags["n"]), "--size", "16", "--seed", "7",
-            "--train-upsampler", flags["train_upsampler"], "--test-upsampler", flags["test_upsampler"]]
-    assert cli.main(argv + ["--confound"] * flags["confound"]) == 0
+    argv = ["gen", "--out", str(data), "--n", str(n), "--size", "16", "--seed", "7",
+            "--train-upsampler", train_upsampler, "--test-upsampler", test_upsampler]
+    assert cli.main(argv + ["--confound"] * confound) == 0
     assert multiprocessing.active_children() == []
-    manifests = build_benchmark(
-        flags["train_upsampler"], flags["test_upsampler"], flags["confound"], flags["n"], seed=7, size=16
-    )
-    for split, manifest in zip(("train", "test"), manifests):
-        materialize(manifest, oracle)
-        write_manifest_csv(oracle / f"{split}_manifest.csv", manifest)
+    for split, entries in zip(("train", "test"), build_benchmark(train_upsampler, test_upsampler, confound, n, seed=7)):
+        materialize(entries, oracle, 16, DEFAULT_NOISE_SIGMA)
+        write_manifest_csv(oracle / f"{split}_manifest.csv", entries)
     got = _file_bytes(data)
-    del got["run.json"]  # records the wall clock
-    assert got == _file_bytes(oracle)
+    del got["run.json"]
+    return got, _file_bytes(oracle)
 
 
 def test_gen_worker_io_error_keeps_error_contract(capsys, tmp_path):
@@ -471,7 +495,7 @@ def test_decode_error_names_the_file(capsys, tmp_path, subcommand, damage, detai
 
 
 # A bad corpus or training setting, as a flag or a config-file line: each
-# fails before any image, weight or worker exists.
+# fails before any image or weight is written.
 BAD_SETTINGS = {
     "gen-odd-size": (["gen", "--size", 7], "bad-generator"),
     "gen-negative-noise": (["gen", "--noise-sigma", -1], "bad-generator"),

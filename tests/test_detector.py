@@ -29,6 +29,7 @@ from pixmap.detector import (
     save_params,
     train,
 )
+from pixmap.config import DEFAULT_NOISE_SIGMA
 from pixmap.errors import PixmapError
 from pixmap.reducers import ReducerSpec
 from pixmap.rng import SplitMix64, derive_seed
@@ -545,11 +546,11 @@ def test_ap_equals_tie_group_loop_bit_for_bit():
 @pytest.fixture(scope="module")
 def tiny_benchmark(tmp_path_factory):
     root = tmp_path_factory.mktemp("tinybench")
-    tr, te = build_benchmark("nearest", "bilinear", True, 8, seed=4, size=16)
-    for split, m in (("train", tr), ("test", te)):
-        materialize(m, root)
-        write_manifest_csv(root / f"{split}_manifest.csv", m)
-    return root, list(tr.entries), list(te.entries)
+    tr, te = build_benchmark("nearest", "bilinear", True, 8, seed=4)
+    for split, entries in (("train", tr), ("test", te)):
+        materialize(entries, root, 16, DEFAULT_NOISE_SIGMA)
+        write_manifest_csv(root / f"{split}_manifest.csv", entries)
+    return root, tr, te
 
 
 def test_train_overfits_two_samples(tiny_benchmark):

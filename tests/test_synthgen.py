@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pixmap.config import DEFAULT_NOISE_SIGMA
 from pixmap.errors import PixmapError
 from pixmap.rng import SplitMix64, derive_seed
 from pixmap.spectral import (
@@ -12,8 +13,6 @@ from pixmap.spectral import (
     power_spectrum,
 )
 from pixmap.synthgen import (
-    DEFAULT_NOISE_SIGMA,
-    DatasetManifest,
     ManifestEntry,
     build_benchmark,
     _blur2d,
@@ -134,7 +133,7 @@ def test_manifest_entry_and_dataset_validation():
     entry = _entry("real", "A", 1)
     for size, noise in ((63, 0), (64, -1)):
         with pytest.raises(PixmapError) as err:
-            DatasetManifest((entry,), size, noise)
+            generate(entry, size, noise)
         assert err.value.code == "bad-generator"
     for generator, family in (("bicubic", "A"), ("real", "C")):
         with pytest.raises(PixmapError) as err:
@@ -148,27 +147,27 @@ def test_manifest_entry_and_dataset_validation():
 def test_build_benchmark_counts_and_balance():
     tr, te = build_benchmark("nearest", "bilinear", True, 100, seed=1)
     for m in (tr, te):
-        assert len(m.entries) == 200
-        labels = [e.label for e in m.entries]
+        assert len(m) == 200
+        labels = [e.label for e in m]
         assert labels.count(0) == labels.count(1) == 100
-        assert len({e.path for e in m.entries}) == 200
-    assert {e.generator for e in tr.entries} == {"real", "nearest"}
-    assert {e.generator for e in te.entries} == {"real", "bilinear"}
+        assert len({e.path for e in m}) == 200
+    assert {e.generator for e in tr} == {"real", "nearest"}
+    assert {e.generator for e in te} == {"real", "bilinear"}
 
 
 def test_confound_family_assignment():
     tr, te = build_benchmark("nearest", "bilinear", True, 10, seed=1)
-    assert all(e.family == "A" for e in tr.entries if e.label == 0)
-    assert all(e.family == "B" for e in tr.entries if e.label == 1)
-    assert all(e.family == "B" for e in te.entries if e.label == 0)
-    assert all(e.family == "A" for e in te.entries if e.label == 1)
+    assert all(e.family == "A" for e in tr if e.label == 0)
+    assert all(e.family == "B" for e in tr if e.label == 1)
+    assert all(e.family == "B" for e in te if e.label == 0)
+    assert all(e.family == "A" for e in te if e.label == 1)
 
 
 def test_no_confound_families_identically_distributed():
     tr, te = build_benchmark("nearest", "bilinear", False, 10, seed=1)
 
     def family_counts(manifest, label):
-        fams = [e.family for e in manifest.entries if e.label == label]
+        fams = [e.family for e in manifest if e.label == label]
         return fams.count("A"), fams.count("B")
 
     for label in (0, 1):
@@ -177,29 +176,20 @@ def test_no_confound_families_identically_distributed():
 
 def test_labels_follow_generator_rule():
     tr, _ = build_benchmark("zero_insert_conv", "nearest", True, 5, seed=2)
-    for e in tr.entries:
+    for e in tr:
         assert e.label == (0 if e.generator == "real" else 1)
     with pytest.raises(PixmapError):
         ManifestEntry("x.ppm", 1, "real", "A", 0)
-    with pytest.raises(PixmapError):
-        DatasetManifest(
-            (
-                ManifestEntry("x.ppm", 0, "real", "A", 0),
-                ManifestEntry("x.ppm", 0, "real", "A", 1),
-            ),
-            size=64,
-            noise_sigma=DEFAULT_NOISE_SIGMA,
-        )
 
 
 def test_brightness_threshold_shortcut_inverts_under_swap():
     # closed-form confound oracle: the best train-split brightness threshold
     # must look great on train and collapse below chance on test
-    tr, te = build_benchmark("nearest", "bilinear", True, 30, seed=3, size=32)
+    tr, te = build_benchmark("nearest", "bilinear", True, 30, seed=3)
 
     def means_labels(manifest):
         means, labels = [], []
-        for e in manifest.entries:
+        for e in manifest:
             img = generate(e, 32, 2.0)
             means.append(float(img.mean()))
             labels.append(e.label)
@@ -223,9 +213,9 @@ def test_brightness_threshold_shortcut_inverts_under_swap():
 def test_regeneration_from_manifest_is_byte_identical():
     from pixmap.image import encode_ppm
 
-    tr, _ = build_benchmark("bilinear", "nearest", True, 3, seed=9, size=32)
-    first = {e.path: encode_ppm(generate(e, 32, 2.0)) for e in tr.entries}
-    second = {e.path: encode_ppm(generate(e, 32, 2.0)) for e in tr.entries}
+    tr, _ = build_benchmark("bilinear", "nearest", True, 3, seed=9)
+    first = {e.path: encode_ppm(generate(e, 32, 2.0)) for e in tr}
+    second = {e.path: encode_ppm(generate(e, 32, 2.0)) for e in tr}
     assert first == second
 
 
@@ -234,7 +224,7 @@ def test_manifest_csv_round_trip(tmp_path):
     path = tmp_path / "m.csv"
     write_manifest_csv(path, tr)
     back = read_manifest_csv(path)
-    assert back == list(tr.entries)
+    assert back == tr
     header = path.read_text().splitlines()[0]
     assert header == "path,label,generator,family,seed"
 
@@ -249,11 +239,14 @@ def test_manifest_csv_round_trip(tmp_path):
         b"/tmp/real_0001.ppm,0,real,A,1",
         b"train/real_0001.ppm,1,real,A,1",
         b"train/real_0000.ppm,0,real,A,1",
+        b"train/./real_0000.ppm,0,real,A,1",
+        b"train//real_0000.ppm,0,real,A,1",
         b"train/fake_0000.ppm,1,foo,A,1",
         b"train/fake_0000.ppm,1,nearest,Z,1",
     ],
     ids=["non-numeric-seed", "label-2", "non-ascii", "dotdot-path", "absolute-path",
-         "label-contradicts-generator", "repeated-path", "unknown-generator", "unknown-family"],
+         "label-contradicts-generator", "repeated-path", "repeated-path-dot", "repeated-path-double-slash",
+         "unknown-generator", "unknown-family"],
 )
 def test_manifest_csv_rejects_bad_rows(tmp_path, row):
     path = tmp_path / "m.csv"

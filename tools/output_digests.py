@@ -7,14 +7,14 @@ Runs the commands below one at a time as ``python -m pixmap.cli``, with
 CHECKOUT/src on PYTHONPATH and BLAS at one thread, writing everything under
 DIR (created; it must not hold files yet). Then prints one ``sha256  relpath``
 line per file under DIR, sorted by path, one ``sha256  stdout of ARGS``
-line per command, in run order, for what the command printed, and one
-``sha256  stderr of ARGS`` line per failing command, over its exit code and
-what it printed to stderr. A ``run.json`` is hashed with its
-``started_utc`` and ``duration_s`` fields dropped, and DIR is replaced by
-``<work>`` in a ``run.json``, in a printed stdout or stderr and in ARGS, so
-two checkouts that write and print the same outputs and errors print the
-same lines. Run it once per checkout, each with its own DIR, and
-diff the two.
+line per command, failing ones included, in run order, for what the
+command printed, and one ``sha256  stderr of ARGS`` line per failing
+command, over its exit code and what it printed to stderr. A ``run.json``
+is hashed with its ``started_utc`` and ``duration_s`` fields dropped, and
+DIR is replaced by ``<work>`` in a ``run.json``, in a printed stdout or
+stderr and in ARGS, so two checkouts that write and print the same outputs
+and errors print the same lines. Run it once per checkout, each with its
+own DIR, and diff the two.
 
 The commands:
 
@@ -41,6 +41,8 @@ DIR/bad:
 * ``map --in`` a ``P5`` file;
 * ``eval`` of ``random.w1`` with its first value replaced by ``nan``;
 * ``train --epochs 1 --out DIR/missing/m.w1``, into a missing directory;
+* ``eval`` of ``random.w1`` with ``--out DIR/missing/e.csv``, into a
+  missing directory;
 * ``report --crop 30``, which no ``shuffle:8`` patch divides.
 """
 
@@ -108,6 +110,8 @@ def failing_commands(work: Path) -> list:
         ["map", "--in", bad / "gray.ppm", "--reducer", "none", "--out", work / "bad-map.imf"],
         ["eval", "--model", bad / "nan.w1", "--data", corpus, "--reducer", "random"],
         ["train", "--data", corpus, "--reducer", "none", "--epochs", "1", "--out", work / "missing" / "m.w1"],
+        ["eval", "--model", work / "random.w1", "--data", corpus, "--reducer", "random",
+         "--out", work / "missing" / "e.csv"],
         ["report", "--data", corpus, "--crop", "30", "--out", work / "bad-report.csv"],
     ]
 
@@ -153,6 +157,7 @@ def main(argv=None) -> int:
         printed.append(line(result.stdout, "stdout", cmd))
     for argv_ in failing_commands(work):
         cmd, result = run(argv_)
+        printed.append(line(result.stdout, "stdout", cmd))
         printed.append(line(f"{result.returncode}\n{result.stderr}", "stderr", cmd))
     for path in sorted(p for p in work.rglob("*") if p.is_file()):
         print(f"{digest(path, work)}  {path.relative_to(work).as_posix()}")
