@@ -13,7 +13,9 @@ defaults. Deterministic subcommands reproduce byte-identical outputs when
 re-run with the flags stored in their manifest.
 
 Errors print exactly one line to stderr, ``error: <code>: <detail>``, print
-nothing to stdout, and exit nonzero; exit code 0 means success.
+nothing to stdout, and exit nonzero; exit code 0 means success. Every output
+file's directory is checked before any input is read, so a missing one fails
+before anything is decoded or written.
 
 ``spectrum`` and ``map`` take the same ``--reducer`` grammar
 (``reducers.ReducerSpec.parse``) and ``--seed`` root, and turn a file into
@@ -265,17 +267,17 @@ def _reduce_file(path: Path, reducer, reducer_root: int, tag: str, crop_size=Non
 def _cmd_map(args) -> _Run:
     reducer = reducers.ReducerSpec.parse(args.reducer)
     reducer_root = rng.derive_seed(args.seed, "reducer")
-    in_path, out_path = Path(getattr(args, "in")), Path(args.out)
+    in_path, out_path = Path(getattr(args, "in")), _out_path(args.out)
+    csv_path = _out_path(args.table_csv) if args.table_csv else None
     # The tag spectrum gives this file when it reads the file's directory.
     tag = in_path.name
     # Fetched before anything is read or written: a reducer with no table is bad-usage.
-    tables = reducers.mapping_tables(reducer, reducer_root, [(tag,)])[0] if args.table_csv else None
+    tables = reducers.mapping_tables(reducer, reducer_root, [(tag,)])[0] if csv_path else None
     reduced = _reduce_file(in_path, reducer, reducer_root, tag)
     image.write_imagef(out_path, reduced.transpose(1, 2, 0))
     outputs = [out_path]
     if tables is not None:
         header = ("value", "output") if len(tables) == 1 else ("value", "ch0", "ch1", "ch2")
-        csv_path = Path(args.table_csv)
         rows = [(v, *row) for v, row in enumerate(tables.T.tolist())]
         image.write_atomic(csv_path, image.format_csv(header, rows).encode("ascii"))
         outputs.append(csv_path)
@@ -285,6 +287,8 @@ def _cmd_map(args) -> _Run:
 def _cmd_spectrum(args) -> _Run:
     reducer = reducers.ReducerSpec.parse(args.reducer)
     in_dir = Path(getattr(args, "in"))
+    out_path = _out_path(args.out)
+    heatmap = _out_path(args.heatmap) if args.heatmap else None
     paths = sorted(in_dir.rglob("*.ppm"))
     if not paths:
         raise PixmapError("empty-input", f"no .ppm files under {in_dir}")
@@ -292,12 +296,11 @@ def _cmd_spectrum(args) -> _Run:
     power = spectral.mean_spectrum_chw(
         _reduce_file(p, reducer, reducer_root, p.relative_to(in_dir).as_posix(), args.crop) for p in paths
     )
-    out_path = Path(args.out)
     image.write_atomic(out_path, spectral.profile_csv(*spectral.azimuthal_profile(power)).encode("ascii"))
     outputs = [out_path]
-    if args.heatmap:
-        image.write_pgm(args.heatmap, spectral.heatmap_u8(power))
-        outputs.append(Path(args.heatmap))
+    if heatmap is not None:
+        image.write_pgm(heatmap, spectral.heatmap_u8(power))
+        outputs.append(heatmap)
     return _Run(_sidecar(out_path), {"reducer": reducer_root}, paths, outputs)
 
 
@@ -313,6 +316,11 @@ def _cmd_train(args) -> _Run:
     return _Run(_sidecar(out_path), seeds, [args.data], [out_path], config, f"final_epoch_loss={trace[-1]!r}\n")
 
 
+def _average_precision(scores, labels) -> float:
+    """``detector.average_precision``, or NaN for a split with no fakes."""
+    return detector.average_precision(scores, labels) if 1 in labels else float("nan")
+
+
 def _cmd_eval(args) -> _Run:
     out_path = _out_path(args.out) if args.out else None
     params, model_reducer, reducer_seed, crop_size = detector.load_params(args.model)
@@ -320,14 +328,20 @@ def _cmd_eval(args) -> _Run:
     if got != trained:
         raise PixmapError("reducer-mismatch", f"model was trained with {trained}, got {got}")
     entries, images = _load_split(args.data, args.split)
-    report = detector.evaluate(params, entries, images, model_reducer, reducer_seed, crop_size)
-    summary = f"accuracy={report.accuracy!r}\naverage_precision={report.average_precision!r}\nn={report.n}\n"
+    scores = detector.evaluate(params, entries, images, model_reducer, reducer_seed, crop_size)
+    labels = [e.label for e in entries]
+    accuracy, ap = detector.accuracy_at_half(scores, labels), _average_precision(scores, labels)
+    summary = f"accuracy={accuracy!r}\naverage_precision={ap!r}\nn={len(entries)}\n"
     if out_path is None:
         return _Run(None, {}, [], [], summary=summary)
-    rows = [
-        (tag, s.n, s.accuracy, "" if s.average_precision is None else s.average_precision)
-        for tag, s in sorted(report.per_generator.items())
-    ]
+    rows = []
+    for tag in sorted({e.generator for e in entries}):
+        # A generator's fakes are scored against all reals; the reals have no AP of their own.
+        pool = [i for i, e in enumerate(entries) if e.generator == tag or (tag != "real" and e.label == 0)]
+        pool_scores, pool_labels = scores[pool], [labels[i] for i in pool]
+        tag_ap = detector.average_precision(pool_scores, pool_labels) if tag != "real" and 0 in pool_labels else ""
+        n = sum(e.generator == tag for e in entries)
+        rows.append((tag, n, detector.accuracy_at_half(pool_scores, pool_labels), tag_ap))
     csv_text = image.format_csv(("generator", "n", "accuracy", "average_precision"), rows)
     image.write_atomic(out_path, csv_text.encode("ascii"))
     return _Run(_sidecar(out_path), {"reducer": reducer_seed}, [args.model, args.data], [out_path], summary=summary)
@@ -347,9 +361,14 @@ def _report_row(run: TrainConfig) -> tuple[float, float, float]:
     """Train one report detector and score it: (train_acc, test_acc, test_ap)."""
     (train_entries, train_images), (test_entries, test_images), reducer_seed = _report_inputs
     params, _ = detector.train(train_entries, train_images, run)
-    train_report = detector.evaluate(params, train_entries, train_images, run.reducer, reducer_seed, run.crop)
-    test_report = detector.evaluate(params, test_entries, test_images, run.reducer, reducer_seed, run.crop)
-    return train_report.accuracy, test_report.accuracy, test_report.average_precision
+    train_scores = detector.evaluate(params, train_entries, train_images, run.reducer, reducer_seed, run.crop)
+    test_scores = detector.evaluate(params, test_entries, test_images, run.reducer, reducer_seed, run.crop)
+    test_labels = [e.label for e in test_entries]
+    return (
+        detector.accuracy_at_half(train_scores, [e.label for e in train_entries]),
+        detector.accuracy_at_half(test_scores, test_labels),
+        _average_precision(test_scores, test_labels),
+    )
 
 
 def run_experiment(data_dir, config: TrainConfig) -> str:

@@ -28,7 +28,7 @@ evaluation no seeds (centre crops) and ``(path,)`` tags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,21 +73,6 @@ def init_params(seed: int) -> dict[str, np.ndarray]:
             bound = np.sqrt(6.0 / fan_in)
             out[name] = rng.uniforms(int(np.prod(shape)), -bound, bound).reshape(shape)
     return out
-
-
-@dataclass(frozen=True)
-class GeneratorStats:
-    n: int
-    accuracy: float
-    average_precision: float | None
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    accuracy: float
-    average_precision: float
-    n: int
-    per_generator: dict[str, GeneratorStats] = field(default_factory=dict)
 
 
 # --- layers -------------------------------------------------------------------
@@ -308,7 +293,7 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     config: TrainConfig,
-) -> tuple[dict[str, np.ndarray], AdamState]:
+) -> dict[str, np.ndarray]:
     """One Adam update with bias correction and decoupled weight decay; a non-finite result is ``bad-params``."""
     state.t += 1
     t = state.t
@@ -321,7 +306,7 @@ def adam_step(
         m_hat = m / (1.0 - config.beta1**t)
         v_hat = v / (1.0 - config.beta2**t)
         new[name] = theta - config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return _finite(new), state
+    return _finite(new)
 
 
 # --- training / evaluation --------------------------------------------------------
@@ -376,7 +361,7 @@ def train(
             probs, grads = _forward_backward(params, batch, y)
             epoch_loss += loss(probs, y) * len(chunk)
             try:
-                params, state = adam_step(params, grads, state, config)
+                params = adam_step(params, grads, state, config)
             except PixmapError as exc:
                 raise PixmapError("diverged", f"training diverged in epoch {epoch + 1}: {exc.message}") from exc
         trace.append(epoch_loss / n)
@@ -421,11 +406,11 @@ def evaluate(
     reducer: ReducerSpec,
     reducer_seed: int,
     crop_size: int,
-) -> EvalReport:
-    """Center-crop, reduce, and score decoded manifest images; accuracy at 0.5 plus AP.
+) -> np.ndarray:
+    """Center-crop, reduce, and score decoded manifest images: one fake probability per entry, in entry order.
 
     Stochastic reducers derive per-image state from the image path alone,
-    so the report is invariant to manifest order.
+    so each entry's score does not depend on the manifest order.
     """
     if not entries:
         raise PixmapError("empty-manifest", "evaluation manifest has no entries")
@@ -436,24 +421,7 @@ def evaluate(
         tags = [(e.path,) for e in entries[start:stop]]
         batch = crop_batch(images[start:stop], reducer, reducer_seed, tags, crop_size)
         scores[start:stop] = forward(params, batch)
-    labels = np.array([e.label for e in entries])
-
-    per_generator: dict[str, GeneratorStats] = {}
-    real_mask = labels == 0
-    for tag in sorted({e.generator for e in entries}):
-        mask = np.array([e.generator == tag for e in entries])
-        # A generator's fakes are scored against all reals; the reals have no AP of their own.
-        pool = mask if tag == "real" else mask | real_mask
-        ap = average_precision(scores[pool], labels[pool]) if tag != "real" and real_mask.any() else None
-        per_generator[tag] = GeneratorStats(int(mask.sum()), accuracy_at_half(scores[pool], labels[pool]), ap)
-
-    overall_ap = average_precision(scores, labels) if (labels == 1).any() else float("nan")
-    return EvalReport(
-        accuracy=accuracy_at_half(scores, labels),
-        average_precision=overall_ap,
-        n=len(entries),
-        per_generator=per_generator,
-    )
+    return scores
 
 
 # --- weights file ---------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 
 from pixmap import __version__, cli
 from pixmap.config import DEFAULT_NOISE_SIGMA
-from pixmap.detector import TrainConfig, evaluate, init_params, save_params, train
+from pixmap.detector import TrainConfig, average_precision, evaluate, init_params, load_params, save_params, train
 from pixmap.errors import PixmapError
 from pixmap.image import encode_ppm
 from pixmap.reducers import ReducerSpec
@@ -274,7 +274,11 @@ def test_report_equals_serial_oracle(capsys, tmp_path):
         params, _ = train(train_entries, train_images, run)
         fit = evaluate(params, train_entries, train_images, run.reducer, reducer_seed, run.crop)
         test = evaluate(params, test_entries, test_images, run.reducer, reducer_seed, run.crop)
-        lines.append(f"{name},{fit.accuracy!r},{test.accuracy!r},{test.average_precision!r}")
+        train_labels = np.array([e.label for e in train_entries])
+        test_labels = np.array([e.label for e in test_entries])
+        train_acc = float(np.mean((fit >= 0.5) == (train_labels == 1)))
+        test_acc = float(np.mean((test >= 0.5) == (test_labels == 1)))
+        lines.append(f"{name},{train_acc!r},{test_acc!r},{average_precision(test, test_labels)!r}")
     expected = "\n".join(lines) + "\n"
     assert out.read_text() == expected
     assert capsys.readouterr().out.endswith(expected)
@@ -727,11 +731,31 @@ def test_summary_is_printed_after_the_run_manifest(capsys, tmp_path):
 
 
 def test_failed_command_writes_no_run_manifest(capsys, tmp_path, small_corpus):
-    out, heatmap = tmp_path / "p.csv", tmp_path / "missing" / "h.pgm"
+    out, heatmap = tmp_path / "p.csv", tmp_path / "h.pgm"
+    heatmap.mkdir()  # its directory exists, so the heatmap fails only when written
     line = run_cli_error(capsys, ["spectrum", "--in", small_corpus, "--out", out, "--heatmap", heatmap])
     assert line.startswith("error: io: ")
     assert out.is_file()  # written before the heatmap failed
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.pgm", "p.csv"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [lambda t, img: ["map", "--in", img, "--reducer", "random", "--out", t / "m.imf",
+                     "--table-csv", t / "missing" / "t.csv"],
+     lambda t, img: ["spectrum", "--in", img.parent, "--out", t / "missing" / "s.csv"],
+     lambda t, img: ["spectrum", "--in", img.parent, "--out", t / "s.csv", "--heatmap", t / "missing" / "h.pgm"]],
+    ids=["map-table", "spectrum-out", "spectrum-heatmap"],
+)
+def test_missing_output_directory_fails_before_reading(capsys, tmp_path, small_corpus, monkeypatch, command):
+    reads = []
+    monkeypatch.setattr(cli.image, "read_ppm", lambda *args: reads.append(args))
+    argv = command(tmp_path, small_corpus / "test" / "real_0000.ppm")
+    missing = next(a for a in argv if Path(a).parent.name == "missing")
+    line = run_cli_error(capsys, argv)
+    assert line == f"error: io: [Errno 2] No such file or directory: '{missing}'"
+    assert reads == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_without_out_writes_no_file(capsys, tmp_path, small_corpus):
@@ -745,3 +769,35 @@ def test_eval_without_out_writes_no_file(capsys, tmp_path, small_corpus):
     assert cli.main([str(a) for a in argv]) == 0
     assert capsys.readouterr().out.startswith("accuracy=")
     assert (_file_bytes(small_corpus), _file_bytes(model_dir)) == before
+
+
+def test_eval_out_rows_pool_each_generator_with_all_reals(capsys, tmp_path):
+    data, model, out = tmp_path / "data", tmp_path / "m.w1", tmp_path / "e.csv"
+    assert cli.main(["gen", "--out", str(data), "--n", "3", "--size", "16"]) == 0
+    # A split with two fake generators, where one generator's fakes plus
+    # all reals is a pool smaller than the split.
+    train_rows = (data / "train_manifest.csv").read_text().splitlines()
+    test_rows = (data / "test_manifest.csv").read_text().splitlines()
+    (data / "test_manifest.csv").write_text("\n".join(test_rows + train_rows[1:]) + "\n")
+    save_params(model, init_params(5), ReducerSpec.parse("random"), reducer_seed=11, crop_size=8)
+    capsys.readouterr()
+    argv = ["eval", "--model", model, "--data", data, "--reducer", "random", "--out", out]
+    assert cli.main([str(a) for a in argv]) == 0
+
+    entries, images = cli._load_split(data, "test")
+    params, reducer, reducer_seed, crop = load_params(model)
+    scores = evaluate(params, entries, images, reducer, reducer_seed, crop)
+    labels = np.array([e.label for e in entries])
+    generators = np.array([e.generator for e in entries])
+    assert sorted(set(generators)) == ["bilinear", "nearest", "real"]
+    lines = ["generator,n,accuracy,average_precision"]
+    for tag in sorted(set(generators)):
+        own = generators == tag
+        pool = own if tag == "real" else own | (labels == 0)
+        accuracy = float(np.mean((scores[pool] >= 0.5) == (labels[pool] == 1)))
+        ap = "" if tag == "real" else repr(average_precision(scores[pool], labels[pool]))
+        lines.append(f"{tag},{int(own.sum())},{accuracy!r},{ap}")
+    assert out.read_text() == "\n".join(lines) + "\n"
+    accuracy = float(np.mean((scores >= 0.5) == (labels == 1)))
+    summary = f"accuracy={accuracy!r}\naverage_precision={average_precision(scores, labels)!r}\nn={len(entries)}\n"
+    assert capsys.readouterr().out == summary

@@ -423,7 +423,7 @@ def test_adam_zero_grads_no_motion_without_decay():
     params = init_params(7)
     before = {k: v.copy() for k, v in params.items()}
     grads = {k: np.zeros(s) for k, s in _SHAPES.items()}
-    updated, _ = adam_step(params, grads, AdamState.zeros(), _config(weight_decay=0.0))
+    updated = adam_step(params, grads, AdamState.zeros(), _config(weight_decay=0.0))
     for name in _SHAPES:
         assert np.array_equal(updated[name], before[name])
 
@@ -432,7 +432,7 @@ def test_adam_first_step_magnitude_is_lr():
     params = init_params(8)
     grads = {k: np.full(s, 0.37) for k, s in _SHAPES.items()}
     cfg = _config(weight_decay=0.0, lr=2e-4)
-    updated, _ = adam_step(params, grads, AdamState.zeros(), cfg)
+    updated = adam_step(params, grads, AdamState.zeros(), cfg)
     for name in _SHAPES:
         delta = updated[name] - params[name]
         assert np.allclose(np.abs(delta), cfg.lr, rtol=1e-6)
@@ -445,7 +445,7 @@ def test_adam_elementwise_independence_across_tensors():
     grads = {k: np.zeros(s) for k, s in _SHAPES.items()}
     grads["conv1_b"][:] = np.arange(8) * 0.1
     grads["conv2_b"][:8] = np.arange(8) * 0.1
-    updated, _ = adam_step(params, grads, AdamState.zeros(), _config())
+    updated = adam_step(params, grads, AdamState.zeros(), _config())
     assert np.array_equal(updated["conv1_b"], updated["conv2_b"][:8])
 
 
@@ -453,7 +453,7 @@ def test_adam_decoupled_decay_shrinks_weights():
     params = init_params(10)
     grads = {k: np.zeros(s) for k, s in _SHAPES.items()}
     cfg = _config(weight_decay=0.5, lr=0.1)
-    updated, _ = adam_step(params, grads, AdamState.zeros(), cfg)
+    updated = adam_step(params, grads, AdamState.zeros(), cfg)
     assert np.allclose(updated["conv1_w"], params["conv1_w"] * (1 - 0.1 * 0.5))
 
 
@@ -626,23 +626,18 @@ def test_evaluate_order_invariant_fixed_mapping(tiny_benchmark):
     rev = evaluate(
         params, reversed_entries, load_images(reversed_entries, root), cfg.reducer, rs, 8
     )
-    assert fwd.accuracy == rev.accuracy
-    assert fwd.average_precision == pytest.approx(rev.average_precision, rel=1e-12)
-    assert fwd.per_generator == rev.per_generator
+    assert rev.tobytes() == fwd[::-1].tobytes()
 
 
 def test_evaluate_report_fields(tiny_benchmark):
     root, train_entries, test_entries = tiny_benchmark
     params = init_params(1)
-    report = evaluate(
+    scores = evaluate(
         params, test_entries, load_images(test_entries, root), ReducerSpec.parse("none"), 0, 8
     )
-    assert 0.0 <= report.accuracy <= 1.0
-    assert 0.0 <= report.average_precision <= 1.0
-    assert report.n == len(test_entries)
-    assert set(report.per_generator) == {"real", "bilinear"}
-    assert report.per_generator["real"].average_precision is None
-    assert report.per_generator["bilinear"].n == 8
+    assert isinstance(scores, np.ndarray) and scores.dtype == np.float64
+    assert scores.shape == (len(test_entries),)
+    assert np.all((scores > 0.0) & (scores < 1.0))
 
 
 # --- weights file ----------------------------------------------------------------

@@ -43,7 +43,11 @@ DIR/bad:
 * ``train --epochs 1 --out DIR/missing/m.w1``, into a missing directory;
 * ``eval`` of ``random.w1`` with ``--out DIR/missing/e.csv``, into a
   missing directory;
-* ``report --crop 30``, which no ``shuffle:8`` patch divides.
+* ``report --crop 30``, which no ``shuffle:8`` patch divides;
+* ``map --reducer random --table-csv DIR/missing/t.csv`` of one 128-px
+  image, whose table goes into a missing directory;
+* ``spectrum --heatmap DIR/missing/h.pgm`` of the 128-px corpus, whose
+  heatmap goes into a missing directory.
 """
 
 from __future__ import annotations
@@ -113,6 +117,10 @@ def failing_commands(work: Path) -> list:
         ["eval", "--model", work / "random.w1", "--data", corpus, "--reducer", "random",
          "--out", work / "missing" / "e.csv"],
         ["report", "--data", corpus, "--crop", "30", "--out", work / "bad-report.csv"],
+        ["map", "--in", work / "gen128" / "test" / "fake_0000.ppm", "--reducer", "random",
+         "--out", work / "bad-map-table.imf", "--table-csv", work / "missing" / "t.csv"],
+        ["spectrum", "--in", work / "gen128", "--out", work / "bad-spectrum-heatmap.csv",
+         "--heatmap", work / "missing" / "h.pgm"],
     ]
 
 
