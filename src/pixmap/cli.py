@@ -14,8 +14,9 @@ re-run with the flags stored in their manifest.
 
 Errors print exactly one line to stderr, ``error: <code>: <detail>``, print
 nothing to stdout, and exit nonzero; exit code 0 means success. Every output
-file's directory is checked before any input is read, so a missing one fails
-before anything is decoded or written.
+path is checked before any input is read, so a missing directory, an output
+that is an existing directory, or two outputs that name one file
+(``bad-usage``) fail before anything is decoded or written.
 
 ``spectrum`` and ``map`` take the same ``--reducer`` grammar
 (``reducers.ReducerSpec.parse``) and ``--seed`` root, and turn a file into
@@ -29,17 +30,26 @@ through their module objects, which the package registers lazily, and
 never imports numpy itself. ``--version``, ``--help`` and usage
 errors load no numpy, ``gen`` never runs ``detector``, ``reducers``,
 ``spectral`` or ``mapping``, and ``spectrum`` never runs ``detector`` or
-``synthgen``. Every module a worker process uses is loaded before the pool
-forks (``build_benchmark`` loads ``synthgen``, ``load_images`` loads
-``detector``), so no worker loads one while another thread may run.
+``synthgen``. Every module a worker process uses is loaded before the
+workers fork (``build_benchmark`` loads ``synthgen``, ``load_images`` loads
+``detector``), so each worker shares the parent's copy instead of running
+its own.
 
 ``gen`` writes its images and ``report`` trains its seven detectors in
-worker processes, forked where the platform can fork, one per CPU the
-process may run on and never more than there are tasks; see
-:func:`_fork_map`. Each ``report`` worker multiplies matrices through
-numpy's BLAS, so keep BLAS at one thread per worker (for OpenBLAS,
-``OPENBLAS_NUM_THREADS=1``): the workers already fill the CPUs, and BLAS
-threads on top of them only contend for the same cores.
+worker processes that :func:`_fork_map` forks directly with ``os.fork``,
+one per CPU the process may run on and never more than there are tasks.
+Each worker computes a static share of the tasks and pipes its results
+back; if tasks fail, the earliest in task order gives the error line, and
+a failing share does not cancel the others. Each ``report`` worker
+multiplies matrices through numpy's BLAS, so keep BLAS at one thread per
+worker (for OpenBLAS, ``OPENBLAS_NUM_THREADS=1``): the workers already
+fill the CPUs, and BLAS threads on top of them only contend for the same
+cores.
+
+``python -m pixmap.cli`` and the ``pixmap`` script run :func:`main`
+through :func:`run_and_exit`, which flushes stdout and stderr and ends the
+process with ``os._exit``, skipping interpreter teardown; :func:`main`
+itself returns the exit code, for callers that run it in-process.
 """
 
 from __future__ import annotations
@@ -47,12 +57,15 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
+import errno
 import json
 import os
+import pickle
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NoReturn
 
 from . import __version__, detector, image, reducers, rng, spectral, synthgen
 from .config import DEFAULT_NOISE_SIGMA, UPSAMPLERS, TrainConfig
@@ -92,13 +105,28 @@ def _sidecar(out) -> Path:
 
 
 def _out_path(out) -> Path:
-    """``out`` as a Path, after a look at its directory: one that is missing raises the error writing would."""
+    """``out`` as a Path, after a look at it and its directory.
+
+    A missing directory raises the error writing would, and an output that
+    is an existing directory raises ``IsADirectoryError``, both naming ``out``.
+    """
     path = Path(out)
     try:
         os.stat(path.parent)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     return path
+
+
+def _out_paths(*outs) -> list:
+    """Each output through :func:`_out_path`, unset ones as None; two that resolve to one file are bad-usage."""
+    paths = [_out_path(out) if out else None for out in outs]
+    named = [path.resolve() for path in paths if path]
+    if len(set(named)) < len(named):
+        raise PixmapError("bad-usage", "two outputs name one file: " + " and ".join(str(o) for o in outs if o))
+    return paths
 
 
 def _write_run_manifest(args, started: float, run: _Run) -> None:
@@ -190,63 +218,74 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _fork_map(fn, items, initializer=None, initargs=()) -> list:
-    """``[fn(item) for item in items]``, computed in a pool of worker processes.
+def _fork_map(fn, items) -> list:
+    """``[fn(item) for item in items]``, computed in worker processes forked by ``os.fork``.
 
-    ``gen`` writes its image shares and ``report`` trains its rows through
-    this one pool. The pool has ``min(len(items), usable CPUs)`` workers (see
-    :func:`_usable_cpus`); there is no flag and no serial path, so one CPU
-    means one worker. Workers are forked where the platform can fork (the
-    platform default start method elsewhere), so they inherit the parent's
-    memory: state handed to ``initializer`` is never pickled, and only the
-    items and results cross a pipe. The pool forks every worker before it
-    starts its own management thread. ``fn`` must be a module-level
-    function, since it is pickled by name.
-
-    An exception raised by ``fn`` (a ``PixmapError``, an ``OSError``)
-    reaches the caller unchanged; a worker that dies raises
-    ``PixmapError("worker-failed")``. Either way the pending items are
-    cancelled and every worker is joined before this returns.
+    Worker ``k`` of ``w = min(len(items), usable CPUs)`` computes the static
+    share ``items[k::w]`` in order up to its first error, pipes back the
+    pickled results and error, and leaves by ``os._exit``, so ``fn`` may be
+    a closure. Without ``os.fork`` the items run in-process. A failing
+    share cancels no other, and every worker is reaped before this returns
+    or raises. The failed item earliest in item order raises its exception
+    here, unchanged; a worker that dies or sends nothing fails at its
+    share's first item, as ``PixmapError("worker-failed")``.
     """
-    # Imported here, not at the top: the commands without a pool should not
-    # pay for importing multiprocessing and concurrent.futures.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    pool = ProcessPoolExecutor(
-        min(len(items), _usable_cpus()),
-        mp_context=multiprocessing.get_context(method),
-        initializer=initializer,
-        initargs=initargs,
-    )
+    if not hasattr(os, "fork"):
+        return [fn(item) for item in items]
+    w = min(len(items), _usable_cpus())
+    children, replies, statuses = [], [], []
     try:
-        return list(pool.map(fn, items))
-    except BrokenProcessPool as exc:
-        raise PixmapError("worker-failed", str(exc)) from exc
+        for k in range(w):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _serve_share(fn, items[k::w], write_end)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        replies = [reply.read() for _, reply in children]
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for pid, reply in children:
+            reply.close()
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    results, failures = [None] * len(items), []
+    for k, ((pid, _), reply, status) in enumerate(zip(children, replies, statuses)):
+        try:
+            done, error = pickle.loads(reply)
+        except (EOFError, pickle.UnpicklingError):
+            done, error = [], PixmapError("worker-failed", f"worker {pid} sent no result (exit status {status})")
+        results[k : k + w * len(done) : w] = done
+        if error is not None:
+            failures.append((k + w * len(done), error))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
+
+
+def _serve_share(fn, share, write_end) -> NoReturn:
+    """Compute one :func:`_fork_map` share, pickle ``(results, error or None)`` to ``write_end``, ``os._exit``."""
+    done, error = [], None
+    try:
+        try:
+            for item in share:
+                done.append(fn(item))
+        except BaseException as exc:  # the parent raises it
+            error = exc
+        with open(write_end, "wb") as pipe:
+            pipe.write(pickle.dumps((done, error)))
+        os._exit(0)
+    finally:
+        os._exit(1)
 
 
 # --- subcommands ---------------------------------------------------------------
 
 
-def _materialize_share(share) -> None:
-    """Write one share of the corpus: ``share`` is the argument tuple of ``synthgen.materialize``."""
-    synthgen.materialize(*share)
-
-
 def _cmd_gen(args) -> _Run:
     splits = synthgen.build_benchmark(args.train_upsampler, args.test_upsampler, args.confound, args.n, args.seed)
     out_dir = Path(args.out)
-    # Each image depends only on its entry, so both splits' entries are dealt
-    # into one interleaved share per worker, and each worker writes its own files.
+    # Each image depends only on its entry, so the workers' shares mix both splits.
     entries = splits[0] + splits[1]
-    workers = min(_usable_cpus(), len(entries))
-    _fork_map(
-        _materialize_share, [(entries[k::workers], out_dir, args.size, args.noise_sigma) for k in range(workers)]
-    )
+    _fork_map(lambda entry: synthgen.materialize([entry], out_dir, args.size, args.noise_sigma), entries)
     outputs = [out_dir / f"{split}_manifest.csv" for split in ("train", "test")]
     for csv_path, split in zip(outputs, splits):
         synthgen.write_manifest_csv(csv_path, split)
@@ -267,8 +306,8 @@ def _reduce_file(path: Path, reducer, reducer_root: int, tag: str, crop_size=Non
 def _cmd_map(args) -> _Run:
     reducer = reducers.ReducerSpec.parse(args.reducer)
     reducer_root = rng.derive_seed(args.seed, "reducer")
-    in_path, out_path = Path(getattr(args, "in")), _out_path(args.out)
-    csv_path = _out_path(args.table_csv) if args.table_csv else None
+    in_path = Path(getattr(args, "in"))
+    out_path, csv_path = _out_paths(args.out, args.table_csv)
     # The tag spectrum gives this file when it reads the file's directory.
     tag = in_path.name
     # Fetched before anything is read or written: a reducer with no table is bad-usage.
@@ -287,8 +326,7 @@ def _cmd_map(args) -> _Run:
 def _cmd_spectrum(args) -> _Run:
     reducer = reducers.ReducerSpec.parse(args.reducer)
     in_dir = Path(getattr(args, "in"))
-    out_path = _out_path(args.out)
-    heatmap = _out_path(args.heatmap) if args.heatmap else None
+    out_path, heatmap = _out_paths(args.out, args.heatmap)
     paths = sorted(in_dir.rglob("*.ppm"))
     if not paths:
         raise PixmapError("empty-input", f"no .ppm files under {in_dir}")
@@ -347,19 +385,9 @@ def _cmd_eval(args) -> _Run:
     return _Run(_sidecar(out_path), {"reducer": reducer_seed}, [args.model, args.data], [out_path], summary=summary)
 
 
-# The decoded splits and the reducer seed of the report a worker serves. Set
-# only inside report worker processes, by _init_report_worker.
-_report_inputs = None
-
-
-def _init_report_worker(train_split, test_split, reducer_seed) -> None:
-    global _report_inputs
-    _report_inputs = (train_split, test_split, reducer_seed)
-
-
-def _report_row(run: TrainConfig) -> tuple[float, float, float]:
+def _report_row(run: TrainConfig, train_split, test_split, reducer_seed) -> tuple[float, float, float]:
     """Train one report detector and score it: (train_acc, test_acc, test_ap)."""
-    (train_entries, train_images), (test_entries, test_images), reducer_seed = _report_inputs
+    (train_entries, train_images), (test_entries, test_images) = train_split, test_split
     params, _ = detector.train(train_entries, train_images, run)
     train_scores = detector.evaluate(params, train_entries, train_images, run.reducer, reducer_seed, run.crop)
     test_scores = detector.evaluate(params, test_entries, test_images, run.reducer, reducer_seed, run.crop)
@@ -383,8 +411,8 @@ def run_experiment(data_dir, config: TrainConfig) -> str:
     The rows are computed by :func:`_fork_map`, each by :func:`_report_row`,
     in at most seven workers. A row depends only on the splits, its config
     and seeds derived from it, so the CSV is byte-identical whatever the
-    worker count. The workers inherit the decoded splits through the pool
-    initializer, and only the seven configs and result tuples cross a pipe.
+    worker count. The workers inherit the decoded splits and the configs
+    when they fork, and only the result tuples cross a pipe.
     """
     runs = [dataclasses.replace(config, reducer=reducers.ReducerSpec.parse(name)) for name in REPORT_REDUCERS]
     for run in runs:
@@ -392,9 +420,7 @@ def run_experiment(data_dir, config: TrainConfig) -> str:
     train_split = _load_split(data_dir, "train")
     test_split = _load_split(data_dir, "test")
     reducer_seed = rng.derive_seed(config.seed, "reducer")
-    rows = _fork_map(
-        _report_row, runs, initializer=_init_report_worker, initargs=(train_split, test_split, reducer_seed)
-    )
+    rows = _fork_map(lambda run: _report_row(run, train_split, test_split, reducer_seed), runs)
     header = ("reducer", "train_acc", "test_acc", "test_ap")
     return image.format_csv(header, [(name, *row) for name, row in zip(REPORT_REDUCERS, rows)])
 
@@ -516,5 +542,28 @@ def main(argv=None) -> int:
         return 1
 
 
+def run_and_exit(argv=None) -> NoReturn:
+    """Run :func:`main` as the ``pixmap`` program: flush stdout and stderr, then leave by ``os._exit``.
+
+    ``python -m pixmap.cli`` and the ``pixmap`` console script both come
+    here. Skipping interpreter teardown saves every command the tens of
+    milliseconds its garbage-collector passes take; every output file is
+    closed by then. A stdout flush that fails, as on a closed pipe, ends in
+    the one error line and exit code 1. argparse's ``--help`` and
+    ``--version`` exits leave the same way.
+    """
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's --help and --version
+        code = exc.code or 0
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: io: {exc}", file=sys.stderr)
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run_and_exit()

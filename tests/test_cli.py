@@ -2,12 +2,12 @@
 
 import dataclasses
 import json
-import multiprocessing
 import os
 import pickle
 import signal
 import subprocess
 import sys
+import time
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -22,6 +22,12 @@ from pixmap.image import encode_ppm
 from pixmap.reducers import ReducerSpec
 from pixmap.rng import derive_seed
 from pixmap.synthgen import build_benchmark, materialize, write_manifest_csv
+
+
+def _assert_no_child_left():
+    """The test process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def run_cli_error(capsys, argv):
@@ -243,7 +249,7 @@ def test_report_worker_error_keeps_error_contract(capsys, tmp_path):
         capsys, ["report", "--data", tmp_path, "--out", tmp_path / "r.csv", "--epochs", 1]
     )
     assert line.startswith("error: single-class: ")
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -255,7 +261,7 @@ def test_report_dead_worker_is_worker_failed(capsys, tmp_path, monkeypatch):
         capsys, ["report", "--data", tmp_path, "--out", tmp_path / "r.csv", "--epochs", 1]
     )
     assert line.startswith("error: worker-failed: ")
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -263,7 +269,7 @@ def test_report_equals_serial_oracle(capsys, tmp_path):
     data, out = tmp_path / "data", tmp_path / "r.csv"
     _gen_confound(data, 4)
     assert cli.main(["report", "--data", str(data), "--out", str(out), "--epochs", "1"]) == 0
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
     config = TrainConfig(reducer=ReducerSpec.parse("none"), epochs=1)
     train_entries, train_images = cli._load_split(data, "train")
     test_entries, test_images = cli._load_split(data, "test")
@@ -318,7 +324,7 @@ def _gen_and_serial_oracle(tmp_path, confound, n, train_upsampler, test_upsample
     argv = ["gen", "--out", str(data), "--n", str(n), "--size", "16", "--seed", "7",
             "--train-upsampler", train_upsampler, "--test-upsampler", test_upsampler]
     assert cli.main(argv + ["--confound"] * confound) == 0
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
     for split, entries in zip(("train", "test"), build_benchmark(train_upsampler, test_upsampler, confound, n, seed=7)):
         materialize(entries, oracle, 16, DEFAULT_NOISE_SIGMA)
         write_manifest_csv(oracle / f"{split}_manifest.csv", entries)
@@ -333,7 +339,7 @@ def test_gen_worker_io_error_keeps_error_contract(capsys, tmp_path):
     lines = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: io: "), lines
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
     assert list(tmp_path.glob("*_manifest.csv")) == []
 
 
@@ -341,7 +347,7 @@ def test_gen_dead_worker_is_worker_failed(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli.synthgen, "materialize", lambda *args: os._exit(3))  # forked workers inherit it
     line = run_cli_error(capsys, ["gen", "--out", tmp_path, "--n", 2, "--size", 16])
     assert line.startswith("error: worker-failed: ")
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
     assert list(tmp_path.glob("*_manifest.csv")) == []
 
 
@@ -353,18 +359,89 @@ def test_gen_worker_memory_error_is_one_error_line(capsys, tmp_path, monkeypatch
     monkeypatch.setattr(cli.synthgen, "generate", _generate_out_of_memory)  # forked workers inherit it
     line = run_cli_error(capsys, ["gen", "--out", tmp_path, "--n", 2, "--size", 16])
     assert line == "error: out-of-memory: Unable to allocate 22.4 TiB for an array with shape (1000000, 1000000, 3)"
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
     assert list(tmp_path.iterdir()) == []  # no train/, test/, manifest CSV or run.json
 
 
-def test_cli_import_loads_no_process_pool():
+def test_cli_import_loads_no_process_pool(tmp_path):
+    # gen and report fork their workers directly: no command needs a pool module.
     code = (
-        "import sys, pixmap.cli; "
+        "import sys, pixmap.cli; d = sys.argv[1]; "
+        "assert pixmap.cli.main(['gen', '--out', d, '--confound', '--n', '2', '--size', '32']) == 0; "
+        "assert pixmap.cli.main(['report', '--data', d, '--out', d + '/r.csv', '--epochs', '1']) == 0; "
         "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))"
     )
+    assert _python_last_line(code, tmp_path) == "[]"
+
+
+def test_fork_map_worker_system_exit_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+    def exit_at_two(item):
+        if item == 2:
+            raise SystemExit(7)
+        return item
+
+    pid = os.getpid()
+    with pytest.raises(SystemExit) as info:
+        cli._fork_map(exit_at_two, [0, 1, 2, 3])
+    assert info.value.code == 7
+    assert os.getpid() == pid
+    _assert_no_child_left()
+
+
+def test_fork_map_raises_the_earliest_failing_item(monkeypatch):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+    def fail_late(item):
+        # Worker 0 (items 0, 2, 4) fails at once on item 4's turn; worker 1
+        # fails later, at item 3, which comes first in item order.
+        if item == 3:
+            time.sleep(0.2)
+        if item in (3, 4):
+            raise PixmapError("io", f"item {item}")
+        return item
+
+    with pytest.raises(PixmapError, match="item 3"):
+        cli._fork_map(fail_late, list(range(6)))
+    _assert_no_child_left()
+
+
+def test_fork_map_without_fork_computes_in_process(monkeypatch):
+    items = list(range(5))
+    forked = cli._fork_map(lambda item: (item * item, os.getpid()), items)
+    assert [square for square, _ in forked] == [item * item for item in items]
+    assert os.getpid() not in {pid for _, pid in forked}
+    _assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert cli._fork_map(lambda item: (item * item, os.getpid()), items) == [(i * i, os.getpid()) for i in items]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_is_one_error_line(tmp_path, unbuffered):
+    _gen_confound(tmp_path, 2)
+    argv = [sys.executable, "-m", "pixmap.cli", "train", "--data", tmp_path, "--reducer", "none", "--epochs", 1,
+            "--out", tmp_path / "m.w1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), PYTHONUNBUFFERED=unbuffered)
+    if not unbuffered:
+        del env["PYTHONUNBUFFERED"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([str(a) for a in argv], stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, "error: io: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize(
+    "argv, code, out", [(["--version"], 0, f"pixmap {__version__}\n"), (["gen"], 2, "")], ids=["version", "usage"]
+)
+def test_module_entry_point_exit_code(argv, code, out):
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.strip() == "[]"
+    result = subprocess.run([sys.executable, "-m", "pixmap.cli", *argv], capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout) == (code, out)
+    assert result.stderr.count("\n") == (code != 0)
 
 
 def _python_last_line(code, *args):
@@ -533,7 +610,7 @@ def test_bad_setting_fails_before_writing(capsys, tmp_path, case):
     line = run_cli_error(capsys, argv)
     assert line.startswith(f"error: {code}: ")
     assert not out.exists()
-    assert multiprocessing.active_children() == []
+    _assert_no_child_left()
 
 
 # An absurd learning rate: at --epochs 2 the second step's update is not
@@ -732,11 +809,10 @@ def test_summary_is_printed_after_the_run_manifest(capsys, tmp_path):
 
 def test_failed_command_writes_no_run_manifest(capsys, tmp_path, small_corpus):
     out, heatmap = tmp_path / "p.csv", tmp_path / "h.pgm"
-    heatmap.mkdir()  # its directory exists, so the heatmap fails only when written
+    heatmap.mkdir()  # an output that is a directory fails before anything is written
     line = run_cli_error(capsys, ["spectrum", "--in", small_corpus, "--out", out, "--heatmap", heatmap])
-    assert line.startswith("error: io: ")
-    assert out.is_file()  # written before the heatmap failed
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.pgm", "p.csv"]
+    assert line == f"error: io: [Errno 21] Is a directory: '{heatmap}'"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["h.pgm"]
 
 
 @pytest.mark.parametrize(
@@ -754,6 +830,23 @@ def test_missing_output_directory_fails_before_reading(capsys, tmp_path, small_c
     missing = next(a for a in argv if Path(a).parent.name == "missing")
     line = run_cli_error(capsys, argv)
     assert line == f"error: io: [Errno 2] No such file or directory: '{missing}'"
+    assert reads == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [lambda t, img: ["map", "--in", img, "--reducer", "random", "--out", t / "P", "--table-csv", t / "P"],
+     lambda t, img: ["map", "--in", img, "--reducer", "random", "--out", t / "P", "--table-csv", f"{t}/./P"],
+     lambda t, img: ["spectrum", "--in", img.parent, "--out", t / "P", "--heatmap", t / "P"],
+     lambda t, img: ["spectrum", "--in", img.parent, "--out", f"{t}/./P", "--heatmap", t / "P"]],
+    ids=["map", "map-dot", "spectrum", "spectrum-dot"],
+)
+def test_two_outputs_naming_one_file_fail_before_reading(capsys, tmp_path, small_corpus, monkeypatch, command):
+    reads = []
+    monkeypatch.setattr(cli.image, "read_ppm", lambda *args: reads.append(args))
+    line = run_cli_error(capsys, command(tmp_path, small_corpus / "test" / "real_0000.ppm"))
+    assert line.startswith("error: bad-usage: two outputs name one file: ")
     assert reads == []
     assert list(tmp_path.iterdir()) == []
 
