@@ -394,8 +394,8 @@ def test_fork_map_raises_the_earliest_failing_item(monkeypatch):
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
 
     def fail_late(item):
-        # Worker 0 (items 0, 2, 4) fails at once on item 4's turn; worker 1
-        # fails later, at item 3, which comes first in item order.
+        # Worker 0 (items 0, 2, 4) fails first, at item 4; worker 1 (items
+        # 1, 3, 5) fails 0.2 s later at item 3, which comes first in item order.
         if item == 3:
             time.sleep(0.2)
         if item in (3, 4):
@@ -417,14 +417,15 @@ def test_fork_map_without_fork_computes_in_process(monkeypatch):
     assert cli._fork_map(lambda item: (item * item, os.getpid()), items) == [(i * i, os.getpid()) for i in items]
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_closed_stdout_is_one_error_line(tmp_path, unbuffered):
     _gen_confound(tmp_path, 2)
     argv = [sys.executable, "-m", "pixmap.cli", "train", "--data", tmp_path, "--reducer", "none", "--epochs", 1,
             "--out", tmp_path / "m.w1"]
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), PYTHONUNBUFFERED=unbuffered)
-    if not unbuffered:
-        del env["PYTHONUNBUFFERED"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
