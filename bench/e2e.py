@@ -27,8 +27,10 @@ rounds and the tree first in odd ones. For each command and side the JSON
 holds every run's wall time (``perf_counter`` around the child), CPU time
 (user plus system time from ``wait4``, which counts the worker processes
 the command reaped) and maximum RSS (``wait4``'s ``ru_maxrss``: the largest
-of the command and its reaped workers), with the median wall and CPU time
-and the largest RSS. Last, each side runs ``report --epochs 10`` on ``gen
+of the command and its reaped workers), with the median and quartiles of
+wall and CPU time and the largest RSS. The summary it prints gives each
+median with the base side's interquartile range, so a difference can be
+read against the spread of the base runs. Last, each side runs ``report --epochs 10`` on ``gen
 --confound --n 128 --seed 701`` once, and the JSON holds its CSV and the
 CSV's sha256, so a change that moves the accuracies shows.
 
@@ -71,6 +73,14 @@ def run(checkout: Path, args, cwd: Path) -> dict:
             detail = stderr.read().decode(errors="replace")
             raise SystemExit(f"{checkout}: pixmap {' '.join(map(str, args))} exited {proc.returncode}: {detail}")
     return {"wall_s": wall, "cpu_s": usage.ru_utime + usage.ru_stime, "rss_mib": usage.ru_maxrss / 1024.0}
+
+
+def quartiles(values) -> list[float]:
+    """First and third quartile of ``values``, by ``statistics.quantiles`` as perfbench/compare.py takes them."""
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return [q1, q3]
 
 
 def commit(checkout: Path) -> str | None:
@@ -150,7 +160,9 @@ def main(argv=None) -> int:
         results[name] = {
             side: {
                 "median_wall_s": statistics.median(r["wall_s"] for r in runs),
+                "quartiles_wall_s": quartiles([r["wall_s"] for r in runs]),
                 "median_cpu_s": statistics.median(r["cpu_s"] for r in runs),
+                "quartiles_cpu_s": quartiles([r["cpu_s"] for r in runs]),
                 "max_rss_mib": max(r["rss_mib"] for r in runs),
                 "runs": runs,
             }
@@ -166,10 +178,13 @@ def main(argv=None) -> int:
         "report_epochs_10": {"corpus": f"gen --confound --n 128 --seed {SEED}", **report_csv},
     }
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print("medians base -> tree, with the base side's interquartile range in brackets")
     for name, by_side in results.items():
         base, tree = by_side["base"], by_side["tree"]
-        print(f"{name:28s} wall {base['median_wall_s']:.3f} -> {tree['median_wall_s']:.3f} s   "
-              f"cpu {base['median_cpu_s']:.3f} -> {tree['median_cpu_s']:.3f} s   "
+        wall_iqr = base["quartiles_wall_s"][1] - base["quartiles_wall_s"][0]
+        cpu_iqr = base["quartiles_cpu_s"][1] - base["quartiles_cpu_s"][0]
+        print(f"{name:28s} wall {base['median_wall_s']:.3f} -> {tree['median_wall_s']:.3f} s [{wall_iqr:.3f}]   "
+              f"cpu {base['median_cpu_s']:.3f} -> {tree['median_cpu_s']:.3f} s [{cpu_iqr:.3f}]   "
               f"rss {base['max_rss_mib']:.2f} -> {tree['max_rss_mib']:.2f} MiB")
     same = report_csv["base"]["sha256"] == report_csv["tree"]["sha256"]
     print(f"report --epochs 10 CSV sha256: {report_csv['tree']['sha256']} ({'same' if same else 'DIFFERS'} on both sides)")

@@ -1,22 +1,22 @@
 """Command-line driver: gen / map / spectrum / train / eval / report.
 
-Each subcommand returns what it read and wrote, and :func:`main`, which
-times it, writes that as its JSON run manifest (atomically, via rename):
-flags, derived seeds, inputs, outputs, tool version and wall clock, next to
-the primary output as ``<out>.run.json`` (``gen``: ``run.json`` in its
-directory), and then prints the command's summary to stdout. A command that
-fails writes none, nor does ``eval`` without ``--out``, which only prints;
-the model's own ``.run.json`` sits next to the weights. The flags are the
-parsed flags, with ``reducer`` in canonical form (``ReducerSpec.canonical``)
-and every training setting as resolved from flags, config file and
-defaults. Deterministic subcommands reproduce byte-identical outputs when
-re-run with the flags stored in their manifest.
+Each subcommand reads its inputs and returns what it read and the bytes of
+the files it writes. :func:`main` times it, builds its JSON run manifest
+(flags, derived seeds, inputs, outputs, tool version and wall clock, with
+``duration_s`` ending before any write) as ``<out>.run.json`` next to the
+primary output (``gen``: ``run.json`` in its directory), writes the files
+and the manifest in one ``image.write_atomic`` call, all or none, and then
+prints the command's summary to stdout. A command that fails writes no
+file, nor does ``eval`` without ``--out``, which only prints. The flags are
+the parsed flags, with ``reducer`` in canonical form
+(``ReducerSpec.canonical``) and every training setting as resolved from
+flags, config file and defaults. Deterministic subcommands reproduce
+byte-identical outputs when re-run with the flags stored in their manifest.
 
 Errors print exactly one line to stderr, ``error: <code>: <detail>``, print
-nothing to stdout, and exit nonzero; exit code 0 means success. Every output
-path is checked before any input is read, so a missing directory, an output
-that is an existing directory, or two outputs that name one file
-(``bad-usage``) fail before anything is decoded or written.
+nothing to stdout, and exit nonzero; exit code 0 means success. Every
+command but ``gen`` checks its outputs in :func:`_out_paths` before it reads
+any input, so a bad output path fails before anything is decoded or written.
 
 ``spectrum`` and ``map`` take the same ``--reducer`` grammar
 (``reducers.ReducerSpec.parse``) and ``--seed`` root, and turn a file into
@@ -84,17 +84,18 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclasses.dataclass(frozen=True)
 class _Run:
-    """What a command read and wrote: :func:`main` writes it to ``manifest``, then prints ``summary``.
+    """What a command read and the bytes it writes: :func:`main` writes ``files`` together with ``manifest``.
 
-    ``manifest`` is None for ``eval`` without ``--out``, which writes no
-    file. ``config`` holds the resolved training settings of ``train`` and
-    ``report``.
+    ``files`` maps each output path to its bytes, in the run manifest's
+    order. ``manifest`` is None for ``eval`` without ``--out``, which writes
+    no file. ``config`` holds the resolved training settings of ``train``
+    and ``report``; ``summary`` is printed last.
     """
 
     manifest: Path | None
     seeds: dict
     inputs: list
-    outputs: list
+    files: dict
     config: TrainConfig | None = None
     summary: str = ""
 
@@ -104,33 +105,39 @@ def _sidecar(out) -> Path:
     return Path(f"{out}.run.json")
 
 
-def _out_path(out) -> Path:
-    """``out`` as a Path, after a look at it and its directory.
+def _out_paths(*outs, reads=()) -> list:
+    """Each output as a Path, unset ones as None, after checks that read no input.
 
-    A missing directory raises the error writing would, and an output that
-    is an existing directory raises ``IsADirectoryError``, both naming ``out``.
+    An output whose directory is missing or is not a directory raises the
+    error writing would, and one that is an existing directory raises
+    ``IsADirectoryError``, each naming the output. Two outputs that resolve
+    to one file, an output that is the first one's run manifest, and an
+    output that exists and resolves to one of the files in ``reads`` are
+    ``bad-usage``; ``reads`` is resolved only when some output exists.
     """
-    path = Path(out)
-    try:
-        os.stat(path.parent)
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
-    if path.is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    return path
-
-
-def _out_paths(*outs) -> list:
-    """Each output through :func:`_out_path`, unset ones as None; two that resolve to one file are bad-usage."""
-    paths = [_out_path(out) if out else None for out in outs]
-    named = [path.resolve() for path in paths if path]
+    given = [out for out in outs if out]
+    for out in given:
+        try:
+            os.stat(os.path.join(Path(out).parent, ""))  # the separator makes a file parent ENOTDIR
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(out)) from exc
+        if os.path.isdir(out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out))
+    named = [Path(out).resolve() for out in given]
     if len(set(named)) < len(named):
-        raise PixmapError("bad-usage", "two outputs name one file: " + " and ".join(str(o) for o in outs if o))
-    return paths
+        raise PixmapError("bad-usage", "two outputs name one file: " + " and ".join(map(str, given)))
+    manifest = _sidecar(given[0]).resolve() if given else None
+    inputs = {Path(r).resolve() for r in reads if r} if any(map(os.path.exists, given)) else set()
+    for out, name in zip(given, named):
+        if name == manifest:
+            raise PixmapError("bad-usage", f"an output names the run manifest: {out}")
+        if name in inputs:
+            raise PixmapError("bad-usage", f"an output names an input file: {out}")
+    return [Path(out) if out else None for out in outs]
 
 
-def _write_run_manifest(args, started: float, run: _Run) -> None:
-    """Write a finished command's ``run.json``; only :func:`main` calls this, so a failed command writes none.
+def _run_manifest(args, started: float, run: _Run) -> bytes:
+    """A finished command's ``run.json``; its ``duration_s`` ends here, before :func:`main` writes anything.
 
     The flags are the parsed ``args``, with a ``reducer`` flag in canonical
     form and every TrainConfig setting at its value in ``run.config``.
@@ -146,11 +153,11 @@ def _write_run_manifest(args, started: float, run: _Run) -> None:
         "seeds": run.seeds,
         "version": __version__,
         "inputs": [str(p) for p in run.inputs],
-        "outputs": [str(p) for p in run.outputs],
+        "outputs": [str(p) for p in run.files],
         "started_utc": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
         "duration_s": round(time.time() - started, 3),
     }
-    image.write_atomic(run.manifest, (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode("ascii"))
+    return (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode("ascii")
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -286,11 +293,10 @@ def _cmd_gen(args) -> _Run:
     # Each image depends only on its entry, so the workers' shares mix both splits.
     entries = splits[0] + splits[1]
     _fork_map(lambda entry: synthgen.materialize([entry], out_dir, args.size, args.noise_sigma), entries)
-    outputs = [out_dir / f"{split}_manifest.csv" for split in ("train", "test")]
-    for csv_path, split in zip(outputs, splits):
-        synthgen.write_manifest_csv(csv_path, split)
+    names = [out_dir / f"{split}_manifest.csv" for split in ("train", "test")]
+    files = {name: synthgen.manifest_csv(split) for name, split in zip(names, splits)}
     summary = f"wrote {len(entries)} images under {out_dir}\n"
-    return _Run(out_dir / "run.json", {"root": args.seed}, [], outputs, summary=summary)
+    return _Run(out_dir / "run.json", {"root": args.seed}, [], files, summary=summary)
 
 
 def _reduce_file(path: Path, reducer, reducer_root: int, tag: str, crop_size=None):
@@ -307,51 +313,47 @@ def _cmd_map(args) -> _Run:
     reducer = reducers.ReducerSpec.parse(args.reducer)
     reducer_root = rng.derive_seed(args.seed, "reducer")
     in_path = Path(getattr(args, "in"))
-    out_path, csv_path = _out_paths(args.out, args.table_csv)
+    out_path, csv_path = _out_paths(args.out, args.table_csv, reads=[in_path])
     # The tag spectrum gives this file when it reads the file's directory.
     tag = in_path.name
     # Fetched before anything is read or written: a reducer with no table is bad-usage.
     tables = reducers.mapping_tables(reducer, reducer_root, [(tag,)])[0] if csv_path else None
     reduced = _reduce_file(in_path, reducer, reducer_root, tag)
-    image.write_imagef(out_path, reduced.transpose(1, 2, 0))
-    outputs = [out_path]
+    files = {out_path: image.encode_imagef(reduced.transpose(1, 2, 0))}
     if tables is not None:
         header = ("value", "output") if len(tables) == 1 else ("value", "ch0", "ch1", "ch2")
         rows = [(v, *row) for v, row in enumerate(tables.T.tolist())]
-        image.write_atomic(csv_path, image.format_csv(header, rows).encode("ascii"))
-        outputs.append(csv_path)
-    return _Run(_sidecar(out_path), {"reducer": reducer_root}, [getattr(args, "in")], outputs)
+        files[csv_path] = image.format_csv(header, rows).encode("ascii")
+    return _Run(_sidecar(out_path), {"reducer": reducer_root}, [getattr(args, "in")], files)
 
 
 def _cmd_spectrum(args) -> _Run:
     reducer = reducers.ReducerSpec.parse(args.reducer)
     in_dir = Path(getattr(args, "in"))
-    out_path, heatmap = _out_paths(args.out, args.heatmap)
     paths = sorted(in_dir.rglob("*.ppm"))
+    out_path, heatmap = _out_paths(args.out, args.heatmap, reads=paths)
     if not paths:
         raise PixmapError("empty-input", f"no .ppm files under {in_dir}")
     reducer_root = rng.derive_seed(args.seed, "reducer")
     power = spectral.mean_spectrum_chw(
         _reduce_file(p, reducer, reducer_root, p.relative_to(in_dir).as_posix(), args.crop) for p in paths
     )
-    image.write_atomic(out_path, spectral.profile_csv(*spectral.azimuthal_profile(power)).encode("ascii"))
-    outputs = [out_path]
+    files = {out_path: spectral.profile_csv(*spectral.azimuthal_profile(power)).encode("ascii")}
     if heatmap is not None:
-        image.write_pgm(heatmap, spectral.heatmap_u8(power))
-        outputs.append(heatmap)
-    return _Run(_sidecar(out_path), {"reducer": reducer_root}, paths, outputs)
+        files[heatmap] = image.encode_pgm(spectral.heatmap_u8(power))
+    return _Run(_sidecar(out_path), {"reducer": reducer_root}, paths, files)
 
 
 def _cmd_train(args) -> _Run:
     reducer = reducers.ReducerSpec.parse(args.reducer)
     config = _resolve_train_config(args, reducer)
-    out_path = _out_path(args.out)
+    (out_path,) = _out_paths(args.out, reads=[Path(args.data) / "train_manifest.csv", args.config])
     entries, images = _load_split(args.data, "train")
     params, trace = detector.train(entries, images, config)
     reducer_seed = rng.derive_seed(config.seed, "reducer")
-    detector.save_params(out_path, params, reducer, reducer_seed, config.crop)
+    files = {out_path: detector.encode_params(params, reducer, reducer_seed, config.crop)}
     seeds = {"root": config.seed, "init": rng.derive_seed(config.seed, "init"), "reducer": reducer_seed}
-    return _Run(_sidecar(out_path), seeds, [args.data], [out_path], config, f"final_epoch_loss={trace[-1]!r}\n")
+    return _Run(_sidecar(out_path), seeds, [args.data], files, config, f"final_epoch_loss={trace[-1]!r}\n")
 
 
 def _average_precision(scores, labels) -> float:
@@ -360,7 +362,7 @@ def _average_precision(scores, labels) -> float:
 
 
 def _cmd_eval(args) -> _Run:
-    out_path = _out_path(args.out) if args.out else None
+    (out_path,) = _out_paths(args.out, reads=[args.model, Path(args.data) / f"{args.split}_manifest.csv"])
     params, model_reducer, reducer_seed, crop_size = detector.load_params(args.model)
     got, trained = reducers.ReducerSpec.parse(args.reducer).canonical(), model_reducer.canonical()
     if got != trained:
@@ -371,7 +373,7 @@ def _cmd_eval(args) -> _Run:
     accuracy, ap = detector.accuracy_at_half(scores, labels), _average_precision(scores, labels)
     summary = f"accuracy={accuracy!r}\naverage_precision={ap!r}\nn={len(entries)}\n"
     if out_path is None:
-        return _Run(None, {}, [], [], summary=summary)
+        return _Run(None, {}, [], {}, summary=summary)
     rows = []
     for tag in sorted({e.generator for e in entries}):
         # A generator's fakes are scored against all reals; the reals have no AP of their own.
@@ -380,9 +382,8 @@ def _cmd_eval(args) -> _Run:
         tag_ap = detector.average_precision(pool_scores, pool_labels) if tag != "real" and 0 in pool_labels else ""
         n = sum(e.generator == tag for e in entries)
         rows.append((tag, n, detector.accuracy_at_half(pool_scores, pool_labels), tag_ap))
-    csv_text = image.format_csv(("generator", "n", "accuracy", "average_precision"), rows)
-    image.write_atomic(out_path, csv_text.encode("ascii"))
-    return _Run(_sidecar(out_path), {"reducer": reducer_seed}, [args.model, args.data], [out_path], summary=summary)
+    files = {out_path: image.format_csv(("generator", "n", "accuracy", "average_precision"), rows).encode("ascii")}
+    return _Run(_sidecar(out_path), {"reducer": reducer_seed}, [args.model, args.data], files, summary=summary)
 
 
 def _report_row(run: TrainConfig, train_split, test_split, reducer_seed) -> tuple[float, float, float]:
@@ -428,10 +429,10 @@ def run_experiment(data_dir, config: TrainConfig) -> str:
 def _cmd_report(args) -> _Run:
     # run_experiment swaps in each reducer; the first one only fills the field.
     config = _resolve_train_config(args, reducers.ReducerSpec.parse(REPORT_REDUCERS[0]))
-    out_path = _out_path(args.out)
+    (out_path,) = _out_paths(args.out, reads=[Path(args.data) / f"{s}_manifest.csv" for s in ("train", "test")])
     csv_text = run_experiment(args.data, config)
-    image.write_atomic(out_path, csv_text.encode("ascii"))
-    return _Run(_sidecar(out_path), {"root": config.seed}, [args.data], [out_path], config, csv_text)
+    files = {out_path: csv_text.encode("ascii")}
+    return _Run(_sidecar(out_path), {"root": config.seed}, [args.data], files, config, csv_text)
 
 
 # --- parser --------------------------------------------------------------------
@@ -528,7 +529,7 @@ def main(argv=None) -> int:
         started = time.time()
         run = args.func(args)
         if run.manifest is not None:
-            _write_run_manifest(args, started, run)
+            image.write_atomic({**run.files, run.manifest: _run_manifest(args, started, run)})
         print(run.summary, end="")
         return 0
     except PixmapError as exc:

@@ -429,8 +429,8 @@ def evaluate(
 _W1_MAGIC = "PIXMAP-W1"
 
 
-def save_params(path, params: dict[str, np.ndarray], reducer: ReducerSpec, reducer_seed: int, crop_size: int) -> None:
-    """Write weights as text, atomically: magic, preprocessing identity, tensors.
+def encode_params(params: dict[str, np.ndarray], reducer: ReducerSpec, reducer_seed: int, crop_size: int) -> bytes:
+    """Weights as text: magic, preprocessing identity, tensors.
 
     Values use shortest round-trip decimals, so load_params recovers the
     exact float64 bits.
@@ -445,11 +445,15 @@ def save_params(path, params: dict[str, np.ndarray], reducer: ReducerSpec, reduc
         dims = " ".join(str(d) for d in arr.shape)
         lines.append(f"tensor {name} {dims}")
         lines += format_rows(arr.reshape(arr.shape[0], -1))
-    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def save_params(path, params: dict[str, np.ndarray], reducer: ReducerSpec, reducer_seed: int, crop_size: int) -> None:
+    write_atomic({path: encode_params(params, reducer, reducer_seed, crop_size)})
 
 
 def load_params(path) -> tuple[dict[str, np.ndarray], ReducerSpec, int, int]:
-    """Inverse of save_params; returns (params, reducer, reducer_seed, crop).
+    """Read the weights file at ``path``, the inverse of :func:`encode_params`: (params, reducer, reducer_seed, crop).
 
     A bad file raises PixmapError with code ``unsupported-format`` (not an
     ASCII weights file), ``malformed-header`` (a bad header or tensor line,

@@ -17,9 +17,9 @@ File formats:
   report, mapping tables) goes through :func:`format_csv`.
 * PGM ``P5`` is write-only, for grayscale heatmap export.
 
-Every file writer in the package goes through :func:`write_atomic`, so a
-crash never leaves a partial file under the target name, and every text
-reader through :func:`read_ascii_lines`.
+Every format has an encoder that returns bytes. Files reach the disk through
+:func:`write_atomic`, all of a set or none, never as a partial file under a
+target name; every text reader goes through :func:`read_ascii_lines`.
 """
 
 from __future__ import annotations
@@ -33,26 +33,31 @@ from .errors import PixmapError
 from .rng import SplitMix64
 
 
-def write_atomic(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a unique temp file and ``os.replace``.
+def write_atomic(files) -> None:
+    """Write each ``path: bytes`` item of ``files`` to a unique temp file, then ``os.replace`` them in order.
 
-    The temp file sits in the target's directory, so the rename is atomic:
-    readers see the old file or the new one, never a partial write, and
-    concurrent writers of one target never share a temp file.
+    Each temp file sits in its target's directory, so each rename is atomic
+    and concurrent writers of one target never share a temp file. All temp
+    files are written before the first rename, so a failure while writing
+    them (a missing directory, a full disk, data that is not bytes) removes
+    them and leaves every target as it was. An ``OSError`` names the target.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    staged = []
     try:
-        fh = open(tmp, "xb")
-        try:
-            with fh:
+        for path, data in files.items():
+            path = Path(path)
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+            with open(tmp, "xb") as fh:
+                staged.append(tmp)
                 fh.write(data)
+        for tmp, path in zip(staged, files):
             os.replace(tmp, path)
-        except BaseException:
+    except BaseException as exc:
+        for tmp in staged:
             tmp.unlink(missing_ok=True)
-            raise
-    except OSError as exc:  # name the target: the temp name differs on every run
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        if isinstance(exc, OSError):  # the temp name differs on every run
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
 
 
 def read_ascii_lines(path, code: str, detail: str) -> list[str]:
@@ -145,13 +150,13 @@ def encode_ppm(img: np.ndarray) -> bytes:
     return f"P6\n{w} {h}\n255\n".encode("ascii") + img.tobytes()
 
 
-def write_pgm(path, gray: np.ndarray) -> None:
-    """Write a 2-D uint8 array as binary PGM (P5, maxval 255)."""
+def encode_pgm(gray: np.ndarray) -> bytes:
+    """Encode a 2-D uint8 array as binary PGM (P5, maxval 255)."""
     gray = np.asarray(gray)
     if gray.ndim != 2 or gray.dtype != np.uint8:
         raise PixmapError("bad-shape", "PGM writer needs a 2-D uint8 array")
     h, w = gray.shape
-    write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + gray.tobytes())
+    return f"P5\n{w} {h}\n255\n".encode("ascii") + gray.tobytes()
 
 
 # --- crop and quantization --------------------------------------------------
@@ -244,16 +249,16 @@ def parse_rows(lines, n_rows: int, width: int, what: str) -> np.ndarray:
 _IMF_MAGIC = "PIXMAP-IMF1"
 
 
-def write_imagef(path, x: np.ndarray) -> None:
-    """Write an H x W x C float64 array as text: magic, dims, one line of decimals per row."""
+def encode_imagef(x: np.ndarray) -> bytes:
+    """Encode an H x W x C float64 array as text: magic, dims, one line of decimals per row."""
     h, w, c = x.shape
     lines = [_IMF_MAGIC, f"{h} {w} {c}"]
     lines += format_rows(x.reshape(h, w * c))
-    write_atomic(path, ("\n".join(lines) + "\n").encode("ascii"))
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 def read_imagef(path) -> np.ndarray:
-    """Read a PIXMAP-IMF1 file; exact inverse of :func:`write_imagef`.
+    """Read a PIXMAP-IMF1 file; exact inverse of :func:`encode_imagef`.
 
     A bad file raises PixmapError with code ``unsupported-format`` (not an
     ASCII IMF file), ``malformed-header`` (a bad dimensions line),

@@ -267,20 +267,25 @@ def materialize(entries, out_dir, size: int, noise_sigma: float) -> None:
         data = encode_ppm(generate(entry, size, noise_sigma))
         target = root / entry.path
         target.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(target, data)
+        write_atomic({target: data})
 
 
 _MANIFEST_FIELDS = ("path", "label", "generator", "family", "seed")
 _MANIFEST_HEADER = ",".join(_MANIFEST_FIELDS)
 
 
-def write_manifest_csv(path, entries) -> None:
+def manifest_csv(entries) -> bytes:
+    """The manifest CSV of a split's entries: one row of path, label, generator, family and seed per entry."""
     rows = [(e.path, e.label, e.generator, e.family, e.seed) for e in entries]
-    write_atomic(path, format_csv(_MANIFEST_FIELDS, rows).encode("ascii"))
+    return format_csv(_MANIFEST_FIELDS, rows).encode("ascii")
+
+
+def write_manifest_csv(path, entries) -> None:
+    write_atomic({path: manifest_csv(entries)})
 
 
 def read_manifest_csv(path) -> tuple[ManifestEntry, ...]:
-    """Inverse of :func:`write_manifest_csv`.
+    """Inverse of :func:`manifest_csv`.
 
     Non-ASCII bytes, a wrong header or field count, a non-integer label or
     seed, an absolute path or one with a ``..`` part, a path that appears

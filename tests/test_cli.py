@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import pickle
+import shutil
 import signal
 import subprocess
 import sys
@@ -817,22 +818,30 @@ def test_failed_command_writes_no_run_manifest(capsys, tmp_path, small_corpus):
 
 
 @pytest.mark.parametrize(
-    "command",
-    [lambda t, img: ["map", "--in", img, "--reducer", "random", "--out", t / "m.imf",
-                     "--table-csv", t / "missing" / "t.csv"],
-     lambda t, img: ["spectrum", "--in", img.parent, "--out", t / "missing" / "s.csv"],
-     lambda t, img: ["spectrum", "--in", img.parent, "--out", t / "s.csv", "--heatmap", t / "missing" / "h.pgm"]],
-    ids=["map-table", "spectrum-out", "spectrum-heatmap"],
+    "command, parent_is_file",
+    [(lambda t, img: ["map", "--in", img, "--reducer", "random", "--out", t / "m.imf",
+                      "--table-csv", t / "missing" / "t.csv"], False),
+     (lambda t, img: ["spectrum", "--in", img.parent, "--out", t / "missing" / "s.csv"], False),
+     (lambda t, img: ["spectrum", "--in", img.parent, "--out", t / "s.csv",
+                      "--heatmap", t / "missing" / "h.pgm"], False),
+     (lambda t, img: ["spectrum", "--in", img.parent, "--out", t / "s.csv",
+                      "--heatmap", t / "missing" / "h.pgm"], True)],
+    ids=["map-table", "spectrum-out", "spectrum-heatmap", "parent-is-file"],
 )
-def test_missing_output_directory_fails_before_reading(capsys, tmp_path, small_corpus, monkeypatch, command):
+def test_missing_output_directory_fails_before_reading(
+    capsys, tmp_path, small_corpus, monkeypatch, command, parent_is_file
+):
     reads = []
     monkeypatch.setattr(cli.image, "read_ppm", lambda *args: reads.append(args))
+    if parent_is_file:
+        (tmp_path / "missing").write_bytes(b"")
     argv = command(tmp_path, small_corpus / "test" / "real_0000.ppm")
     missing = next(a for a in argv if Path(a).parent.name == "missing")
     line = run_cli_error(capsys, argv)
-    assert line == f"error: io: [Errno 2] No such file or directory: '{missing}'"
+    error = "[Errno 20] Not a directory" if parent_is_file else "[Errno 2] No such file or directory"
+    assert line == f"error: io: {error}: '{missing}'"
     assert reads == []
-    assert list(tmp_path.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == (["missing"] if parent_is_file else [])
 
 
 @pytest.mark.parametrize(
@@ -849,6 +858,74 @@ def test_two_outputs_naming_one_file_fail_before_reading(capsys, tmp_path, small
     line = run_cli_error(capsys, command(tmp_path, small_corpus / "test" / "real_0000.ppm"))
     assert line.startswith("error: bad-usage: two outputs name one file: ")
     assert reads == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [lambda t, img: ["map", "--in", img, "--reducer", "random", "--out", t / "T.imf",
+                     "--table-csv", t / "T.imf.run.json"],
+     lambda t, img: ["map", "--in", img, "--reducer", "random", "--out", f"{t}/./T.imf",
+                     "--table-csv", t / "T.imf.run.json"],
+     lambda t, img: ["spectrum", "--in", img.parent, "--out", t / "P", "--heatmap", t / "P.run.json"],
+     lambda t, img: ["spectrum", "--in", img.parent, "--out", t / "P", "--heatmap", f"{t}/./P.run.json"]],
+    ids=["map", "map-dot", "spectrum", "spectrum-dot"],
+)
+def test_output_naming_the_run_manifest_fails_before_reading(capsys, tmp_path, small_corpus, monkeypatch, command):
+    reads = []
+    monkeypatch.setattr(cli.image, "read_ppm", lambda *args: reads.append(args))
+    argv = command(tmp_path, small_corpus / "test" / "real_0000.ppm")
+    line = run_cli_error(capsys, argv)
+    assert line == f"error: bad-usage: an output names the run manifest: {argv[-1]}"
+    assert reads == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "command",
+    [lambda d, m, c: ["map", "--in", d / "test" / "real_0000.ppm", "--reducer", "none",
+                      "--out", d / "test" / "real_0000.ppm"],
+     lambda d, m, c: ["map", "--in", d / "test" / "real_0000.ppm", "--reducer", "random", "--out", d / "m.imf",
+                      "--table-csv", f"{d}/test/./real_0000.ppm"],
+     lambda d, m, c: ["spectrum", "--in", d, "--out", d / "p.csv", "--heatmap", d / "train" / "fake_0001.ppm"],
+     lambda d, m, c: ["eval", "--model", m, "--data", d, "--reducer", "none", "--out", d / "test_manifest.csv"],
+     lambda d, m, c: ["eval", "--model", m, "--data", d, "--reducer", "none", "--out", m],
+     lambda d, m, c: ["eval", "--model", m, "--data", d, "--reducer", "none", "--split", "train",
+                      "--out", d / "train_manifest.csv"],
+     lambda d, m, c: ["train", "--data", d, "--reducer", "none", "--out", d / "train_manifest.csv"],
+     lambda d, m, c: ["train", "--data", d, "--reducer", "none", "--config", c, "--out", c],
+     lambda d, m, c: ["report", "--data", d, "--out", d / "train_manifest.csv"],
+     lambda d, m, c: ["report", "--data", d, "--out", f"{d}//test_manifest.csv"]],
+    ids=["map", "map-table", "spectrum", "eval", "eval-model", "eval-train", "train", "train-config",
+         "report-train", "report-test"],
+)
+def test_output_naming_an_input_fails_before_reading(capsys, tmp_path, small_corpus, monkeypatch, command):
+    data, model, config = tmp_path / "data", tmp_path / "m.w1", tmp_path / "c.txt"
+    shutil.copytree(small_corpus, data)
+    save_params(model, init_params(1), ReducerSpec.parse("none"), reducer_seed=1, crop_size=8)
+    config.write_text("epochs=1\n")
+    before = _file_bytes(tmp_path)
+    reads = []
+    for module, name in ((cli.image, "read_ppm"), (cli.synthgen, "read_manifest_csv"), (cli.detector, "load_params")):
+        monkeypatch.setattr(module, name, lambda *args: reads.append(args))
+    argv = command(data, model, config)
+    line = run_cli_error(capsys, argv)
+    assert line == f"error: bad-usage: an output names an input file: {argv[-1]}"
+    assert reads == []
+    assert _file_bytes(tmp_path) == before
+
+
+def test_failed_staging_writes_no_output(capsys, tmp_path, small_corpus, monkeypatch):
+    out, heatmap = tmp_path / "p.csv", tmp_path / "h.pgm"
+
+    def fail_heatmap(path, mode):
+        if Path(path).name.startswith(".h.pgm."):
+            raise OSError(28, "No space left on device", str(path))
+        return open(path, mode)
+
+    monkeypatch.setattr(cli.image, "open", fail_heatmap, raising=False)
+    line = run_cli_error(capsys, ["spectrum", "--in", small_corpus, "--out", out, "--heatmap", heatmap])
+    assert line == f"error: io: [Errno 28] No space left on device: '{heatmap}'"
     assert list(tmp_path.iterdir()) == []
 
 

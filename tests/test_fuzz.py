@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pixmap.cli import _load_config_file
-from pixmap.detector import init_params, load_params, save_params
+from pixmap.detector import encode_params, init_params, load_params
 from pixmap.errors import PixmapError
-from pixmap.image import decode_ppm, parse_rows, read_imagef, write_imagef
+from pixmap.image import decode_ppm, encode_imagef, parse_rows, read_imagef
 from pixmap.reducers import ReducerSpec
 from pixmap.synthgen import read_manifest_csv
 
@@ -136,17 +136,8 @@ def mutated_text(draw, base: str):
     return data + draw(st.sampled_from([b"", b"", b"", b"\xff", b"\x00", b"1 2\n"]))
 
 
-def _written(write) -> str:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "base.txt"
-        write(path)
-        return path.read_text()
-
-
-_IMF_TEXT = _written(lambda p: write_imagef(p, np.arange(12.0).reshape(2, 3, 2) / 7))
-_W1_TEXT = _written(
-    lambda p: save_params(p, init_params(3), ReducerSpec.parse("shuffle:8"), reducer_seed=5, crop_size=32)
-)
+_IMF_TEXT = encode_imagef(np.arange(12.0).reshape(2, 3, 2) / 7).decode("ascii")
+_W1_TEXT = encode_params(init_params(3), ReducerSpec.parse("shuffle:8"), reducer_seed=5, crop_size=32).decode("ascii")
 
 
 @FUZZ

@@ -7,13 +7,13 @@ from pixmap.errors import PixmapError
 from pixmap.image import (
     crop,
     decode_ppm,
+    encode_imagef,
     encode_ppm,
     format_csv,
     quantize,
     read_imagef,
     read_ppm,
     write_atomic,
-    write_imagef,
 )
 from pixmap.rng import SplitMix64
 
@@ -207,21 +207,17 @@ def test_imagef_file_round_trip_exact(tmp_path):
     rng = SplitMix64(77)
     data = rng.uniforms(5 * 4 * 3, -1.5, 1.5).reshape(5, 4, 3)
     path = tmp_path / "x.imf"
-    write_imagef(path, data)
+    path.write_bytes(encode_imagef(data))
     assert np.array_equal(read_imagef(path), data)
-    # writing again produces identical bytes
-    path2 = tmp_path / "y.imf"
-    write_imagef(path2, data)
-    assert path.read_bytes() == path2.read_bytes()
+    # encoding again produces identical bytes
+    assert encode_imagef(data) == path.read_bytes()
 
 
-def test_write_imagef_of_strided_view_matches_contiguous_copy(tmp_path):
+def test_encode_imagef_of_strided_view_matches_contiguous_copy():
     chw = SplitMix64(78).uniforms(3 * 5 * 4, -1.5, 1.5).reshape(3, 5, 4)
     view = chw.transpose(1, 2, 0)
     assert not view.flags.c_contiguous
-    write_imagef(tmp_path / "view.imf", view)
-    write_imagef(tmp_path / "copy.imf", np.ascontiguousarray(view))
-    assert (tmp_path / "view.imf").read_bytes() == (tmp_path / "copy.imf").read_bytes()
+    assert encode_imagef(view) == encode_imagef(np.ascontiguousarray(view))
 
 
 @pytest.mark.parametrize(
@@ -256,10 +252,32 @@ def test_format_csv():
 
 def test_write_atomic_keeps_old_file_on_failure(tmp_path):
     path = tmp_path / "out.bin"
-    write_atomic(path, b"old")
+    write_atomic({path: b"old"})
     with pytest.raises(TypeError):
-        write_atomic(path, "not bytes")
+        write_atomic({path: "not bytes"})
     assert path.read_bytes() == b"old"
     assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]  # temp file removed
-    write_atomic(path, b"new")
+    write_atomic({path: b"new"})
     assert path.read_bytes() == b"new"
+
+
+@pytest.mark.parametrize(
+    "name, data, error",
+    [("b.bin", "not bytes", TypeError), ("missing/b.bin", b"B", FileNotFoundError)],
+    ids=["not-bytes", "missing-directory"],
+)
+def test_write_atomic_mapping_is_all_or_nothing(tmp_path, name, data, error):
+    first = tmp_path / "a.bin"
+    first.write_bytes(b"old")
+    with pytest.raises(error):
+        write_atomic({first: b"new", tmp_path / name: data})
+    assert first.read_bytes() == b"old"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]  # no temp file, no second target
+
+
+def test_write_atomic_writes_every_file(tmp_path):
+    files = {tmp_path / "a.bin": b"A", tmp_path / "b.bin": b"", str(tmp_path / "c.bin"): b"C" * 5}
+    write_atomic(files)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {"a.bin": b"A", "b.bin": b"", "c.bin": b"CCCCC"}
+    write_atomic({})
+    assert len(list(tmp_path.iterdir())) == 3
