@@ -30,9 +30,10 @@ the command reaped) and maximum RSS (``wait4``'s ``ru_maxrss``: the largest
 of the command and its reaped workers), with the median and quartiles of
 wall and CPU time and the largest RSS. The summary it prints gives each
 median with the base side's interquartile range, so a difference can be
-read against the spread of the base runs. Last, each side runs ``report --epochs 10`` on ``gen
---confound --n 128 --seed 701`` once, and the JSON holds its CSV and the
-CSV's sha256, so a change that moves the accuracies shows.
+read against the spread of the base runs. Last, each side runs ``report
+--epochs 10`` on ``gen --confound --n 128 --seed 701`` once, and the JSON
+holds its CSV and the CSV's sha256, so a change that moves the accuracies
+shows.
 
 The JSON also records the numpy version and its BLAS, the CPU count, the
 BLAS thread setting and each side's git commit (with ``-dirty`` when its

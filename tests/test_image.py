@@ -273,11 +273,3 @@ def test_write_atomic_mapping_is_all_or_nothing(tmp_path, name, data, error):
         write_atomic({first: b"new", tmp_path / name: data})
     assert first.read_bytes() == b"old"
     assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]  # no temp file, no second target
-
-
-def test_write_atomic_writes_every_file(tmp_path):
-    files = {tmp_path / "a.bin": b"A", tmp_path / "b.bin": b"", str(tmp_path / "c.bin"): b"C" * 5}
-    write_atomic(files)
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {"a.bin": b"A", "b.bin": b"", "c.bin": b"CCCCC"}
-    write_atomic({})
-    assert len(list(tmp_path.iterdir())) == 3
