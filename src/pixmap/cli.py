@@ -5,9 +5,9 @@ the files it writes. :func:`main` times it, builds its JSON run manifest
 (flags, derived seeds, inputs, outputs, tool version and wall clock, with
 ``duration_s`` ending before any write) as ``<out>.run.json`` next to the
 primary output (``gen``: ``run.json`` in its directory), writes the files
-and the manifest in one ``image.write_atomic`` call, all or none, and then
-prints the command's summary to stdout. A command that fails writes no
-file, nor does ``eval`` without ``--out``, which only prints. The flags are
+and the manifest in one ``image.write_atomic`` call, and then prints the
+command's summary to stdout. ``eval`` without ``--out`` writes no file and
+only prints. The flags are
 the parsed flags, with ``reducer`` in canonical form
 (``ReducerSpec.canonical``) and every training setting as resolved from
 flags, config file and defaults. Deterministic subcommands reproduce
@@ -15,8 +15,11 @@ byte-identical outputs when re-run with the flags stored in their manifest.
 
 Errors print exactly one line to stderr, ``error: <code>: <detail>``, print
 nothing to stdout, and exit nonzero; exit code 0 means success. Every
-command but ``gen`` checks its outputs in :func:`_out_paths` before it reads
-any input, so a bad output path fails before anything is decoded or written.
+command checks its outputs and its run manifest in :func:`_out_paths`
+before it reads any input or forks a worker, so a bad output path fails
+before anything is decoded or written. An I/O error that no check foresees
+can still leave files: ``gen``'s workers write each image as they make it,
+and ``write_atomic`` does not undo its renames.
 
 ``spectrum`` and ``map`` take the same ``--reducer`` grammar
 (``reducers.ReducerSpec.parse``) and ``--seed`` root, and turn a file into
@@ -108,15 +111,19 @@ def _sidecar(out) -> Path:
 def _out_paths(*outs, reads=()) -> list:
     """Each output as a Path, unset ones as None, after checks that read no input.
 
-    An output whose directory is missing or is not a directory raises the
-    error writing would, and one that is an existing directory raises
-    ``IsADirectoryError``, each naming the output. Two outputs that resolve
-    to one file, an output that is the first one's run manifest, and an
-    output that exists and resolves to one of the files in ``reads`` are
-    ``bad-usage``; ``reads`` is resolved only when some output exists.
+    An output or the first output's run manifest whose directory is missing
+    or is not a directory raises the error writing would, and one that is
+    an existing directory raises ``IsADirectoryError``, each naming that
+    path. Two outputs that resolve to one file, an output that is the first
+    one's run manifest, and an output that exists and resolves to one of
+    the files in ``reads`` are ``bad-usage``; ``reads`` is resolved only
+    when some output exists.
     """
     given = [out for out in outs if out]
-    for out in given:
+    if not given:
+        return [None] * len(outs)
+    manifest = _sidecar(given[0])
+    for out in (*given, manifest):
         try:
             os.stat(os.path.join(Path(out).parent, ""))  # the separator makes a file parent ENOTDIR
         except OSError as exc:
@@ -126,10 +133,9 @@ def _out_paths(*outs, reads=()) -> list:
     named = [Path(out).resolve() for out in given]
     if len(set(named)) < len(named):
         raise PixmapError("bad-usage", "two outputs name one file: " + " and ".join(map(str, given)))
-    manifest = _sidecar(given[0]).resolve() if given else None
     inputs = {Path(r).resolve() for r in reads if r} if any(map(os.path.exists, given)) else set()
     for out, name in zip(given, named):
-        if name == manifest:
+        if name == manifest.resolve():
             raise PixmapError("bad-usage", f"an output names the run manifest: {out}")
         if name in inputs:
             raise PixmapError("bad-usage", f"an output names an input file: {out}")
@@ -290,10 +296,15 @@ def _serve_share(fn, share, write_end) -> NoReturn:
 def _cmd_gen(args) -> _Run:
     splits = synthgen.build_benchmark(args.train_upsampler, args.test_upsampler, args.confound, args.n, args.seed)
     out_dir = Path(args.out)
+    names = [out_dir / f"{split}_manifest.csv" for split in ("train", "test")]
+    if out_dir.is_dir():  # the workers make a missing one, and everything in it
+        _out_paths(out_dir / "run.json", *names)
+        for split_dir in (out_dir / "train", out_dir / "test"):
+            if os.path.lexists(split_dir) and not split_dir.is_dir():
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(split_dir))
     # Each image depends only on its entry, so the workers' shares mix both splits.
     entries = splits[0] + splits[1]
     _fork_map(lambda entry: synthgen.materialize([entry], out_dir, args.size, args.noise_sigma), entries)
-    names = [out_dir / f"{split}_manifest.csv" for split in ("train", "test")]
     files = {name: synthgen.manifest_csv(split) for name, split in zip(names, splits)}
     summary = f"wrote {len(entries)} images under {out_dir}\n"
     return _Run(out_dir / "run.json", {"root": args.seed}, [], files, summary=summary)

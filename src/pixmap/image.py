@@ -18,8 +18,10 @@ File formats:
 * PGM ``P5`` is write-only, for grayscale heatmap export.
 
 Every format has an encoder that returns bytes. Files reach the disk through
-:func:`write_atomic`, all of a set or none, never as a partial file under a
-target name; every text reader goes through :func:`read_ascii_lines`.
+:func:`write_atomic`, never as a partial file under a target name, and all
+of a set or none until its renames: a failed rename is not rolled back, so
+the CLI's ``_out_paths`` rules out the predictable cases before a command
+starts. Every text reader goes through :func:`read_ascii_lines`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ def write_atomic(files) -> None:
     and concurrent writers of one target never share a temp file. All temp
     files are written before the first rename, so a failure while writing
     them (a missing directory, a full disk, data that is not bytes) removes
-    them and leaves every target as it was. An ``OSError`` names the target.
+    them and leaves every target as it was; a failed rename does not undo
+    the renames before it. An ``OSError`` names the target.
     """
     staged = []
     try:

@@ -364,6 +364,23 @@ def test_gen_worker_memory_error_is_one_error_line(capsys, tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []  # no train/, test/, manifest CSV or run.json
 
 
+@pytest.mark.parametrize(
+    "blocker, n, error",
+    [("run.json", 1, "[Errno 21] Is a directory"), ("test", 2, "[Errno 20] Not a directory")],
+    ids=["run-json-is-a-directory", "split-is-a-file"],
+)
+def test_gen_bad_output_fails_before_any_image(capsys, tmp_path, blocker, n, error):
+    (tmp_path / "train").mkdir()  # an existing split directory is fine
+    if blocker == "run.json":
+        (tmp_path / blocker).mkdir()
+    else:
+        (tmp_path / blocker).write_bytes(b"")
+    line = run_cli_error(capsys, ["gen", "--out", tmp_path, "--n", n, "--size", 16])
+    assert line == f"error: io: {error}: '{tmp_path / blocker}'"
+    _assert_no_child_left()
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(["train", blocker])
+
+
 def test_cli_import_loads_no_process_pool(tmp_path):
     # gen and report fork their workers directly: no command needs a pool module.
     code = (
@@ -815,6 +832,17 @@ def test_failed_command_writes_no_run_manifest(capsys, tmp_path, small_corpus):
     line = run_cli_error(capsys, ["spectrum", "--in", small_corpus, "--out", out, "--heatmap", heatmap])
     assert line == f"error: io: [Errno 21] Is a directory: '{heatmap}'"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["h.pgm"]
+
+
+def test_run_manifest_that_is_a_directory_fails_before_reading(capsys, tmp_path, small_corpus, monkeypatch):
+    reads = []
+    monkeypatch.setattr(cli.image, "read_ppm", lambda *args: reads.append(args))
+    out = tmp_path / "o" / "p.csv"
+    Path(f"{out}.run.json").mkdir(parents=True)
+    line = run_cli_error(capsys, ["spectrum", "--in", small_corpus, "--out", out])
+    assert line == f"error: io: [Errno 21] Is a directory: '{out}.run.json'"
+    assert reads == []
+    assert [p.name for p in out.parent.iterdir()] == ["p.csv.run.json"]
 
 
 @pytest.mark.parametrize(
