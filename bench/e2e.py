@@ -62,8 +62,11 @@ holds every run's wall time (``perf_counter`` around the child), CPU time
 (user plus system time from ``wait4``, which counts the worker processes
 the command reaped) and maximum RSS (``wait4``'s ``ru_maxrss``: the largest
 of the command and its reaped workers), with the median and quartiles of
-wall and CPU time and the largest RSS. The printed summary gives each
-median with the base side's interquartile range.
+wall and CPU time and the median and largest RSS. For wall time, CPU time
+and RSS, ``verdicts`` holds perfbench/compare.py's ``verdict`` and the
+tree's win share, over the base and tree runs of each round taken as a
+pair, with BENCHMARK.json's bound for ``wall_s``, ``cpu_s`` and
+``peak_rss_mb``. The printed summary gives the medians with them.
 
 **Report CSV.** Each side runs ``report --epochs 10`` on ``gen --confound
 --n 128 --seed 701`` once; the JSON holds its CSV and the CSV's sha256, so
@@ -94,11 +97,16 @@ import time
 from pathlib import Path
 
 TREE = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(TREE / "perfbench"))
+import compare  # noqa: E402  (perfbench/compare.py)
+
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 SEED = "701"
 DIGEST_SEEDS = range(701, 711)
 SPECTRUM_REDUCERS = ("none", "fixed", "random", "highpass", "npr", "shuffle:8")
 CLOCK_FIELDS = ("started_utc", "duration_s")
+# Each BENCHMARK.json metric compared per command, and the key of a run that holds it.
+VERDICT_METRICS = {"wall_s": "wall_s", "cpu_s": "cpu_s", "peak_rss_mb": "rss_mib"}
 
 
 def run(checkout: Path, args, cwd: Path) -> dict:
@@ -230,14 +238,6 @@ def timed_commands(inputs: Path, out: Path) -> dict:
     }
 
 
-def quartiles(values) -> list[float]:
-    """First and third quartile of ``values``, by ``statistics.quantiles`` as perfbench/compare.py takes them."""
-    if len(values) < 2:
-        return [values[0], values[0]]
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return [q1, q3]
-
-
 def src_lines(checkout: Path) -> dict:
     """The ``total`` row of ``tools/src_lines.py --src CHECKOUT``, counted by this checkout's script."""
     script = TREE / "tools" / "src_lines.py"
@@ -308,19 +308,27 @@ def main(argv=None) -> int:
     outputs["identical"] = lines["base"] == lines["tree"]
     if not outputs["identical"]:
         outputs["differing"] = list(difflib.unified_diff(lines["base"], lines["tree"], "base", "tree", n=0, lineterm=""))
+    bounds = {m["name"]: m["bound"] for m in json.loads(compare.BENCHMARK_JSON.read_text())["end_to_end"]}
     results = {}
     for name, by_side in samples.items():
         results[name] = {
             side: {
                 "median_wall_s": statistics.median(r["wall_s"] for r in runs),
-                "quartiles_wall_s": quartiles([r["wall_s"] for r in runs]),
+                "quartiles_wall_s": compare.quartiles([r["wall_s"] for r in runs])[::2],
                 "median_cpu_s": statistics.median(r["cpu_s"] for r in runs),
-                "quartiles_cpu_s": quartiles([r["cpu_s"] for r in runs]),
+                "quartiles_cpu_s": compare.quartiles([r["cpu_s"] for r in runs])[::2],
+                "median_rss_mib": statistics.median(r["rss_mib"] for r in runs),
                 "max_rss_mib": max(r["rss_mib"] for r in runs),
                 "runs": runs,
             }
             for side, runs in by_side.items()
         }
+        results[name]["verdicts"] = {}
+        for metric, key in VERDICT_METRICS.items():
+            base, tree = ([r[key] for r in by_side[side]] for side in ("base", "tree"))
+            # Round i ran both sides back to back, so its two runs are a pair.
+            win_share, verdict = compare.verdict(base, tree, list(zip(base, tree)), "lower", bounds[metric])
+            results[name]["verdicts"][metric] = {"verdict": verdict, "win_share": win_share, "bound": bounds[metric]}
     code = {side: src_lines(checkout) for side, checkout in sides.items()}
     record = {
         "script": "bench/e2e.py",
@@ -339,14 +347,13 @@ def main(argv=None) -> int:
     print(f"digest lines: {outputs['base']['lines']} -> {outputs['tree']['lines']}, {same}")
     for diff_line in outputs.get("differing", []):
         print(diff_line)
-    print("medians base -> tree, with the base side's interquartile range in brackets")
-    for name, by_side in results.items():
-        base, tree = by_side["base"], by_side["tree"]
-        wall_iqr = base["quartiles_wall_s"][1] - base["quartiles_wall_s"][0]
-        cpu_iqr = base["quartiles_cpu_s"][1] - base["quartiles_cpu_s"][0]
-        print(f"{name:28s} wall {base['median_wall_s']:.3f} -> {tree['median_wall_s']:.3f} s [{wall_iqr:.3f}]   "
-              f"cpu {base['median_cpu_s']:.3f} -> {tree['median_cpu_s']:.3f} s [{cpu_iqr:.3f}]   "
-              f"rss {base['max_rss_mib']:.2f} -> {tree['max_rss_mib']:.2f} MiB")
+    print("medians base -> tree (the tree's win share over the rounds, perfbench/compare.py's verdict)")
+    for name, result in results.items():
+        cells = []
+        for metric, key in VERDICT_METRICS.items():
+            base, tree, v = result["base"][f"median_{key}"], result["tree"][f"median_{key}"], result["verdicts"][metric]
+            cells.append(f"{metric} {base:.3f} -> {tree:.3f} ({v['win_share']:.2f} {v['verdict']})")
+        print(f"{name:28s} " + "   ".join(cells))
     same = report_csv["base"]["sha256"] == report_csv["tree"]["sha256"]
     print(f"report --epochs 10 CSV sha256: {report_csv['tree']['sha256']} ({'same' if same else 'DIFFERS'} on both sides)")
     print(f"src/ lines: {code['base']['lines']} -> {code['tree']['lines']}")

@@ -14,12 +14,13 @@ flags, config file and defaults. Deterministic subcommands reproduce
 byte-identical outputs when re-run with the flags stored in their manifest.
 
 Errors print exactly one line to stderr, ``error: <code>: <detail>``, print
-nothing to stdout, and exit nonzero; exit code 0 means success. Every
-command checks its outputs and its run manifest in :func:`_out_paths`
-before it reads any input or forks a worker, so a bad output path fails
-before anything is decoded or written. An I/O error that no check foresees
-can still leave files: ``gen``'s workers write each image as they make it,
-and ``write_atomic`` does not undo its renames.
+nothing to stdout, and exit nonzero; exit code 0 means success. A bad
+output path fails before anything is decoded or written: every command
+but ``gen`` checks its outputs and run manifest in :func:`_out_paths`, and
+``gen`` into an existing directory checks every path it writes before it
+forks. An I/O error no check foresees, such as a full disk, can still
+leave files: the images ``gen``'s workers made before it (but no manifest
+or ``run.json``), or the renames ``write_atomic`` made before a failed one.
 
 ``spectrum`` and ``map`` take the same ``--reducer`` grammar
 (``reducers.ReducerSpec.parse``) and ``--seed`` root, and turn a file into
@@ -297,13 +298,15 @@ def _cmd_gen(args) -> _Run:
     splits = synthgen.build_benchmark(args.train_upsampler, args.test_upsampler, args.confound, args.n, args.seed)
     out_dir = Path(args.out)
     names = [out_dir / f"{split}_manifest.csv" for split in ("train", "test")]
+    # Each image depends only on its entry, so the workers' shares mix both splits.
+    entries = splits[0] + splits[1]
     if out_dir.is_dir():  # the workers make a missing one, and everything in it
-        _out_paths(out_dir / "run.json", *names)
         for split_dir in (out_dir / "train", out_dir / "test"):
             if os.path.lexists(split_dir) and not split_dir.is_dir():
                 raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(split_dir))
-    # Each image depends only on its entry, so the workers' shares mix both splits.
-    entries = splits[0] + splits[1]
+        for path in (out_dir / "run.json", *names, *(out_dir / entry.path for entry in entries)):
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     _fork_map(lambda entry: synthgen.materialize([entry], out_dir, args.size, args.noise_sigma), entries)
     files = {name: synthgen.manifest_csv(split) for name, split in zip(names, splits)}
     summary = f"wrote {len(entries)} images under {out_dir}\n"

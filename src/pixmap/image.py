@@ -10,23 +10,24 @@ File formats:
 * PPM ``P6`` (maxval 255) is the sole 8-bit interchange format. The encoder
   emits one canonical byte form (single-space tokens, newline before the
   payload) so identical images always produce identical files.
-* ``PIXMAP-IMF1`` is a plain-text container for a float raster using shortest
-  round-trip decimals, exact under write/read. Its rows, and the detector's
-  weights file, go through :func:`format_rows` and :func:`parse_rows`.
+* ``PIXMAP-IMF1`` is write-only, for ``map``'s float raster: its rows, and
+  the detector's weights, are shortest round-trip decimals from
+  :func:`format_rows`, so any float parser reads them back bit for bit.
 * Every CSV the commands write (manifests, profiles, breakdowns, the
   report, mapping tables) goes through :func:`format_csv`.
-* PGM ``P5`` is write-only, for grayscale heatmap export.
+* PGM ``P5`` is write-only too, for grayscale heatmap export.
 
 Every format has an encoder that returns bytes. Files reach the disk through
 :func:`write_atomic`, never as a partial file under a target name, and all
 of a set or none until its renames: a failed rename is not rolled back, so
-the CLI's ``_out_paths`` rules out the predictable cases before a command
-starts. Every text reader goes through :func:`read_ascii_lines`.
+the CLI rules out the predictable cases before a command starts. Every
+text reader goes through :func:`read_ascii_lines`.
 """
 
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -74,24 +75,7 @@ def read_ascii_lines(path, code: str, detail: str) -> list[str]:
 # --- PPM P6 -----------------------------------------------------------------
 
 
-def _read_token(buf: bytes, pos: int) -> tuple[bytes, int]:
-    """Next whitespace-delimited header token, skipping '#' comments."""
-    n = len(buf)
-    while pos < n:
-        c = buf[pos : pos + 1]
-        if c == b"#":
-            while pos < n and buf[pos : pos + 1] != b"\n":
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not buf[pos : pos + 1].isspace() and buf[pos : pos + 1] != b"#":
-        pos += 1
-    if start == pos:
-        raise PixmapError("malformed-header", "unexpected end of PPM header")
-    return buf[start:pos], pos
+_PPM_HEADER = re.compile(rb"P6" + rb"(?:\s|#[^\n]*)*([^\s#]*)" * 3)
 
 
 def decode_ppm(raw: bytes) -> np.ndarray:
@@ -100,15 +84,16 @@ def decode_ppm(raw: bytes) -> np.ndarray:
     Accepts standard header whitespace and '#' comments; rejects any other
     PNM variant, maxval != 255, short payloads, and trailing bytes.
     """
-    if len(raw) < 2 or raw[:2] != b"P6":
+    if raw[:2] != b"P6":
         magic = raw[:2].decode("ascii", "replace") if len(raw) >= 2 else "<empty>"
         raise PixmapError("unsupported-format", f"expected P6 magic, got {magic!r}")
     if not (raw[2:3].isspace() or raw[2:3] == b"#"):
         raise PixmapError("malformed-header", f"expected whitespace or '#' after P6, got {raw[2:3]!r}")
-    pos = 2
+    header = _PPM_HEADER.match(raw)
     fields = []
-    for _ in range(3):
-        tok, pos = _read_token(raw, pos)
+    for tok in header.groups():
+        if not tok:  # a token ends at whitespace, '#' or the end of the bytes
+            raise PixmapError("malformed-header", "unexpected end of PPM header")
         if not tok.isdigit():
             raise PixmapError("malformed-header", f"non-numeric header token {tok!r}")
         try:
@@ -120,7 +105,8 @@ def decode_ppm(raw: bytes) -> np.ndarray:
         raise PixmapError("malformed-header", f"bad dimensions {width}x{height}")
     if maxval != 255:
         raise PixmapError("unsupported-maxval", f"maxval must be 255, got {maxval}")
-    if pos >= len(raw) or not raw[pos : pos + 1].isspace():
+    pos = header.end()
+    if not raw[pos : pos + 1].isspace():
         raise PixmapError("malformed-header", "missing whitespace before payload")
     pos += 1
     size = len(raw) - pos
@@ -199,12 +185,9 @@ def batch_image(batch: np.ndarray) -> np.ndarray:
     return batch[0].transpose(1, 2, 0)
 
 
-def quantize(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Affinely map [lo, hi] to [0, 255], clamp, and round half to even, to ``uint8`` of ``x``'s shape."""
-    if not lo < hi:
-        raise PixmapError("bad-range", f"quantize needs lo < hi, got [{lo}, {hi}]")
-    scaled = (x - lo) * (255.0 / (hi - lo))
-    return np.rint(np.clip(scaled, 0.0, 255.0)).astype(np.uint8)
+def quantize(x: np.ndarray) -> np.ndarray:
+    """Clamp ``x`` to [0, 255] and round half to even, to ``uint8`` of ``x``'s shape."""
+    return np.rint(np.clip(x, 0.0, 255.0)).astype(np.uint8)
 
 
 # --- shortest-repr text rows -------------------------------------------------
@@ -249,37 +232,11 @@ def parse_rows(lines, n_rows: int, width: int, what: str) -> np.ndarray:
 
 # --- IMF text container --------------------------------------------------------
 
-_IMF_MAGIC = "PIXMAP-IMF1"
-
 
 def encode_imagef(x: np.ndarray) -> bytes:
     """Encode an H x W x C float64 array as text: magic, dims, one line of decimals per row."""
     h, w, c = x.shape
-    lines = [_IMF_MAGIC, f"{h} {w} {c}"]
+    lines = ["PIXMAP-IMF1", f"{h} {w} {c}"]
     lines += format_rows(x.reshape(h, w * c))
     return ("\n".join(lines) + "\n").encode("ascii")
 
-
-def read_imagef(path) -> np.ndarray:
-    """Read a PIXMAP-IMF1 file; exact inverse of :func:`encode_imagef`.
-
-    A bad file raises PixmapError with code ``unsupported-format`` (not an
-    ASCII IMF file), ``malformed-header`` (a bad dimensions line),
-    ``malformed-payload`` (a value that is not a number, or a row of the
-    wrong length), ``truncated-payload`` (the file ends early) or
-    ``non-finite`` (a nan or inf sample).
-    """
-    lines = iter(read_ascii_lines(path, "unsupported-format", f"not a {_IMF_MAGIC} file: {path}"))
-    magic = next(lines, "").strip()
-    if magic != _IMF_MAGIC:
-        raise PixmapError("unsupported-format", f"expected {_IMF_MAGIC}, got {magic!r}")
-    try:
-        h, w, c = (int(t) for t in next(lines, "").split())
-    except ValueError as exc:
-        raise PixmapError("malformed-header", f"bad IMF dimensions: {exc}") from exc
-    if min(h, w, c) < 1:
-        raise PixmapError("malformed-header", f"bad IMF dimensions {h}x{w}x{c}")
-    x = parse_rows(lines, h, w * c, "IMF").reshape(h, w, c)
-    if not np.all(np.isfinite(x)):
-        raise PixmapError("non-finite", f"IMF samples must be finite: {path}")
-    return x

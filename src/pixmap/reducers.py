@@ -159,10 +159,10 @@ def _shuffle(batch: np.ndarray, patch: int, seeds) -> np.ndarray:
     return batch.reshape(-1).take(src.reshape(n, 1, h * w) + planes).reshape(n, c, h, w)
 
 
-def _npr(batch: np.ndarray, block: int) -> np.ndarray:
-    _check_tiles(batch, block, "block")
+def _npr(batch: np.ndarray) -> np.ndarray:
+    _check_tiles(batch, NPR_BLOCK, "block")
     n, c, h, w = batch.shape
-    blocks = batch.astype(np.float64).reshape(n, c, h // block, block, w // block, block)
+    blocks = batch.astype(np.float64).reshape(n, c, h // NPR_BLOCK, NPR_BLOCK, w // NPR_BLOCK, NPR_BLOCK)
     return (blocks - blocks[:, :, :, :1, :, :1]).reshape(n, c, h, w)
 
 
@@ -189,9 +189,9 @@ def patch_shuffle(img: np.ndarray, patch: int, seed: int) -> np.ndarray:
     return batch_image(_shuffle(as_batch(img), spec.patch, [seed]))
 
 
-def npr_residual(img: np.ndarray, block: int = NPR_BLOCK) -> np.ndarray:
-    """Subtract each block's top-left pixel from the whole block, per channel."""
-    return batch_image(_npr(as_batch(img), block))
+def npr_residual(img: np.ndarray) -> np.ndarray:
+    """Subtract each ``NPR_BLOCK`` square block's top-left pixel from the whole block, per channel."""
+    return batch_image(_npr(as_batch(img)))
 
 
 def mapping_tables(spec: ReducerSpec, seed_root: int, tags) -> np.ndarray:
@@ -228,7 +228,7 @@ def reduce_batch(spec: ReducerSpec, batch: np.ndarray, seed_root: int, tags) -> 
         seeds = [derive_seed(seed_root, "perm", *tag) for tag in tags]
         return _shuffle(batch, spec.patch, seeds) / 127.5 - 1.0
     if spec.kind == "npr":
-        return _npr(batch, NPR_BLOCK) / 127.5
+        return _npr(batch) / 127.5
     raise PixmapError("bad-reducer", f"unknown reducer {spec.kind!r}")
 
 

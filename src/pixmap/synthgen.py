@@ -207,7 +207,7 @@ def generate(entry: ManifestEntry, size: int, noise_sigma: float) -> np.ndarray:
     stacked = np.repeat(img[:, :, None], 3, axis=2)
     if noise_sigma > 0:
         stacked = stacked + noise_sigma * rng.normals(size * size * 3).reshape(size, size, 3)
-    return quantize(stacked, 0.0, 255.0)
+    return quantize(stacked)
 
 
 def build_benchmark(

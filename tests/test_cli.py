@@ -1,6 +1,7 @@
 """CLI error contract: one ``error: <code>: <detail>`` line and a nonzero exit."""
 
 import dataclasses
+import errno
 import json
 import os
 import pickle
@@ -334,12 +335,18 @@ def _gen_and_serial_oracle(tmp_path, confound, n, train_upsampler, test_upsample
     return got, _file_bytes(oracle)
 
 
-def test_gen_worker_io_error_keeps_error_contract(capsys, tmp_path):
-    (tmp_path / "test" / "fake_0001.ppm").mkdir(parents=True)
-    code = cli.main(["gen", "--out", str(tmp_path), "--n", "2", "--size", "16"])
-    lines = capsys.readouterr().err.splitlines()
-    assert code == 1
-    assert len(lines) == 1 and lines[0].startswith("error: io: "), lines
+def test_gen_worker_io_error_keeps_error_contract(capsys, tmp_path, monkeypatch):
+    materialize_one = cli.synthgen.materialize
+    blocked = tmp_path / "test" / "fake_0001.ppm"
+
+    def disk_full_at_one_image(entries, out_dir, *args):
+        if out_dir / entries[0].path == blocked:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(blocked))
+        materialize_one(entries, out_dir, *args)
+
+    monkeypatch.setattr(cli.synthgen, "materialize", disk_full_at_one_image)  # forked workers inherit it
+    line = run_cli_error(capsys, ["gen", "--out", tmp_path, "--n", 2, "--size", 16])
+    assert line == f"error: io: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '{blocked}'"
     _assert_no_child_left()
     assert list(tmp_path.glob("*_manifest.csv")) == []
 
@@ -365,20 +372,30 @@ def test_gen_worker_memory_error_is_one_error_line(capsys, tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize(
-    "blocker, n, error",
-    [("run.json", 1, "[Errno 21] Is a directory"), ("test", 2, "[Errno 20] Not a directory")],
-    ids=["run-json-is-a-directory", "split-is-a-file"],
+    "made, blocked, error",
+    [
+        (["run.json/"], "run.json", "[Errno 21] Is a directory"),
+        (["test"], "test", "[Errno 20] Not a directory"),
+        (["test/fake_0000.ppm/"], "test/fake_0000.ppm", "[Errno 21] Is a directory"),
+        # gen writes no run.json.run.json, so only the image stops it
+        (["run.json.run.json/", "test/fake_0001.ppm/"], "test/fake_0001.ppm", "[Errno 21] Is a directory"),
+    ],
+    ids=["run-json-is-a-directory", "split-is-a-file", "image-is-a-directory", "sidecar-name-is-a-directory"],
 )
-def test_gen_bad_output_fails_before_any_image(capsys, tmp_path, blocker, n, error):
+def test_gen_bad_output_fails_before_any_image(capsys, tmp_path, made, blocked, error):
     (tmp_path / "train").mkdir()  # an existing split directory is fine
-    if blocker == "run.json":
-        (tmp_path / blocker).mkdir()
-    else:
-        (tmp_path / blocker).write_bytes(b"")
-    line = run_cli_error(capsys, ["gen", "--out", tmp_path, "--n", n, "--size", 16])
-    assert line == f"error: io: {error}: '{tmp_path / blocker}'"
+    for name in made:  # a trailing slash makes a directory, else an empty file
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if name.endswith("/"):
+            path.mkdir()
+        else:
+            path.write_bytes(b"")
+    before = sorted(tmp_path.rglob("*"))
+    line = run_cli_error(capsys, ["gen", "--out", tmp_path, "--n", 2, "--size", 16])
+    assert line == f"error: io: {error}: '{tmp_path / blocked}'"
     _assert_no_child_left()
-    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(["train", blocker])
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):
@@ -696,7 +713,7 @@ def small_corpus(tmp_path_factory):
 
 @pytest.mark.parametrize("reducer", ["none", "fixed", "random", "highpass", "npr", "shuffle:8"])
 def test_map_writes_the_raster_spectrum_reduces(tmp_path, small_corpus, reducer):
-    from pixmap.image import decode_ppm, read_imagef
+    from pixmap.image import decode_ppm
     from pixmap.mapping import apply_mapping, build_fixed_table, map_batch
     from pixmap.reducers import apply_reducer
 
@@ -706,8 +723,9 @@ def test_map_writes_the_raster_spectrum_reduces(tmp_path, small_corpus, reducer)
         out, csv = tmp_path / f"{src.stem}.imf", tmp_path / f"{src.stem}.csv"
         argv = ["map", "--in", src, "--reducer", reducer, "--seed", 5, "--out", out]
         assert cli.main([str(a) for a in argv + ["--table-csv", csv] * table]) == 0
-        raster = read_imagef(out)
         img = decode_ppm(src.read_bytes())
+        assert out.read_text().splitlines()[:2] == ["PIXMAP-IMF1", "{} {} {}".format(*img.shape)]
+        raster = np.loadtxt(out, skiprows=2).reshape(img.shape)
         # spectrum --in test/ tags this file with its name alone
         assert raster.tobytes() == apply_reducer(spec, img, root, src.name).tobytes()
         if spec.kind == "fixed":

@@ -4,14 +4,13 @@ import string
 import tempfile
 from pathlib import Path
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pixmap.cli import _load_config_file
 from pixmap.detector import encode_params, init_params, load_params
 from pixmap.errors import PixmapError
-from pixmap.image import decode_ppm, encode_imagef, parse_rows, read_imagef
+from pixmap.image import decode_ppm, parse_rows
 from pixmap.reducers import ReducerSpec
 from pixmap.synthgen import read_manifest_csv
 
@@ -136,14 +135,7 @@ def mutated_text(draw, base: str):
     return data + draw(st.sampled_from([b"", b"", b"", b"\xff", b"\x00", b"1 2\n"]))
 
 
-_IMF_TEXT = encode_imagef(np.arange(12.0).reshape(2, 3, 2) / 7).decode("ascii")
 _W1_TEXT = encode_params(init_params(3), ReducerSpec.parse("shuffle:8"), reducer_seed=5, crop_size=32).decode("ascii")
-
-
-@FUZZ
-@given(mutated_text(_IMF_TEXT))
-def test_read_imagef_fuzz(data):
-    parses_file_or_raises_pixmap_error(read_imagef, data)
 
 
 @FUZZ
