@@ -3,6 +3,11 @@
 
 Usage: python3 bench/e2e.py --base CHECKOUT --out BENCH.json [--runs 5] [--work DIR]
 
+``--runs`` below 4 is a usage error, raised before any work: compare.py
+also reads ``better`` when every tree run beats every base run, which by
+chance happens once in C(2r, r) orderings (1 in 2 at one run, 1 in 70 at
+four).
+
 Compares the checkout named by ``--base`` with the checkout holding this
 script (the "tree"). Every pixmap command runs through :func:`run` as
 ``python -m pixmap.cli`` in a child process, with ``PYTHONPATH`` at the
@@ -107,6 +112,7 @@ SPECTRUM_REDUCERS = ("none", "fixed", "random", "highpass", "npr", "shuffle:8")
 CLOCK_FIELDS = ("started_utc", "duration_s")
 # Each BENCHMARK.json metric compared per command, and the key of a run that holds it.
 VERDICT_METRICS = {"wall_s": "wall_s", "cpu_s": "cpu_s", "peak_rss_mb": "rss_mib"}
+MIN_RUNS = 4
 
 
 def run(checkout: Path, args, cwd: Path) -> dict:
@@ -274,9 +280,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="checkout to compare with this one")
     parser.add_argument("--out", required=True, help="JSON file to write")
-    parser.add_argument("--runs", type=int, default=5, help="timed runs per command and side")
+    parser.add_argument("--runs", type=int, default=5, help=f"timed runs per command and side (at least {MIN_RUNS})")
     parser.add_argument("--work", default=None, help="scratch directory (default: a new temporary one)")
     args = parser.parse_args(argv)
+    if args.runs < MIN_RUNS:
+        parser.error(f"--runs must be at least {MIN_RUNS}, got {args.runs}")
     sides = {"base": Path(args.base).resolve(), "tree": TREE}
     work = Path(tempfile.mkdtemp(prefix="pixmap-e2e-", dir=args.work)).resolve()
     try:

@@ -300,10 +300,10 @@ def _cmd_gen(args) -> _Run:
     names = [out_dir / f"{split}_manifest.csv" for split in ("train", "test")]
     # Each image depends only on its entry, so the workers' shares mix both splits.
     entries = splits[0] + splits[1]
+    for split_dir in (out_dir, out_dir / "train", out_dir / "test"):
+        if os.path.lexists(split_dir) and not split_dir.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(split_dir))
     if out_dir.is_dir():  # the workers make a missing one, and everything in it
-        for split_dir in (out_dir / "train", out_dir / "test"):
-            if os.path.lexists(split_dir) and not split_dir.is_dir():
-                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(split_dir))
         for path in (out_dir / "run.json", *names, *(out_dir / entry.path for entry in entries)):
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
@@ -430,8 +430,6 @@ def run_experiment(data_dir, config: TrainConfig) -> str:
     when they fork, and only the result tuples cross a pipe.
     """
     runs = [dataclasses.replace(config, reducer=reducers.ReducerSpec.parse(name)) for name in REPORT_REDUCERS]
-    for run in runs:
-        run.reducer.validate_for_crop(run.crop)
     train_split = _load_split(data_dir, "train")
     test_split = _load_split(data_dir, "test")
     reducer_seed = rng.derive_seed(config.seed, "reducer")

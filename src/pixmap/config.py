@@ -1,10 +1,12 @@
 """Settings the CLI's parser needs before any command runs.
 
-``TrainConfig`` holds the training defaults; ``UPSAMPLERS`` and
-``DEFAULT_NOISE_SIGMA`` are the corpus choices ``gen`` offers. This module
-imports no numpy and no other pixmap module but ``errors``, so building the
-parser (``pixmap --help``, ``--version``, a usage error) loads no numerical
-code. ``detector`` and ``synthgen`` re-export these names.
+``TrainConfig`` holds the training defaults and checks its crop against the
+reducer object it is given (``ReducerSpec.check_tiles``), so every training
+config is valid by construction. ``UPSAMPLERS`` and ``DEFAULT_NOISE_SIGMA``
+are the corpus choices ``gen`` offers. This module imports no numpy and no
+pixmap module but ``errors``, not even ``reducers``, so building the parser
+(``pixmap --help``, ``--version``, a usage error) loads no numerical code.
+``detector`` and ``synthgen`` re-export these names.
 """
 
 from __future__ import annotations
@@ -55,3 +57,4 @@ class TrainConfig:
             raise PixmapError("bad-config", "epochs must be >= 1")
         if self.crop < 7:
             raise PixmapError("bad-config", "crop must be >= 7")
+        self.reducer.check_tiles(self.crop, self.crop)

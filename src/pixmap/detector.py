@@ -28,7 +28,7 @@ evaluation no seeds (centre crops) and ``(path,)`` tags.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -274,18 +274,15 @@ def backward(params: dict[str, np.ndarray], batch, labels) -> dict[str, np.ndarr
 # --- optimizer ------------------------------------------------------------------
 
 
+def _zero_moments() -> dict[str, np.ndarray]:
+    return {k: np.zeros(s) for k, s in _SHAPES.items()}
+
+
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: dict[str, np.ndarray] = field(default_factory=_zero_moments)
+    v: dict[str, np.ndarray] = field(default_factory=_zero_moments)
     t: int = 0
-
-    @staticmethod
-    def zeros() -> "AdamState":
-        return AdamState(
-            m={k: np.zeros(s) for k, s in _SHAPES.items()},
-            v={k: np.zeros(s) for k, s in _SHAPES.items()},
-        )
 
 
 def adam_step(
@@ -340,11 +337,10 @@ def train(
     labels_present = {e.label for e in entries}
     if labels_present != {0, 1}:
         raise PixmapError("single-class", f"training needs both labels, got {labels_present}")
-    config.reducer.validate_for_crop(config.crop)
 
     params = init_params(derive_seed(config.seed, "init"))
     reducer_root = derive_seed(config.seed, "reducer")
-    state = AdamState.zeros()
+    state = AdamState()
     trace = []
     n = len(entries)
     for epoch in range(config.epochs):
@@ -414,7 +410,6 @@ def evaluate(
     """
     if not entries:
         raise PixmapError("empty-manifest", "evaluation manifest has no entries")
-    reducer.validate_for_crop(crop_size)
     scores = np.empty(len(entries))
     for start in range(0, len(entries), _EVAL_BATCH):
         stop = start + _EVAL_BATCH

@@ -20,17 +20,18 @@ Each kind has one implementation, :func:`reduce_batch`, which maps an
 ``N x 3 x h x w`` uint8 batch (NCHW) to float64 of the same shape.
 :func:`crop_batch` is the one path from images to that batch: it crops
 (centred, or drawn from one seed per image by ``image.crop_origin``),
-stacks to contiguous NCHW and reduces.
-Detector training and evaluation, ``spectrum`` and ``map`` all call it,
-and it lives here so ``spectrum`` never loads the detector.
-:func:`apply_reducer`, :func:`highpass`, :func:`patch_shuffle`,
-:func:`npr_residual` and ``mapping.apply_mapping`` check their input,
-run the same code on a batch of one and return its H x W x 3 view:
-float64, or ``uint8`` for ``patch_shuffle``, which only moves pixels. A
-bad cutoff or patch raises ``bad-reducer`` there as in
-:class:`ReducerSpec`. Channels come before rows so the highpass FFT runs
-over the two trailing, contiguous axes. The input is real, so highpass
-uses ``rfft2``/``irfft2`` over axes (2, 3), about half the work of
+stacks to contiguous NCHW and reduces. Detector training and evaluation,
+``spectrum`` and ``map`` all call it, and it lives here so ``spectrum``
+never loads the detector. :func:`apply_reducer`, :func:`highpass`,
+:func:`patch_shuffle`, :func:`npr_residual` and ``mapping.apply_mapping``
+check their input, run the same code on a batch of one and return its
+H x W x 3 view: float64, or ``uint8`` for ``patch_shuffle``, which only
+moves pixels. A bad cutoff or patch raises ``bad-reducer`` there as in
+:class:`ReducerSpec`. The tile rule and its one ``patch-mismatch`` wording
+live in :meth:`ReducerSpec.check_tiles`, which ``reduce_batch`` and
+``TrainConfig`` call. Channels come before rows so the highpass FFT runs
+over the two trailing, contiguous axes. The input is real, so highpass uses
+``rfft2``/``irfft2`` over axes (2, 3), about half the work of
 ``fft2``/``ifft2``.
 
 ``random`` and ``shuffle`` draw every sample's tables or tile permutation
@@ -109,15 +110,11 @@ class ReducerSpec:
             return f"shuffle:{self.patch}"
         return self.kind
 
-    def validate_for_crop(self, crop_size: int) -> None:
-        if self.kind == "shuffle" and crop_size % self.patch != 0:
-            raise PixmapError(
-                "patch-mismatch", f"patch {self.patch} must divide crop {crop_size}"
-            )
-        if self.kind == "npr" and crop_size % NPR_BLOCK != 0:
-            raise PixmapError(
-                "patch-mismatch", f"block {NPR_BLOCK} must divide crop {crop_size}"
-            )
+    def check_tiles(self, h: int, w: int) -> None:
+        """Raise ``patch-mismatch`` unless this reducer's tile (the shuffle patch, npr's block) divides h and w."""
+        what, size = {"shuffle": ("patch", self.patch), "npr": ("block", NPR_BLOCK)}.get(self.kind, ("", 1))
+        if h % size != 0 or w % size != 0:
+            raise PixmapError("patch-mismatch", f"{what} {size} must divide {h}x{w}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -141,14 +138,7 @@ def _highpass(batch: np.ndarray, cutoff: float) -> np.ndarray:
     return np.fft.irfft2(freq, s=(h, w), axes=(2, 3))
 
 
-def _check_tiles(batch: np.ndarray, size: int, what: str) -> None:
-    h, w = batch.shape[2:]
-    if h % size != 0 or w % size != 0:
-        raise PixmapError("patch-mismatch", f"{what} {size} must divide {h}x{w}")
-
-
 def _shuffle(batch: np.ndarray, patch: int, seeds) -> np.ndarray:
-    _check_tiles(batch, patch, "patch")
     n, c, h, w = batch.shape
     gh, gw = h // patch, w // patch
     perms = seeded_permutations(seeds, gh * gw)
@@ -160,7 +150,6 @@ def _shuffle(batch: np.ndarray, patch: int, seeds) -> np.ndarray:
 
 
 def _npr(batch: np.ndarray) -> np.ndarray:
-    _check_tiles(batch, NPR_BLOCK, "block")
     n, c, h, w = batch.shape
     blocks = batch.astype(np.float64).reshape(n, c, h // NPR_BLOCK, NPR_BLOCK, w // NPR_BLOCK, NPR_BLOCK)
     return (blocks - blocks[:, :, :, :1, :, :1]).reshape(n, c, h, w)
@@ -185,12 +174,13 @@ def patch_shuffle(img: np.ndarray, patch: int, seed: int) -> np.ndarray:
     where perm is [0..n) shuffled in place. All channels move together. A
     patch below 1 raises ``bad-reducer``, as ``ReducerSpec`` does.
     """
-    spec = ReducerSpec("shuffle", patch=patch)
-    return batch_image(_shuffle(as_batch(img), spec.patch, [seed]))
+    ReducerSpec("shuffle", patch=patch).check_tiles(*img.shape[:2])
+    return batch_image(_shuffle(as_batch(img), patch, [seed]))
 
 
 def npr_residual(img: np.ndarray) -> np.ndarray:
     """Subtract each ``NPR_BLOCK`` square block's top-left pixel from the whole block, per channel."""
+    ReducerSpec("npr").check_tiles(*img.shape[:2])
     return batch_image(_npr(as_batch(img)))
 
 
@@ -214,8 +204,9 @@ def reduce_batch(spec: ReducerSpec, batch: np.ndarray, seed_root: int, tags) -> 
 
     ``tags[k]`` is sample k's tuple of seed tags, as :func:`apply_reducer`
     takes them. ``shuffle`` and ``npr`` raise ``patch-mismatch`` unless
-    their tile divides both sides.
+    their tile divides both sides (:meth:`ReducerSpec.check_tiles`).
     """
+    spec.check_tiles(*batch.shape[2:])
     if spec.kind == "none":
         return batch / 127.5 - 1.0
     if spec.kind == "fixed":

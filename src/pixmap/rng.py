@@ -151,13 +151,6 @@ class SplitMix64:
         self._counter += n
         return words
 
-    def random(self) -> float:
-        """Uniform float64 in [0, 1) with 53-bit resolution."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
     def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """Vectorized uniforms over [lo, hi), same stream as scalar draws."""
         return _unit(self._bulk_u64(n), lo, hi)

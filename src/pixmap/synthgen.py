@@ -127,7 +127,7 @@ def _smooth_field(rng: SplitMix64, size: int) -> np.ndarray:
     The width is drawn from BLUR_SIGMA_RANGE in pixels of this field, which
     for a fake is the half-resolution base (see BLUR_SIGMA_RANGE).
     """
-    sigma = rng.uniform(*BLUR_SIGMA_RANGE)
+    sigma = rng.uniforms(1, *BLUR_SIGMA_RANGE)[0]
     noise = rng.normals(size * size).reshape(size, size)
     f = _blur2d(noise, sigma)
     f -= f.mean()
@@ -228,9 +228,6 @@ def build_benchmark(
     """
     if n_per_class < 1:
         raise PixmapError("bad-benchmark", "n_per_class must be >= 1")
-    for ups in (train_fake_upsampler, test_fake_upsampler):
-        if ups not in UPSAMPLERS:
-            raise PixmapError("bad-benchmark", f"unknown upsampler {ups!r}")
 
     def family_for(split: str, kind: str, index: int) -> str:
         if not confound:

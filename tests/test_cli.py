@@ -18,7 +18,9 @@ import pytest
 
 from pixmap import __version__, cli
 from pixmap.config import DEFAULT_NOISE_SIGMA
-from pixmap.detector import TrainConfig, average_precision, evaluate, init_params, load_params, save_params, train
+from pixmap.detector import (
+    TrainConfig, average_precision, encode_params, evaluate, init_params, load_params, save_params, train,
+)
 from pixmap.errors import PixmapError
 from pixmap.image import encode_ppm
 from pixmap.reducers import ReducerSpec
@@ -209,6 +211,37 @@ def test_report_checks_every_reducer_before_training(capsys, tmp_path, monkeypat
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def confound8(tmp_path_factory):
+    data = tmp_path_factory.mktemp("confound8")
+    assert cli.main(["gen", "--out", str(data), "--confound", "--n", "8"]) == 0
+    return data
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda d, m: ["train", "--data", d, "--reducer", "shuffle:8", "--crop", 30],
+        lambda d, m: ["report", "--data", d, "--crop", 30],
+        lambda d, m: ["spectrum", "--in", d, "--reducer", "shuffle:8", "--crop", 30],
+        lambda d, m: ["eval", "--model", m, "--data", d, "--reducer", "shuffle:8"],
+    ],
+    ids=["train", "report", "spectrum", "eval"],
+)
+def test_tile_mismatch_is_one_error_line_in_every_command(capsys, tmp_path, monkeypatch, confound8, argv):
+    capsys.readouterr()
+    model = tmp_path / "m.w1"
+    weights = encode_params(init_params(1), ReducerSpec.parse("shuffle:8"), 1, 32).decode("ascii")
+    model.write_text(weights.replace("\ncrop 32\n", "\ncrop 30\n", 1))
+    command, calls = argv(confound8, model), []
+    if command[0] in ("train", "report"):  # the training config is checked before anything is decoded
+        monkeypatch.setattr(cli.detector, "load_images", lambda *args: calls.append(args))
+    line = run_cli_error(capsys, [*command, "--out", tmp_path / "out"])
+    assert line == "error: patch-mismatch: patch 8 must divide 30x30"
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command",
     [lambda t: ["train", "--reducer", "none", "--epochs", 1], lambda t: ["report", "--epochs", 1],
@@ -396,6 +429,17 @@ def test_gen_bad_output_fails_before_any_image(capsys, tmp_path, made, blocked, 
     assert line == f"error: io: {error}: '{tmp_path / blocked}'"
     _assert_no_child_left()
     assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_gen_out_that_is_a_file_fails_before_forking(capsys, tmp_path, monkeypatch):
+    out = tmp_path / "F"
+    out.write_bytes(b"")
+    calls = []
+    monkeypatch.setattr(cli, "_fork_map", lambda *args: calls.append(args))
+    line = run_cli_error(capsys, ["gen", "--out", out, "--n", 2, "--size", 16])
+    assert line == f"error: io: [Errno 20] Not a directory: '{out}'"
+    assert calls == []
+    assert sorted(tmp_path.iterdir()) == [out] and out.read_bytes() == b""
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):

@@ -423,7 +423,7 @@ def test_adam_zero_grads_no_motion_without_decay():
     params = init_params(7)
     before = {k: v.copy() for k, v in params.items()}
     grads = {k: np.zeros(s) for k, s in _SHAPES.items()}
-    updated = adam_step(params, grads, AdamState.zeros(), _config(weight_decay=0.0))
+    updated = adam_step(params, grads, AdamState(), _config(weight_decay=0.0))
     for name in _SHAPES:
         assert np.array_equal(updated[name], before[name])
 
@@ -432,7 +432,7 @@ def test_adam_first_step_magnitude_is_lr():
     params = init_params(8)
     grads = {k: np.full(s, 0.37) for k, s in _SHAPES.items()}
     cfg = _config(weight_decay=0.0, lr=2e-4)
-    updated = adam_step(params, grads, AdamState.zeros(), cfg)
+    updated = adam_step(params, grads, AdamState(), cfg)
     for name in _SHAPES:
         delta = updated[name] - params[name]
         assert np.allclose(np.abs(delta), cfg.lr, rtol=1e-6)
@@ -445,7 +445,7 @@ def test_adam_elementwise_independence_across_tensors():
     grads = {k: np.zeros(s) for k, s in _SHAPES.items()}
     grads["conv1_b"][:] = np.arange(8) * 0.1
     grads["conv2_b"][:8] = np.arange(8) * 0.1
-    updated = adam_step(params, grads, AdamState.zeros(), _config())
+    updated = adam_step(params, grads, AdamState(), _config())
     assert np.array_equal(updated["conv1_b"], updated["conv2_b"][:8])
 
 
@@ -453,7 +453,7 @@ def test_adam_decoupled_decay_shrinks_weights():
     params = init_params(10)
     grads = {k: np.zeros(s) for k, s in _SHAPES.items()}
     cfg = _config(weight_decay=0.5, lr=0.1)
-    updated = adam_step(params, grads, AdamState.zeros(), cfg)
+    updated = adam_step(params, grads, AdamState(), cfg)
     assert np.allclose(updated["conv1_w"], params["conv1_w"] * (1 - 0.1 * 0.5))
 
 
@@ -610,8 +610,8 @@ def test_train_rejects_single_class(tiny_benchmark):
 
 def test_train_rejects_bad_shuffle_patch(tiny_benchmark):
     root, train_entries, _ = tiny_benchmark
-    cfg = _config(reducer=ReducerSpec.parse("shuffle:3"), crop=8, epochs=1)
     with pytest.raises(PixmapError) as err:
+        cfg = _config(reducer=ReducerSpec.parse("shuffle:3"), crop=8, epochs=1)
         train(train_entries, load_images(train_entries, root), cfg)
     assert err.value.code == "patch-mismatch"
 

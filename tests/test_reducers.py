@@ -244,10 +244,18 @@ def test_reducer_spec_rejects_garbage():
             ReducerSpec.parse(text)
 
 
-def test_reducer_validate_for_crop():
-    ReducerSpec.parse("shuffle:8").validate_for_crop(32)
+def test_reducer_check_tiles():
+    ReducerSpec.parse("shuffle:8").check_tiles(32, 32)
+    ReducerSpec.parse("shuffle:8").check_tiles(16, 40)
     with pytest.raises(PixmapError):
-        ReducerSpec.parse("shuffle:3").validate_for_crop(32)
+        ReducerSpec.parse("shuffle:3").check_tiles(32, 32)
+    with pytest.raises(PixmapError) as err:
+        ReducerSpec.parse("shuffle:8").check_tiles(32, 36)
+    assert (err.value.code, err.value.message) == ("patch-mismatch", "patch 8 must divide 32x36")
+    with pytest.raises(PixmapError) as err:
+        ReducerSpec.parse("npr").check_tiles(31, 32)
+    assert err.value.message == "block 2 must divide 31x32"
+    ReducerSpec.parse("highpass").check_tiles(31, 33)
 
 
 def test_apply_reducer_none_is_standard_normalization():

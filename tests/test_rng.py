@@ -20,7 +20,7 @@ from pixmap.rng import (
 def test_scalar_and_bulk_streams_match():
     a = SplitMix64(12345)
     b = SplitMix64(12345)
-    scalar = [a.random() for _ in range(64)]
+    scalar = [(a.next_u64() >> 11) * 2.0**-53 for _ in range(64)]
     bulk = b.uniforms(64)
     assert np.array_equal(np.array(scalar), bulk)
 
@@ -29,9 +29,9 @@ def test_interleaved_draws_share_one_counter():
     a = SplitMix64(9)
     b = SplitMix64(9)
     ref = b.uniforms(10)
-    got = [a.random(), a.random()]
+    got = [(a.next_u64() >> 11) * 2.0**-53 for _ in range(2)]
     got.extend(a.uniforms(5).tolist())
-    got.extend([a.random() for _ in range(3)])
+    got.extend([(a.next_u64() >> 11) * 2.0**-53 for _ in range(3)])
     assert np.array_equal(np.array(got), ref)
 
 
