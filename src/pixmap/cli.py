@@ -10,7 +10,7 @@ command's summary to stdout. ``eval`` without ``--out`` writes no file and
 only prints. The flags are
 the parsed flags, with ``reducer`` in canonical form
 (``ReducerSpec.canonical``) and every training setting as resolved from
-flags, config file and defaults. Deterministic subcommands reproduce
+flags and defaults. Deterministic subcommands reproduce
 byte-identical outputs when re-run with the flags stored in their manifest.
 
 Errors print exactly one line to stderr, ``error: <code>: <detail>``, print
@@ -153,7 +153,7 @@ def _run_manifest(args, started: float, run: _Run) -> bytes:
     if "reducer" in flags:
         flags["reducer"] = reducers.ReducerSpec.parse(flags["reducer"]).canonical()
     if run.config is not None:
-        flags.update((k, getattr(run.config, k)) for k in flags.keys() & _SETTINGS.keys())
+        flags.update((k, getattr(run.config, k)) for k in _SETTINGS)
     manifest = {
         "subcommand": args.subcommand,
         "flags": flags,
@@ -167,31 +167,14 @@ def _run_manifest(args, started: float, run: _Run) -> bytes:
     return (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode("ascii")
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    values = {}
-    for lineno, raw in enumerate(image.read_ascii_lines(path, "bad-config", f"{path} is not ASCII"), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = (part.strip() for part in line.partition("="))
-        if not sep:
-            raise PixmapError("bad-config", f"{path}:{lineno}: expected key=value")
-        if key in values:
-            raise PixmapError("bad-config", f"{path}:{lineno}: repeated key {key!r}")
-        values[key] = value
-    return values
-
-
-# Every TrainConfig field but the reducer is a flag and a config key; its
-# default's type casts config-file values.
+# Every TrainConfig field but the reducer is a flag of train and report; its
+# default's type parses the flag.
 _SETTINGS = {f.name: f for f in dataclasses.fields(TrainConfig) if f.name != "reducer"}
-_REPORT_SETTINGS = ("seed", "epochs", "batch_size", "crop", "lr", "weight_decay")
 
 
-def _add_setting_flags(parser, names) -> None:
+def _add_setting_flags(parser) -> None:
     """Add one flag per TrainConfig setting; unset flags stay None."""
-    for name in names:
-        f = _SETTINGS[name]
+    for name, f in _SETTINGS.items():
         parser.add_argument(
             "--" + name.replace("_", "-"), dest=name, type=type(f.default), default=None,
             help=f"{f.metadata['help']} (default {f.default!r})",
@@ -199,23 +182,9 @@ def _add_setting_flags(parser, names) -> None:
 
 
 def _resolve_train_config(args, reducer: reducers.ReducerSpec) -> TrainConfig:
-    """Merge precedence: explicit flags > config file > TrainConfig defaults."""
-    config_path = getattr(args, "config", None)
-    file_values = _load_config_file(config_path) if config_path else {}
-    unknown = set(file_values) - set(_SETTINGS)
-    if unknown:
-        raise PixmapError("bad-config", f"unknown config keys: {sorted(unknown)}")
-    resolved = {}
-    for key, f in _SETTINGS.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_values:
-            try:
-                resolved[key] = type(f.default)(file_values[key])
-            except ValueError as exc:
-                raise PixmapError("bad-config", f"config key {key}: {exc}") from exc
-    return TrainConfig(reducer=reducer, **resolved)
+    """The setting flags that are set, over TrainConfig's defaults."""
+    flags = {k: getattr(args, k) for k in _SETTINGS}
+    return TrainConfig(reducer=reducer, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _load_split(data_dir: str, split: str):
@@ -361,7 +330,7 @@ def _cmd_spectrum(args) -> _Run:
 def _cmd_train(args) -> _Run:
     reducer = reducers.ReducerSpec.parse(args.reducer)
     config = _resolve_train_config(args, reducer)
-    (out_path,) = _out_paths(args.out, reads=[Path(args.data) / "train_manifest.csv", args.config])
+    (out_path,) = _out_paths(args.out, reads=[Path(args.data) / "train_manifest.csv"])
     entries, images = _load_split(args.data, "train")
     params, trace = detector.train(entries, images, config)
     reducer_seed = rng.derive_seed(config.seed, "reducer")
@@ -378,6 +347,7 @@ def _average_precision(scores, labels) -> float:
 def _cmd_eval(args) -> _Run:
     (out_path,) = _out_paths(args.out, reads=[args.model, Path(args.data) / f"{args.split}_manifest.csv"])
     params, model_reducer, reducer_seed, crop_size = detector.load_params(args.model)
+    model_reducer.check_tiles(crop_size, crop_size)
     got, trained = reducers.ReducerSpec.parse(args.reducer).canonical(), model_reducer.canonical()
     if got != trained:
         raise PixmapError("reducer-mismatch", f"model was trained with {trained}, got {got}")
@@ -492,8 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="benchmark directory (from gen)")
     p.add_argument("--reducer", required=True, help=_REDUCER_HELP)
     p.add_argument("--out", required=True, help="weights file to write")
-    p.add_argument("--config", default=None, help="key=value config file; flags override")
-    _add_setting_flags(p, _SETTINGS)
+    _add_setting_flags(p)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate saved weights on a benchmark split")
@@ -508,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="train+eval every reducer, emit comparison CSV")
     p.add_argument("--data", required=True, help="benchmark directory")
     p.add_argument("--out", required=True, help="comparison CSV path")
-    _add_setting_flags(p, _REPORT_SETTINGS)
+    _add_setting_flags(p)
     p.set_defaults(func=_cmd_report)
 
     return parser

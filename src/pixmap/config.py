@@ -31,13 +31,11 @@ def _setting(default, help_text):
 @dataclass(frozen=True)
 class TrainConfig:
     """Training settings. The only home of their defaults: the CLI's train
-    and report flags and the config-file keys are derived from these fields.
+    and report flags are derived from these fields.
     """
 
     reducer: ReducerSpec
     lr: float = _setting(2e-4, "Adam learning rate")
-    beta1: float = _setting(0.9, "Adam beta1")
-    beta2: float = _setting(0.999, "Adam beta2")
     weight_decay: float = _setting(2e-4, "decoupled weight decay")
     epochs: int = _setting(30, "training epochs")
     batch_size: int = _setting(32, "minibatch size")
@@ -49,8 +47,6 @@ class TrainConfig:
             raise PixmapError("bad-config", "lr must be finite and > 0")
         if not math.isfinite(self.weight_decay):
             raise PixmapError("bad-config", "weight_decay must be finite")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise PixmapError("bad-config", "betas must lie in [0, 1)")
         if self.batch_size < 1:
             raise PixmapError("bad-config", "batch_size must be >= 1")
         if self.epochs < 1:

@@ -10,12 +10,13 @@ Convolutions are valid (no padding, stride 1). The mean pool uses stride-2
 windows that shrink to partial windows on odd edges, so any input of at
 least 7x7 flows through. Its forward and backward passes each loop over
 the four window taps, one path for even and odd sides alike. The
-optimizer is Adam with decoupled weight decay (weights shrink by lr * wd
-before the moment update). Each training step runs the forward
-pass once and caches only what the backward pass reads: both im2col
-matrices, the ReLU masks ``m1``/``m2`` (``a > 0``, taken before each ReLU
-runs in place) and the pool's window counts. conv2's matrix is freed
-before its input gradient allocates a matrix of the same size.
+optimizer is Adam with fixed betas (``ADAM_BETA1``, ``ADAM_BETA2``) and
+decoupled weight decay (weights shrink by lr * wd before the moment
+update). Each training step runs the forward pass once and caches only
+what the backward pass reads: both im2col matrices, the ReLU masks
+``m1``/``m2`` (``a > 0``, taken before each ReLU runs in place) and the
+pool's window counts. conv2's matrix is freed before its input gradient
+allocates a matrix of the same size.
 Everything is plain float64 numpy with a fixed reduction order, so
 identical seeds give bit-identical weights. Weights, gradients and Adam
 moments are dicts of arrays keyed by the names of ``_SHAPES``, in its order.
@@ -41,6 +42,8 @@ from .rng import SplitMix64, derive_seed, seeded_permutations
 from .synthgen import ManifestEntry
 
 LOSS_EPS = 1e-7
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 _SHAPES = {
@@ -298,10 +301,10 @@ def adam_step(
     for name, theta in params.items():
         g = grads[name]
         theta = theta * (1.0 - config.lr * config.weight_decay)
-        m = state.m[name] = config.beta1 * state.m[name] + (1.0 - config.beta1) * g
-        v = state.v[name] = config.beta2 * state.v[name] + (1.0 - config.beta2) * g * g
-        m_hat = m / (1.0 - config.beta1**t)
-        v_hat = v / (1.0 - config.beta2**t)
+        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
+        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
         new[name] = theta - config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return _finite(new)
 

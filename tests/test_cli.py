@@ -176,28 +176,6 @@ def test_bad_crop_size_is_one_error_line(capsys, tmp_path, small_corpus, command
     assert not out.exists()
 
 
-def test_train_non_ascii_config(capsys, tmp_path):
-    config = tmp_path / "cfg.txt"
-    config.write_bytes(b"lr=0.001 \xe2\x80\x94 faster\n")
-    line = run_cli_error(
-        capsys,
-        ["train", "--data", tmp_path, "--reducer", "none", "--out", tmp_path / "m.w1",
-         "--config", config],
-    )
-    assert line.startswith("error: bad-config: ")
-
-
-def test_train_config_repeated_key(capsys, tmp_path):
-    config = tmp_path / "cfg.txt"
-    config.write_text("lr=0.001\n# a comment\nlr=0.002\n")
-    line = run_cli_error(
-        capsys,
-        ["train", "--data", tmp_path, "--reducer", "none", "--out", tmp_path / "m.w1",
-         "--config", config],
-    )
-    assert line == f"error: bad-config: {config}:3: repeated key 'lr'"
-
-
 def test_report_checks_every_reducer_before_training(capsys, tmp_path, monkeypatch):
     assert cli.main(["gen", "--out", str(tmp_path), "--confound", "--n", "2", "--size", "32"]) == 0
     capsys.readouterr()
@@ -234,7 +212,7 @@ def test_tile_mismatch_is_one_error_line_in_every_command(capsys, tmp_path, monk
     weights = encode_params(init_params(1), ReducerSpec.parse("shuffle:8"), 1, 32).decode("ascii")
     model.write_text(weights.replace("\ncrop 32\n", "\ncrop 30\n", 1))
     command, calls = argv(confound8, model), []
-    if command[0] in ("train", "report"):  # the training config is checked before anything is decoded
+    if command[0] != "spectrum":  # the training config or the weights are checked before anything is decoded
         monkeypatch.setattr(cli.detector, "load_images", lambda *args: calls.append(args))
     line = run_cli_error(capsys, [*command, "--out", tmp_path / "out"])
     assert line == "error: patch-mismatch: patch 8 must divide 30x30"
@@ -260,6 +238,28 @@ def test_missing_out_directory_fails_before_training(capsys, tmp_path, monkeypat
     assert line == f"error: io: [Errno 2] No such file or directory: '{out}'"
     assert calls == []
     assert not (tmp_path / "missing").exists()
+
+
+_SETTING_FIELDS = [f for f in dataclasses.fields(TrainConfig) if f.name != "reducer"]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [[], ["--config", "F"], ["--beta1", 0.9], ["--beta2", 0.999]],
+    ids=["settings", "config", "beta1", "beta2"],
+)
+@pytest.mark.parametrize("command", [["train", "--reducer", "none"], ["report"]], ids=["train", "report"])
+def test_train_and_report_take_one_flag_per_setting(capsys, tmp_path, command, extra):
+    settings = [a for f in _SETTING_FIELDS for a in ("--" + f.name.replace("_", "-"), f.default)]
+    argv = [str(a) for a in (*command, "--data", tmp_path, "--out", tmp_path / "out", *settings, *extra)]
+    if extra:
+        assert cli.main(argv) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: bad-usage: "), lines
+        return
+    parsed = vars(cli.build_parser().parse_args(argv))
+    assert set(parsed) - {"subcommand", "func", "data", "reducer", "out"} == {f.name for f in _SETTING_FIELDS}
+    assert all(parsed[f.name] == f.default for f in _SETTING_FIELDS)
 
 
 @pytest.mark.parametrize("code", ["single-class", "bad-usage", "worker-failed", "io"])
@@ -655,8 +655,8 @@ def test_decode_error_names_the_file(capsys, tmp_path, subcommand, damage, detai
     assert line == "error: " + detail.format(img)
 
 
-# A bad corpus or training setting, as a flag or a config-file line: each
-# fails before any image or weight is written.
+# A bad corpus or training setting: each fails before any image or weight
+# is written.
 BAD_SETTINGS = {
     "gen-odd-size": (["gen", "--size", 7], "bad-generator"),
     "gen-negative-noise": (["gen", "--noise-sigma", -1], "bad-generator"),
@@ -667,7 +667,6 @@ BAD_SETTINGS = {
     "train-inf-lr": (["train", "--reducer", "none", "--lr", "inf"], "bad-config"),
     "train-nan-lr": (["train", "--reducer", "none", "--lr", "nan"], "bad-config"),
     "train-nan-weight-decay": (["train", "--reducer", "none", "--weight-decay", "nan"], "bad-config"),
-    "train-config-inf-lr": (["train", "--reducer", "none", "--config", "lr=inf"], "bad-config"),
     "report-inf-weight-decay": (["report", "--weight-decay", "inf"], "bad-config"),
 }
 
@@ -682,10 +681,6 @@ def test_bad_setting_fails_before_writing(capsys, tmp_path, case):
     else:
         _gen_confound(data, 2)
         capsys.readouterr()
-        if "--config" in flags:
-            config = tmp_path / "cfg.txt"
-            config.write_text(flags.pop() + "\n")
-            flags.append(config)
         argv = [subcommand, "--data", data, "--out", out, *flags]
     line = run_cli_error(capsys, argv)
     assert line.startswith(f"error: {code}: ")
@@ -827,13 +822,10 @@ def _spectrum_manifest(t, data):
 
 
 def _train_flags(t, data):
-    config = t / "cfg.txt"
-    config.write_text("epochs=1\nlr=0.001\n")
     argv = ["train", "--data", data, "--reducer", "highpass", "--out", t / "w.w1",
-            "--config", config, "--batch-size", 4, "--crop", 16]
-    flags = {"data": str(data), "reducer": "highpass:0.25", "out": str(t / "w.w1"), "config": str(config),
-             "lr": 0.001, "beta1": 0.9, "beta2": 0.999, "weight_decay": 2e-4, "epochs": 1,
-             "batch_size": 4, "crop": 16, "seed": 1}
+            "--epochs", 1, "--lr", 0.001, "--batch-size", 4, "--crop", 16]
+    flags = {"data": str(data), "reducer": "highpass:0.25", "out": str(t / "w.w1"),
+             "lr": 0.001, "weight_decay": 2e-4, "epochs": 1, "batch_size": 4, "crop": 16, "seed": 1}
     return argv, flags
 
 
@@ -973,32 +965,30 @@ def test_output_naming_the_run_manifest_fails_before_reading(capsys, tmp_path, s
 
 @pytest.mark.parametrize(
     "command",
-    [lambda d, m, c: ["map", "--in", d / "test" / "real_0000.ppm", "--reducer", "none",
-                      "--out", d / "test" / "real_0000.ppm"],
-     lambda d, m, c: ["map", "--in", d / "test" / "real_0000.ppm", "--reducer", "random", "--out", d / "m.imf",
-                      "--table-csv", f"{d}/test/./real_0000.ppm"],
-     lambda d, m, c: ["spectrum", "--in", d, "--out", d / "p.csv", "--heatmap", d / "train" / "fake_0001.ppm"],
-     lambda d, m, c: ["eval", "--model", m, "--data", d, "--reducer", "none", "--out", d / "test_manifest.csv"],
-     lambda d, m, c: ["eval", "--model", m, "--data", d, "--reducer", "none", "--out", m],
-     lambda d, m, c: ["eval", "--model", m, "--data", d, "--reducer", "none", "--split", "train",
-                      "--out", d / "train_manifest.csv"],
-     lambda d, m, c: ["train", "--data", d, "--reducer", "none", "--out", d / "train_manifest.csv"],
-     lambda d, m, c: ["train", "--data", d, "--reducer", "none", "--config", c, "--out", c],
-     lambda d, m, c: ["report", "--data", d, "--out", d / "train_manifest.csv"],
-     lambda d, m, c: ["report", "--data", d, "--out", f"{d}//test_manifest.csv"]],
-    ids=["map", "map-table", "spectrum", "eval", "eval-model", "eval-train", "train", "train-config",
-         "report-train", "report-test"],
+    [lambda d, m: ["map", "--in", d / "test" / "real_0000.ppm", "--reducer", "none",
+                   "--out", d / "test" / "real_0000.ppm"],
+     lambda d, m: ["map", "--in", d / "test" / "real_0000.ppm", "--reducer", "random", "--out", d / "m.imf",
+                   "--table-csv", f"{d}/test/./real_0000.ppm"],
+     lambda d, m: ["spectrum", "--in", d, "--out", d / "p.csv", "--heatmap", d / "train" / "fake_0001.ppm"],
+     lambda d, m: ["eval", "--model", m, "--data", d, "--reducer", "none", "--out", d / "test_manifest.csv"],
+     lambda d, m: ["eval", "--model", m, "--data", d, "--reducer", "none", "--out", m],
+     lambda d, m: ["eval", "--model", m, "--data", d, "--reducer", "none", "--split", "train",
+                   "--out", d / "train_manifest.csv"],
+     lambda d, m: ["train", "--data", d, "--reducer", "none", "--out", d / "train_manifest.csv"],
+     lambda d, m: ["report", "--data", d, "--out", d / "train_manifest.csv"],
+     lambda d, m: ["report", "--data", d, "--out", f"{d}//test_manifest.csv"]],
+    ids=["map", "map-table", "spectrum", "eval", "eval-model", "eval-train", "train", "report-train",
+         "report-test"],
 )
 def test_output_naming_an_input_fails_before_reading(capsys, tmp_path, small_corpus, monkeypatch, command):
-    data, model, config = tmp_path / "data", tmp_path / "m.w1", tmp_path / "c.txt"
+    data, model = tmp_path / "data", tmp_path / "m.w1"
     shutil.copytree(small_corpus, data)
     save_params(model, init_params(1), ReducerSpec.parse("none"), reducer_seed=1, crop_size=8)
-    config.write_text("epochs=1\n")
     before = _file_bytes(tmp_path)
     reads = []
     for module, name in ((cli.image, "read_ppm"), (cli.synthgen, "read_manifest_csv"), (cli.detector, "load_params")):
         monkeypatch.setattr(module, name, lambda *args: reads.append(args))
-    argv = command(data, model, config)
+    argv = command(data, model)
     line = run_cli_error(capsys, argv)
     assert line == f"error: bad-usage: an output names an input file: {argv[-1]}"
     assert reads == []

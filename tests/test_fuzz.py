@@ -7,7 +7,6 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pixmap.cli import _load_config_file
 from pixmap.detector import encode_params, init_params, load_params
 from pixmap.errors import PixmapError
 from pixmap.image import decode_ppm, parse_rows
@@ -142,20 +141,3 @@ _W1_TEXT = encode_params(init_params(3), ReducerSpec.parse("shuffle:8"), reducer
 @given(mutated_text(_W1_TEXT))
 def test_load_params_fuzz(data):
     parses_file_or_raises_pixmap_error(load_params, data)
-
-
-_config_line = st.one_of(
-    st.tuples(
-        st.sampled_from(["seed", "epochs", "lr", "crop", "bogus", "", " # x"]),
-        st.sampled_from(["=", "", "==", " = "]),
-        _number_text,
-    ).map("".join),
-    st.text(_CHARS, max_size=12),
-)
-
-
-@FUZZ
-@given(st.lists(_config_line, max_size=5), st.binary(max_size=4))
-def test_load_config_file_fuzz(lines, tail):
-    data = ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass") + tail
-    parses_file_or_raises_pixmap_error(_load_config_file, data)
