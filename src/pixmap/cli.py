@@ -486,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _retain_freed_memory() -> None:
     """Keep freed heap memory in the process rather than handing it back to the OS.
 
-    Each detector step allocates and frees megabytes of float64 temporaries.
+    Each detector step allocates and frees megabytes of float32 temporaries.
     With glibc's defaults those blocks are unmapped or trimmed on free and
     faulted back in, page by page, by the next step; the two settings below
     keep them mapped. Other platforms are left as they are.

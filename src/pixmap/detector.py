@@ -17,9 +17,13 @@ what the backward pass reads: both im2col matrices, the ReLU masks
 ``m1``/``m2`` (``a > 0``, taken before each ReLU runs in place) and the
 pool's window counts. conv2's matrix is freed before its input gradient
 allocates a matrix of the same size.
-Everything is plain float64 numpy with a fixed reduction order, so
-identical seeds give bit-identical weights. Weights, gradients and Adam
-moments are dicts of arrays keyed by the names of ``_SHAPES``, in its order.
+Every kernel computes in its input's dtype with a fixed reduction order,
+so identical seeds give bit-identical weights. A batch is cast to its
+weights' dtype: :func:`train` and :func:`load_params` give float32
+weights, so training and scoring run in float32, while the float64
+weights of :func:`init_params` keep a pass in float64. Weights, gradients
+and Adam moments are dicts of arrays keyed by the names of ``_SHAPES``,
+in its order.
 
 :func:`train` and :func:`evaluate` build every batch with
 ``reducers.crop_batch``, the path ``spectrum`` and ``map`` use too;
@@ -111,7 +115,7 @@ def _conv_input_grad(grad_out, x_shape, w):
     n, cin, h, wd = x_shape
     cout, oh, ow = grad_out.shape[1], h - 2, wd - 2
     gpatch = (w.reshape(cout, -1).T @ grad_out.reshape(n, cout, oh * ow)).reshape(n, cin, 3, 3, oh, ow)
-    grad_x = np.zeros(x_shape)
+    grad_x = np.zeros(x_shape, dtype=gpatch.dtype)
     for u in range(3):
         for v in range(3):
             grad_x[:, :, u : u + oh, v : v + ow] += gpatch[:, :, u, v]
@@ -126,8 +130,8 @@ def _meanpool_forward(x):
     (1,0), (1,1) taps in that order.
     """
     n, c, h, w = x.shape
-    sums = np.zeros((n, c, (h + 1) // 2, (w + 1) // 2))
-    counts = np.zeros(sums.shape[2:])
+    sums = np.zeros((n, c, (h + 1) // 2, (w + 1) // 2), dtype=x.dtype)
+    counts = np.zeros(sums.shape[2:], dtype=x.dtype)
     for dy in (0, 1):
         for dx in (0, 1):
             sub = x[:, :, dy::2, dx::2]
@@ -137,15 +141,17 @@ def _meanpool_forward(x):
 
 
 def _keep(mask, x):
-    """``np.where(mask, x, 0.0)`` bit for bit, for float64 ``x`` broadcast to ``mask``.
+    """``np.where(mask, x, 0.0)`` bit for bit, for float ``x`` broadcast to ``mask``.
 
-    x's bit pattern is ANDed with all-ones or all-zero words, so signed zeros
-    and NaNs pass unchanged and every dropped entry is +0.0. With no branch
-    per element it is several times faster than ``np.where`` on a random mask.
+    x's bit pattern is ANDed with all-ones or all-zero words of its own
+    width, so signed zeros and NaNs pass unchanged and every dropped entry
+    is +0.0. With no branch per element it is several times faster than
+    ``np.where`` on a random mask.
     """
-    out = -mask.astype(np.uint64)
-    out &= x.view(np.uint64)
-    return out.view(np.float64)
+    word = np.dtype(f"u{x.dtype.itemsize}")
+    out = -mask.astype(word)
+    out &= x.view(word)
+    return out.view(x.dtype)
 
 
 def _pool_relu_backward(grad_out, counts, mask):
@@ -154,7 +160,7 @@ def _pool_relu_backward(grad_out, counts, mask):
     The stride-2 windows tile the input, so each tap's slice is assigned
     once and no entry needs a zero fill.
     """
-    grad = np.empty(mask.shape)
+    grad = np.empty(mask.shape, dtype=grad_out.dtype)
     spread = grad_out / counts
     for dy in (0, 1):
         for dx in (0, 1):
@@ -172,8 +178,9 @@ def _sigmoid(z):
     return out
 
 
-def _check_batch(batch):
-    x = np.asarray(batch, dtype=np.float64)
+def _check_batch(params: dict[str, np.ndarray], batch):
+    """``batch`` as an array of the weights' dtype; a bad shape raises ``bad-batch``."""
+    x = np.asarray(batch, dtype=params["conv1_w"].dtype)
     if x.ndim != 4 or x.shape[1] != 3:
         raise PixmapError("bad-batch", f"batch must be NxCxHxW with C=3, got {x.shape}")
     if x.shape[2] < 7 or x.shape[3] < 7:
@@ -206,7 +213,7 @@ def _head(params: dict[str, np.ndarray], g):
 
 
 def _forward_full(params: dict[str, np.ndarray], batch):
-    g, cache = _features(params, _check_batch(batch))
+    g, cache = _features(params, _check_batch(params, batch))
     return _head(params, g), g, cache
 
 
@@ -219,8 +226,8 @@ def forward(params: dict[str, np.ndarray], batch) -> np.ndarray:
     row differently in a block of another size, so chunking it would not
     match :func:`_forward_full`.
     """
-    x = _check_batch(batch)
-    g = np.empty((len(x), params["linear_w"].shape[1]))
+    x = _check_batch(params, batch)
+    g = np.empty((len(x), params["linear_w"].shape[1]), dtype=x.dtype)
     for start in range(0, len(x), _FORWARD_CHUNK):
         g[start : start + _FORWARD_CHUNK] = _features(params, x[start : start + _FORWARD_CHUNK])[0]
     return _head(params, g)
@@ -242,7 +249,7 @@ def _forward_backward(params: dict[str, np.ndarray], batch, labels):
     is never needed, so it is not computed.
     """
     probs, g, (cols1, m1, counts, p1_shape, m2, cols2) = _forward_full(params, batch)
-    y = np.asarray(labels, dtype=np.float64)
+    y = np.asarray(labels, dtype=probs.dtype)  # float64 labels would upcast the whole backward pass
     n = len(probs)
     clamped = (probs < LOSS_EPS) | (probs > 1.0 - LOSS_EPS)
     dz = np.where(clamped, 0.0, probs - y) / n
@@ -277,14 +284,12 @@ def backward(params: dict[str, np.ndarray], batch, labels) -> dict[str, np.ndarr
 # --- optimizer ------------------------------------------------------------------
 
 
-def _zero_moments() -> dict[str, np.ndarray]:
-    return {k: np.zeros(s) for k, s in _SHAPES.items()}
-
-
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=_zero_moments)
-    v: dict[str, np.ndarray] = field(default_factory=_zero_moments)
+    """Adam's moments by tensor name, empty until the first step, and the step count."""
+
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
     t: int = 0
 
 
@@ -294,15 +299,18 @@ def adam_step(
     state: AdamState,
     config: TrainConfig,
 ) -> dict[str, np.ndarray]:
-    """One Adam update with bias correction and decoupled weight decay; a non-finite result is ``bad-params``."""
+    """One Adam update with bias correction and decoupled weight decay; a non-finite result is ``bad-params``.
+
+    A missing moment starts at 0.0, so the moments take the gradients' dtype.
+    """
     state.t += 1
     t = state.t
     new = {}
     for name, theta in params.items():
         g = grads[name]
         theta = theta * (1.0 - config.lr * config.weight_decay)
-        m = state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * g
-        v = state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * g * g
+        m = state.m[name] = ADAM_BETA1 * state.m.get(name, 0.0) + (1.0 - ADAM_BETA1) * g
+        v = state.v[name] = ADAM_BETA2 * state.v.get(name, 0.0) + (1.0 - ADAM_BETA2) * g * g
         m_hat = m / (1.0 - ADAM_BETA1**t)
         v_hat = v / (1.0 - ADAM_BETA2**t)
         new[name] = theta - config.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
@@ -325,7 +333,7 @@ def load_images(entries, root) -> list[np.ndarray]:
 def train(
     entries: tuple[ManifestEntry, ...], images: list[np.ndarray], config: TrainConfig
 ) -> tuple[dict[str, np.ndarray], list[float]]:
-    """Train on decoded manifest images; returns final weights and per-epoch mean loss.
+    """Train on decoded manifest images; returns final float32 weights and per-epoch mean loss.
 
     Each epoch reshuffles the sample order, redraws every random crop, and
     redraws any stochastic reducer state, all from seeds derived off
@@ -341,7 +349,7 @@ def train(
     if labels_present != {0, 1}:
         raise PixmapError("single-class", f"training needs both labels, got {labels_present}")
 
-    params = init_params(derive_seed(config.seed, "init"))
+    params = {k: v.astype(np.float32) for k, v in init_params(derive_seed(config.seed, "init")).items()}
     reducer_root = derive_seed(config.seed, "reducer")
     state = AdamState()
     trace = []
@@ -430,8 +438,8 @@ _W1_MAGIC = "PIXMAP-W1"
 def encode_params(params: dict[str, np.ndarray], reducer: ReducerSpec, reducer_seed: int, crop_size: int) -> bytes:
     """Weights as text: magic, preprocessing identity, tensors.
 
-    Values use shortest round-trip decimals, so load_params recovers the
-    exact float64 bits.
+    Each value is written as the shortest decimal that reads back to its
+    float64, so load_params recovers the exact bits of float32 weights.
     """
     lines = [
         _W1_MAGIC,
@@ -458,7 +466,8 @@ def load_params(path) -> tuple[dict[str, np.ndarray], ReducerSpec, int, int]:
     or an unknown, repeated or misshapen tensor), ``malformed-payload`` (a
     value that is not a number, or a row of the wrong length),
     ``truncated-payload`` (the file ends inside a tensor or lacks one) or
-    ``bad-params`` (a non-finite value).
+    ``bad-params`` (a non-finite value, or one beyond float32's range).
+    The weights come back as float32, the dtype :func:`train` writes.
     """
     lines = iter(read_ascii_lines(path, "unsupported-format", f"not a {_W1_MAGIC} file: {path}"))
     if next(lines, "").strip() != _W1_MAGIC:
@@ -488,7 +497,9 @@ def load_params(path) -> tuple[dict[str, np.ndarray], ReducerSpec, int, int]:
         if dims != " ".join(str(d) for d in shape):
             raise PixmapError("malformed-header", f"tensor {name} must be {shape}, got {dims!r}")
         width = int(np.prod(shape[1:]))
-        tensors[name] = parse_rows(lines, shape[0], width, f"tensor {name}").reshape(shape)
+        rows = parse_rows(lines, shape[0], width, f"tensor {name}")
+        with np.errstate(over="ignore"):  # an overflow to inf is _finite's bad-params
+            tensors[name] = rows.astype(np.float32).reshape(shape)
     missing = set(_SHAPES) - set(tensors)
     if missing:
         raise PixmapError("truncated-payload", f"missing tensors: {sorted(missing)}")

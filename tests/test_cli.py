@@ -113,6 +113,22 @@ def test_eval_model_with_non_finite_value(capsys, tmp_path, weights_text, value)
     assert captured.out == ""
 
 
+def test_eval_model_beyond_float32_is_one_error_line(tmp_path, weights_text):
+    # 1e300 is finite in the float64 text but overflows the float32 weights;
+    # the cast must not print numpy's overflow warning before the error line.
+    model = tmp_path / "big.w1"
+    lines = weights_text.splitlines()
+    row = lines.index("tensor conv1_b 8") + 1
+    lines[row] = "1e300"  # a bias tensor holds one value per row
+    model.write_text("\n".join(lines) + "\n")
+    argv = [sys.executable, "-m", "pixmap.cli", "eval", "--model", model, "--data", tmp_path, "--reducer", "none"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([str(a) for a in argv], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: bad-params: conv1_b contains non-finite values\n"  # no overflow warning
+    assert proc.stdout == ""
+
+
 @pytest.fixture
 def corpus_with_row(tmp_path):
     """Write a train manifest with one extra, caller-supplied row."""
@@ -688,23 +704,27 @@ def test_bad_setting_fails_before_writing(capsys, tmp_path, case):
     _assert_no_child_left()
 
 
-# An absurd learning rate: at --epochs 2 the second step's update is not
-# finite; at --epochs 1 the one step leaves finite weights that score NaN.
+# An absurd learning rate, inside float32's range: at --epochs 2 the second
+# step's update is not finite; with one step the weights stay finite but
+# score NaN. At 1e300, beyond float32's range, the first update overflows.
+_STEP_NOT_FINITE = "conv1_w contains non-finite values"
+_SCORE_NAN = "the final weights score NaN"
 DIVERGING = {
-    "train": (["train", "--reducer", "none", "--epochs", 2], "diverged: training diverged in epoch 2: "),
-    "train-one-step": (["train", "--reducer", "none", "--epochs", 1, "--batch-size", 1000],
-                       "diverged: training diverged in epoch 1: "),
-    "report": (["report", "--epochs", 2], "diverged: training diverged in epoch 2: "),
-    "report-one-step": (["report", "--epochs", 1], "diverged: training diverged in epoch 1: "),
+    "train": (["train", "--reducer", "none", "--epochs", 2], 1e30, f"epoch 2: {_STEP_NOT_FINITE}"),
+    "train-one-step": (["train", "--reducer", "none", "--epochs", 1, "--batch-size", 1000], 1e30,
+                       f"epoch 1: {_SCORE_NAN}"),
+    "train-beyond-float32": (["train", "--reducer", "none", "--epochs", 2], 1e300, f"epoch 1: {_STEP_NOT_FINITE}"),
+    "report": (["report", "--epochs", 2], 1e30, f"epoch 2: {_STEP_NOT_FINITE}"),
+    "report-one-step": (["report", "--epochs", 1], 1e30, f"epoch 1: {_SCORE_NAN}"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DIVERGING))
 def test_diverging_run_prints_one_error_line_and_no_warning(tmp_path, case):
-    (subcommand, *flags), detail = DIVERGING[case]
+    (subcommand, *flags), lr, detail = DIVERGING[case]
     data, out = tmp_path / "data", tmp_path / "out"
     _gen_confound(data, 2)
-    argv = [sys.executable, "-m", "pixmap.cli", subcommand, "--data", data, "--out", out, "--lr", "1e300", *flags]
+    argv = [sys.executable, "-m", "pixmap.cli", subcommand, "--data", data, "--out", out, "--lr", lr, *flags]
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     # Its own session, so a hung run's workers can be killed with it.
     proc = subprocess.Popen([str(a) for a in argv], stderr=subprocess.PIPE, text=True, env=env, start_new_session=True)
@@ -715,7 +735,7 @@ def test_diverging_run_prints_one_error_line_and_no_warning(tmp_path, case):
         raise
     assert proc.returncode == 1
     assert stderr.splitlines() == [stderr.strip()], stderr
-    assert stderr.startswith(f"error: {detail}")
+    assert stderr == f"error: diverged: training diverged in {detail}\n"
     assert "Warning" not in stderr
     assert not out.exists()
 

@@ -116,6 +116,11 @@ def _rand_batch(seed, n=2, h=9, w=9):
     return SplitMix64(seed).uniforms(n * 3 * h * w, -1.0, 1.0).reshape(n, 3, h, w)
 
 
+def _float32(params):
+    """``params`` cast to float32, the dtype train() and load_params() give."""
+    return {name: value.astype(np.float32) for name, value in params.items()}
+
+
 # --- forward -----------------------------------------------------------------
 
 
@@ -156,21 +161,23 @@ def test_forward_handles_minimum_size_and_rejects_smaller():
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 13, 64, 70])
 @pytest.mark.parametrize("size", [32, 15])
 def test_chunked_forward_equals_full_forward_bit_for_bit(monkeypatch, n, size):
-    params = init_params(5)
     x = _rand_batch(n + size, n=n, h=size, w=size)
-    head_rows = []
     real_head = detector._head
+    for dtype in (np.float64, np.float32):  # the weights' dtype sets the pass's
+        params = {name: value.astype(dtype) for name, value in init_params(5).items()}
+        head_rows = []
 
-    def counting_head(params, g):
-        head_rows.append(len(g))
-        return real_head(params, g)
+        def counting_head(params, g):
+            head_rows.append(len(g))
+            return real_head(params, g)
 
-    monkeypatch.setattr(detector, "_head", counting_head)
-    got = forward(params, x)  # first, so no freed buffer of the full pass can fill its features
-    monkeypatch.undo()
-    assert got.tobytes() == detector._forward_full(params, x)[0].tobytes()
-    # BLAS rounds the head's rows by block position, so it must see the whole batch at once.
-    assert head_rows == [n]
+        monkeypatch.setattr(detector, "_head", counting_head)
+        got = forward(params, x)  # first, so no freed buffer of the full pass can fill its features
+        monkeypatch.undo()
+        assert got.dtype == dtype
+        assert got.tobytes() == detector._forward_full(params, x)[0].tobytes()
+        # BLAS rounds the head's rows by block position, so it must see the whole batch at once.
+        assert head_rows == [n]
 
 
 # --- loss -----------------------------------------------------------------------
@@ -310,7 +317,7 @@ def test_fused_step_matches_public_backward():
 def reference_forward_backward(params, batch, labels):
     """The training step with every forward intermediate kept until the
     gradients are done, built from the module's own layers."""
-    x = detector._check_batch(batch)
+    x = detector._check_batch(params, batch)
     a1, cols1 = _conv_forward(x, params["conv1_w"], params["conv1_b"])
     r1 = np.maximum(a1, 0.0)
     p1, counts = _meanpool_forward(r1)
@@ -352,6 +359,24 @@ def test_step_equals_full_cache_reference_bit_for_bit(n, crop):
     for name in _SHAPES:
         assert grads[name].shape == _SHAPES[name]
         assert grads[name].tobytes() == want_grads[name].tobytes(), name
+
+
+@pytest.mark.parametrize("crop", [8, 9, 32])
+def test_float32_step_matches_float64_step(crop):
+    # float32 rounds each product to about 6e-8 relative; summed over the
+    # few thousand terms of a gradient entry that stays below 1e-4 of the
+    # tensor's largest entry.
+    params = init_params(derive_seed(43, crop))
+    x = _rand_batch(derive_seed(44, crop), n=8, h=crop, w=crop)
+    y = (np.arange(8) % 2).astype(np.float64)
+    probs, grads = _forward_backward(_float32(params), x, y)
+    want_probs, want_grads = _forward_backward(params, x, y)
+    assert probs.dtype == np.float32
+    np.testing.assert_allclose(probs, want_probs, rtol=1e-5)
+    for name in _SHAPES:
+        assert grads[name].dtype == np.float32, name
+        scale = np.abs(want_grads[name]).max()
+        np.testing.assert_allclose(grads[name], want_grads[name], rtol=0, atol=1e-4 * scale, err_msg=name)
 
 
 def test_step_working_set_stays_small():
@@ -399,15 +424,18 @@ def test_meanpool_matches_window_loop(h, w):
 
 
 def test_keep_equals_where_bit_for_bit():
-    x = _rand_batch(16, n=2, h=5, w=7)
-    x.ravel()[::5] = -0.0
-    x.ravel()[1::7] = np.nan
-    x.ravel()[2::9] = -np.inf
+    x64 = _rand_batch(16, n=2, h=5, w=7)
+    x64.ravel()[::5] = -0.0
+    x64.ravel()[1::7] = np.nan
+    x64.ravel()[2::9] = -np.inf
     mask = _rand_batch(17, n=2, h=5, w=7) > 0
-    assert detector._keep(mask, x).tobytes() == np.where(mask, x, 0.0).tobytes()
-    column = x[:, :, :1, :1]  # broadcast to the mask, as the conv2 gradient is
-    expected = np.where(mask, np.broadcast_to(column, mask.shape), 0.0)
-    assert detector._keep(mask, column).tobytes() == expected.tobytes()
+    for x in (x64, x64.astype(np.float32)):
+        got = detector._keep(mask, x)
+        assert got.dtype == x.dtype
+        assert got.tobytes() == np.where(mask, x, 0.0).tobytes()
+        column = x[:, :, :1, :1]  # broadcast to the mask, as the conv2 gradient is
+        expected = np.where(mask, np.broadcast_to(column, mask.shape), 0.0)
+        assert detector._keep(mask, column).tobytes() == expected.tobytes()
 
 
 # --- adam -----------------------------------------------------------------------
@@ -437,6 +465,16 @@ def test_adam_first_step_magnitude_is_lr():
         delta = updated[name] - params[name]
         assert np.allclose(np.abs(delta), cfg.lr, rtol=1e-6)
         assert np.all(np.sign(delta) == -1)  # descend against positive grads
+
+
+def test_adam_step_keeps_float32():
+    params = _float32(init_params(10))
+    grads = _float32({k: np.full(s, 0.37) for k, s in _SHAPES.items()})
+    state = AdamState()
+    for _ in range(2):
+        params = adam_step(params, grads, state, _config())
+    for name in _SHAPES:
+        assert params[name].dtype == state.m[name].dtype == state.v[name].dtype == np.float32
 
 
 def test_adam_elementwise_independence_across_tensors():
@@ -600,6 +638,13 @@ def test_train_runs_one_forward_pass_per_step(tiny_benchmark, monkeypatch):
     assert sum(calls) == cfg.epochs * len(train_entries)
 
 
+def test_train_returns_float32_weights(tiny_benchmark):
+    root, train_entries, _ = tiny_benchmark
+    params, _ = train(train_entries, load_images(train_entries, root), _config(epochs=1, crop=8))
+    assert list(params) == list(_SHAPES)
+    assert {params[name].dtype for name in _SHAPES} == {np.dtype(np.float32)}
+
+
 def test_train_rejects_single_class(tiny_benchmark):
     root, train_entries, _ = tiny_benchmark
     reals = [e for e in train_entries if e.label == 0]
@@ -644,7 +689,7 @@ def test_evaluate_report_fields(tiny_benchmark):
 
 
 def test_weights_round_trip_exact(tmp_path):
-    params = init_params(33)
+    params = _float32(init_params(33))
     path = tmp_path / "model.w1"
     save_params(path, params, ReducerSpec.parse("shuffle:8"), reducer_seed=42, crop_size=32)
     loaded, reducer, reducer_seed, crop_size = load_params(path)
@@ -655,6 +700,17 @@ def test_weights_round_trip_exact(tmp_path):
     assert crop_size == 32
     save_params(tmp_path / "again.w1", loaded, reducer, reducer_seed, crop_size)
     assert (tmp_path / "again.w1").read_bytes() == path.read_bytes()
+
+
+def test_weights_load_float64_values_rounded_to_float32(tmp_path):
+    params = init_params(37)  # float64 weights: full-precision decimals in the file
+    path = tmp_path / "model.w1"
+    save_params(path, params, ReducerSpec.parse("none"), reducer_seed=1, crop_size=32)
+    loaded = load_params(path)[0]
+    for name in _SHAPES:
+        assert loaded[name].dtype == np.float32
+        assert loaded[name].tobytes() == params[name].astype(np.float32).tobytes()
+    assert not np.array_equal(loaded["conv1_w"].astype(np.float64), params["conv1_w"])
 
 
 def test_weights_reject_garbage(tmp_path):
@@ -691,6 +747,6 @@ def test_weights_reject_garbage(tmp_path):
 def test_save_params_replaces_atomically(tmp_path):
     path = tmp_path / "model.w1"
     for seed in (35, 36):
-        save_params(path, init_params(seed), ReducerSpec.parse("npr"), reducer_seed=2, crop_size=16)
-        assert load_params(path)[0]["conv1_w"].tobytes() == init_params(seed)["conv1_w"].tobytes()
+        save_params(path, _float32(init_params(seed)), ReducerSpec.parse("npr"), reducer_seed=2, crop_size=16)
+        assert load_params(path)[0]["conv1_w"].tobytes() == _float32(init_params(seed))["conv1_w"].tobytes()
     assert [p.name for p in tmp_path.iterdir()] == ["model.w1"]  # no temp file left
