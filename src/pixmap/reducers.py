@@ -207,20 +207,15 @@ def reduce_batch(spec: ReducerSpec, batch: np.ndarray, seed_root: int, tags) -> 
     their tile divides both sides (:meth:`ReducerSpec.check_tiles`).
     """
     spec.check_tiles(*batch.shape[2:])
-    if spec.kind == "none":
-        return batch / 127.5 - 1.0
-    if spec.kind == "fixed":
-        return build_fixed_table()[batch]
-    if spec.kind == "random":
+    if spec.kind in ("fixed", "random"):
         return map_batch(batch, mapping_tables(spec, seed_root, tags))
     if spec.kind == "highpass":
         return _highpass(batch, spec.cutoff) / 127.5
-    if spec.kind == "shuffle":
-        seeds = [derive_seed(seed_root, "perm", *tag) for tag in tags]
-        return _shuffle(batch, spec.patch, seeds) / 127.5 - 1.0
     if spec.kind == "npr":
         return _npr(batch) / 127.5
-    raise PixmapError("bad-reducer", f"unknown reducer {spec.kind!r}")
+    if spec.kind == "shuffle":
+        batch = _shuffle(batch, spec.patch, [derive_seed(seed_root, "perm", *tag) for tag in tags])
+    return batch / 127.5 - 1.0
 
 
 def crop_batch(datas, spec: ReducerSpec, seed_root: int, tags, crop_size=None, crop_seeds=None) -> np.ndarray:

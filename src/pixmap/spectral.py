@@ -29,8 +29,7 @@ def mean_spectrum_chw(stacks: Iterable[np.ndarray]) -> np.ndarray:
 
     Half spectra are summed in channel order, then stack order; the columns
     past W // 2 are rebuilt at the end as ``P[k1, k2] = P[-k1 mod H, W - k2]``.
-    Each stack is made contiguous first: ``rfft2`` over contiguous channels
-    is about 10% faster than over strided ones.
+    Each stack is transformed in one ``rfft2`` call over its two trailing axes.
     """
     acc = None
     for count, stack in enumerate(stacks, 1):
@@ -42,8 +41,7 @@ def mean_spectrum_chw(stacks: Iterable[np.ndarray]) -> np.ndarray:
         elif stack.shape[1:] != (h, w):
             got = "x".join(map(str, stack.shape[1:]))
             raise PixmapError("dim-mismatch", f"image {got} does not match {h}x{w}")
-        stack = np.ascontiguousarray(stack)
-        acc += sum(np.abs(np.fft.rfft2(chan)) ** 2 for chan in stack) / len(stack)
+        acc += (np.abs(np.fft.rfft2(stack)) ** 2).sum(axis=0) / len(stack)
     if acc is None:
         raise PixmapError("empty-input", "mean_spectrum needs at least one image")
     acc /= count

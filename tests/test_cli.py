@@ -2,6 +2,7 @@
 
 import dataclasses
 import errno
+import importlib.util
 import json
 import os
 import pickle
@@ -642,6 +643,82 @@ def test_every_subcommand_reports_one_error_line(capsys, tmp_path, subcommand):
     argv, code = BAD_INPUTS[subcommand]
     line = run_cli_error(capsys, argv(tmp_path))
     assert line.startswith(f"error: {code}: ") and len(line) > len(f"error: {code}: ")
+
+
+def _ppm_dir(t, *sizes):
+    folder = t / "in"
+    folder.mkdir()
+    for k, size in enumerate(sizes):
+        (folder / f"{k}.ppm").write_bytes(encode_ppm(np.zeros((size, size, 3), dtype=np.uint8)))
+    return folder
+
+
+def _header_only_corpus(t):
+    for split in ("train", "test"):
+        (t / f"{split}_manifest.csv").write_text("path,label,generator,family,seed\n")
+    return t
+
+
+def _none_weights(t):
+    save_params(t / "m.w1", init_params(1), ReducerSpec.parse("none"), reducer_seed=1, crop_size=8)
+    return t / "m.w1"
+
+
+def _paths_and_bytes(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+
+# Run-time errors past the flag checks: each is its one line, with {t} the test's directory.
+RUN_TIME_ERRORS = {
+    "dim-mismatch": (lambda t, c: ["spectrum", "--in", _ppm_dir(t, 16, 128), "--out", t / "p.csv"],
+                     "dim-mismatch: image 128x128 does not match 16x16"),
+    "empty-input": (lambda t, c: ["spectrum", "--in", _ppm_dir(t), "--out", t / "p.csv"],
+                    "empty-input: no .ppm files under {t}/in"),
+    "empty-manifest-train": (lambda t, c: ["train", "--data", _header_only_corpus(t), "--reducer", "none",
+                                           "--out", t / "m2.w1"],
+                             "empty-manifest: training manifest has no entries"),
+    "empty-manifest-report": (lambda t, c: ["report", "--data", _header_only_corpus(t), "--out", t / "r.csv"],
+                              "empty-manifest: training manifest has no entries"),
+    "empty-manifest-eval": (lambda t, c: ["eval", "--model", _none_weights(t), "--data", _header_only_corpus(t),
+                                          "--reducer", "none", "--out", t / "e.csv"],
+                            "empty-manifest: evaluation manifest has no entries"),
+    "reducer-mismatch": (lambda t, c: ["eval", "--model", _none_weights(t), "--data", c, "--reducer", "npr",
+                                       "--out", t / "e.csv"],
+                         "reducer-mismatch: model was trained with none, got npr"),
+    "bad-benchmark": (lambda t, c: ["gen", "--n", 0, "--out", t / "g"], "bad-benchmark: n_per_class must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_TIME_ERRORS))
+def test_run_time_error_is_one_line_and_writes_nothing(capsys, tmp_path, small_corpus, case):
+    command, detail = RUN_TIME_ERRORS[case]
+    argv = [str(a) for a in command(tmp_path, small_corpus)]
+    before = _paths_and_bytes(tmp_path)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: {detail.format(t=tmp_path)}\n"
+    assert _paths_and_bytes(tmp_path) == before
+
+
+def test_bench_e2e_commands_parse(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts perfbench/ on the path
+    script = Path(__file__).resolve().parents[1] / "bench" / "e2e.py"
+    spec = importlib.util.spec_from_file_location("bench_e2e", script)
+    e2e = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(e2e)
+    (tmp_path / "random.w1").write_bytes(encode_params(init_params(1), ReducerSpec.parse("random"), 1, 32))
+    commands = [
+        *e2e.digest_commands(tmp_path),
+        *e2e.failing_commands(tmp_path),
+        *e2e.timed_commands(tmp_path, tmp_path / "out").values(),
+    ]
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args([str(a) for a in argv])
+        except SystemExit as exc:  # --version prints and exits 0; a bad flag raises bad-usage
+            assert exc.code == 0, argv
 
 
 # Every command that reads a corpus image names the file when it cannot decode it.

@@ -152,10 +152,12 @@ def test_forward_handles_minimum_size_and_rejects_smaller():
     params = init_params(4)
     probs = forward(params, _rand_batch(1, n=2, h=7, w=7))
     assert probs.shape == (2,) and np.all((probs > 0) & (probs < 1))
-    with pytest.raises(PixmapError):
+    with pytest.raises(PixmapError) as err:
         forward(params, _rand_batch(1, n=1, h=6, w=8))
-    with pytest.raises(PixmapError):
+    assert err.value.code == "bad-batch"
+    with pytest.raises(PixmapError) as err:
         forward(params, np.zeros((1, 4, 8, 8)))
+    assert err.value.code == "bad-batch"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 13, 64, 70])
@@ -531,8 +533,9 @@ def test_ap_rejects_nan_scores():
 
 
 def test_ap_requires_a_positive():
-    with pytest.raises(PixmapError):
+    with pytest.raises(PixmapError) as err:
         average_precision([0.4, 0.6], [0, 0])
+    assert err.value.code == "degenerate-labels"
 
 
 def test_ap_exhaustive_small_instances_match_oracle():

@@ -13,8 +13,9 @@ from pixmap.reducers import (
     highpass,
     npr_residual,
     patch_shuffle,
+    reduce_batch,
 )
-from pixmap.rng import SplitMix64, derive_seed
+from pixmap.rng import SplitMix64, derive_seed, seeded_permutations
 
 
 def _random_image(seed, h, w):
@@ -270,6 +271,19 @@ def test_apply_reducer_fixed_matches_mapping():
     img = _random_image(15, 8, 8)
     out = apply_reducer(ReducerSpec.parse("fixed"), img, 0)
     assert np.array_equal(out, apply_mapping(img, build_fixed_table()))
+
+
+def test_reduce_batch_fixed_equals_table_index_bit_for_bit():
+    from pixmap.mapping import build_fixed_table
+
+    values = np.arange(4 * 3 * 16 * 16) % 256  # every pixel value, 12 times
+    batch = values[seeded_permutations([18], len(values))[0]].astype(np.uint8).reshape(4, 3, 16, 16)
+    spec = ReducerSpec.parse("fixed")
+    for view in (batch, batch[:, ::-1, 1::2, ::3], batch.transpose(0, 1, 3, 2)):
+        got = reduce_batch(spec, view, 0, [()] * len(view))
+        want = build_fixed_table()[view]  # a direct uint8 index, not map_batch's offset gather
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
 
 
 def test_apply_reducer_random_deterministic_per_tags():

@@ -11,6 +11,7 @@ from pixmap.spectral import (
     band_ratio,
     heatmap_u8,
     mean_spectrum,
+    mean_spectrum_chw,
     power_spectrum,
 )
 
@@ -127,10 +128,12 @@ def test_mean_spectrum_two_known_images_hand_average():
 
 
 def test_mean_spectrum_errors():
-    with pytest.raises(PixmapError):
+    with pytest.raises(PixmapError) as err:
         mean_spectrum([])
-    with pytest.raises(PixmapError):
+    assert err.value.code == "empty-input"
+    with pytest.raises(PixmapError) as err:
         mean_spectrum([_imagef(1, 4, 4), _imagef(2, 6, 4)])
+    assert err.value.code == "dim-mismatch"
 
 
 # --- real-input FFT path -------------------------------------------------------------
@@ -169,6 +172,33 @@ def test_rebuilt_half_is_exact_mirror(h, w):
     p = np.fft.ifftshift(mean_spectrum([_imagef(7, h, w)]))
     for k2 in range(w // 2 + 1, w):
         assert np.array_equal(p[:, k2], p[-np.arange(h) % h, w - k2])
+
+
+def per_channel_mean_spectrum(stacks):
+    """One rfft2 per channel, summed in channel order: the bit-exact oracle for mean_spectrum_chw."""
+    acc = None
+    for count, stack in enumerate(stacks, 1):
+        if acc is None:
+            h, w = stack.shape[1:]
+            acc = np.zeros((h, w // 2 + 1))
+        stack = np.ascontiguousarray(stack)
+        acc += sum(np.abs(np.fft.rfft2(chan)) ** 2 for chan in stack) / len(stack)
+    acc /= count
+    mirror = acc[-np.arange(h) % h, w - acc.shape[1] : 0 : -1]
+    return np.fft.fftshift(np.hstack([acc, mirror]))
+
+
+@pytest.mark.parametrize("c,h,w", [(3, 128, 128), (3, 64, 64), (1, 31, 17), (3, 5, 7)])
+@pytest.mark.parametrize("view", ["contiguous", "transposed"])
+def test_mean_spectrum_chw_equals_per_channel_loop_bit_for_bit(c, h, w, view):
+    images = [_imagef(seed, h, w, c) for seed in (21, 22, 23)]
+    if view == "contiguous":
+        stacks = [np.ascontiguousarray(img.transpose(2, 0, 1)) for img in images]
+    else:  # H x W x C storage read as C x H x W, as mean_spectrum hands it over
+        stacks = [img.transpose(2, 0, 1) for img in images]
+    got = mean_spectrum_chw(stacks)
+    want = per_channel_mean_spectrum(stacks)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_power_spectrum_rejects_complex_channel():
