@@ -664,10 +664,6 @@ def _none_weights(t):
     return t / "m.w1"
 
 
-def _paths_and_bytes(root):
-    return {p.relative_to(root).as_posix(): p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
-
-
 # Run-time errors past the flag checks: each is its one line, with {t} the test's directory.
 RUN_TIME_ERRORS = {
     "dim-mismatch": (lambda t, c: ["spectrum", "--in", _ppm_dir(t, 16, 128), "--out", t / "p.csv"],
@@ -693,12 +689,12 @@ RUN_TIME_ERRORS = {
 def test_run_time_error_is_one_line_and_writes_nothing(capsys, tmp_path, small_corpus, case):
     command, detail = RUN_TIME_ERRORS[case]
     argv = [str(a) for a in command(tmp_path, small_corpus)]
-    before = _paths_and_bytes(tmp_path)
+    before = _file_bytes(tmp_path)
     code = cli.main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out) == (1, "")
     assert captured.err == f"error: {detail.format(t=tmp_path)}\n"
-    assert _paths_and_bytes(tmp_path) == before
+    assert _file_bytes(tmp_path) == before
 
 
 def test_bench_e2e_commands_parse(tmp_path, monkeypatch):
