@@ -486,9 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _retain_freed_memory() -> None:
     """Keep freed heap memory in the process rather than handing it back to the OS.
 
-    Each detector step allocates and frees megabytes of float32 temporaries.
+    Each detector step allocates and frees float32 temporaries of up to a
+    megabyte or two: conv1's im2col matrix, built twice per chunk (forward
+    and weight gradient), conv2's, and each layer's outputs and gradients.
     With glibc's defaults those blocks are unmapped or trimmed on free and
-    faulted back in, page by page, by the next step; the two settings below
+    faulted back in, page by page, by the next one; the two settings below
     keep them mapped. Other platforms are left as they are.
     """
     if not sys.platform.startswith("linux"):

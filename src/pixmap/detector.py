@@ -13,10 +13,12 @@ the four window taps, one path for even and odd sides alike. The
 optimizer is Adam with fixed betas (``ADAM_BETA1``, ``ADAM_BETA2``) and
 decoupled weight decay (weights shrink by lr * wd before the moment
 update). Each training step runs the forward pass once and caches only
-what the backward pass reads: both im2col matrices, the ReLU masks
-``m1``/``m2`` (``a > 0``, taken before each ReLU runs in place) and the
-pool's window counts. conv2's matrix is freed before its input gradient
-allocates a matrix of the same size.
+what the backward pass reads: the input batch, conv2's im2col matrix, the
+ReLU masks ``m1``/``m2`` (``a > 0``, taken before each ReLU runs in place)
+and the pool's window counts. conv1 runs over ``_FORWARD_CHUNK``-sample
+chunks whose im2col matrices are dropped at once; its weight gradient
+rebuilds them from the input, chunk by chunk. conv2's matrix is freed
+before its input gradient allocates a matrix of the same size.
 Every kernel computes in its input's dtype with a fixed reduction order,
 so identical seeds give bit-identical weights. A batch is cast to its
 weights' dtype: :func:`train` and :func:`load_params` give float32
@@ -85,19 +87,29 @@ def init_params(seed: int) -> dict[str, np.ndarray]:
 # --- layers -------------------------------------------------------------------
 
 
-def _conv_forward(x, w, b):
-    """Valid 3x3 convolution via channel-major im2col.
+def _im2col(x):
+    """The 3x3 windows of NCHW ``x`` as an (n, cin*9, P) matrix, rows ordered (cin, u, v).
 
-    ``cols`` is (n, cin*9, P) with rows ordered (cin, u, v) like the flattened
-    kernel, so ``W @ cols`` lands directly in NCHW and the backward matmuls
-    need no transposing copy.
+    One strided view of ``x`` is copied once, so ``W @ cols`` lands directly
+    in NCHW and the backward matmuls need no transposing copy.
     """
     n, cin, h, wd = x.shape
-    cout = w.shape[0]
-    windows = np.lib.stride_tricks.sliding_window_view(x, (3, 3), axis=(2, 3))
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(
-        n, cin * 9, (h - 2) * (wd - 2)
+    sn, sc, sh, sw = x.strides
+    windows = np.lib.stride_tricks.as_strided(
+        x, (n, cin, 3, 3, h - 2, wd - 2), (sn, sc, sh, sw, sh, sw), writeable=False
     )
+    return np.ascontiguousarray(windows).reshape(n, cin * 9, (h - 2) * (wd - 2))
+
+
+def _conv_forward(x, w, b):
+    """Valid 3x3 convolution; returns (out, cols), where ``cols`` is ``_im2col(x)``.
+
+    The training step keeps conv2's ``cols`` for its weight gradient and
+    drops conv1's, which :func:`_conv1_param_grads` rebuilds.
+    """
+    n, _, h, wd = x.shape
+    cout = w.shape[0]
+    cols = _im2col(x)
     out = w.reshape(cout, -1) @ cols
     out += b[:, None]
     return out.reshape(n, cout, h - 2, wd - 2), cols
@@ -108,6 +120,21 @@ def _conv_param_grads(grad_out, cols):
     g = grad_out.reshape(*grad_out.shape[:2], -1)
     grad_w = (g @ cols.transpose(0, 2, 1)).sum(axis=0)
     return grad_w.reshape(g.shape[1], -1, 3, 3), g.sum(axis=(0, 2))
+
+
+def _conv1_param_grads(grad_out, x):
+    """``_conv_param_grads(grad_out, _im2col(x))`` bit for bit, holding one chunk's columns at a time.
+
+    Each sample's ``g @ cols.T`` is the same GEMM as in the whole-batch
+    product and lands in the same (n, cout, cin*9) buffer, which is summed
+    over samples once.
+    """
+    g = grad_out.reshape(*grad_out.shape[:2], -1)
+    per_sample = np.empty((len(x), g.shape[1], x.shape[1] * 9), dtype=g.dtype)
+    for start in range(0, len(x), _FORWARD_CHUNK):
+        stop = start + _FORWARD_CHUNK
+        np.matmul(g[start:stop], _im2col(x[start:stop]).transpose(0, 2, 1), out=per_sample[start:stop])
+    return per_sample.sum(axis=0).reshape(g.shape[1], -1, 3, 3), g.sum(axis=(0, 2))
 
 
 def _conv_input_grad(grad_out, x_shape, w):
@@ -188,24 +215,33 @@ def _check_batch(params: dict[str, np.ndarray], batch):
     return x
 
 
-# Samples per batch that evaluate() crops, reduces and scores, and per chunk
-# that forward() runs through the conv layers. At the default 32-px crop a
-# chunk's float32 conv1 im2col matrix is 0.78 MB instead of 6.2 MB for a
-# whole eval batch, so it stays in cache.
+# Samples per batch that evaluate() scores with one head call, and per chunk
+# that evaluate() crops and reduces, forward() runs through the conv layers
+# and the training step builds conv1's im2col matrix for. At the default
+# 32-px crop a chunk's float32 conv1 matrix is 0.78 MB, against 3.1 MB for
+# a 32-sample training batch and 6.2 MB for a whole eval batch, so it
+# stays in cache and is never held for the backward pass.
 _EVAL_BATCH = 64
 _FORWARD_CHUNK = 8
 
 
 def _features(params: dict[str, np.ndarray], x):
-    """conv1 -> ReLU -> pool -> conv2 -> ReLU -> mean; returns (g, (cols1, m1, counts, p1_shape, m2, cols2))."""
-    a1, cols1 = _conv_forward(x, params["conv1_w"], params["conv1_b"])
+    """conv1 -> ReLU -> pool -> conv2 -> ReLU -> mean; returns (g, (x, m1, counts, p1_shape, m2, cols2)).
+
+    conv1 runs one ``_FORWARD_CHUNK`` at a time and keeps no im2col matrix.
+    """
+    n, _, h, w = x.shape
+    a1 = np.empty((n, params["conv1_w"].shape[0], h - 2, w - 2), dtype=x.dtype)
+    for start in range(0, n, _FORWARD_CHUNK):
+        stop = start + _FORWARD_CHUNK
+        a1[start:stop] = _conv_forward(x[start:stop], params["conv1_w"], params["conv1_b"])[0]
     m1 = a1 > 0
     p1, counts = _meanpool_forward(np.maximum(a1, 0.0, out=a1))
     del a1
     a2, cols2 = _conv_forward(p1, params["conv2_w"], params["conv2_b"])
     m2 = a2 > 0
     g = np.maximum(a2, 0.0, out=a2).mean(axis=(2, 3))
-    return g, (cols1, m1, counts, p1.shape, m2, cols2)
+    return g, (x, m1, counts, p1.shape, m2, cols2)
 
 
 def _head(params: dict[str, np.ndarray], g):
@@ -246,9 +282,10 @@ def _forward_backward(params: dict[str, np.ndarray], batch, labels):
     Where the probability clamp is active the computed loss is locally
     constant in the logit, so those samples contribute zero gradient,
     matching finite differences of the actual loss. conv1's input gradient
-    is never needed, so it is not computed.
+    is never needed, so it is not computed. A batch already in the weights'
+    dtype is held, not copied, for conv1's weight gradient.
     """
-    probs, g, (cols1, m1, counts, p1_shape, m2, cols2) = _forward_full(params, batch)
+    probs, g, (x, m1, counts, p1_shape, m2, cols2) = _forward_full(params, batch)
     y = np.asarray(labels, dtype=probs.dtype)  # float64 labels would upcast the whole backward pass
     n = len(probs)
     clamped = (probs < LOSS_EPS) | (probs > 1.0 - LOSS_EPS)
@@ -264,7 +301,7 @@ def _forward_backward(params: dict[str, np.ndarray], batch, labels):
     del m2, cols2  # before conv2's input gradient allocates its patch matrix
     grad = _conv_input_grad(grad, p1_shape, params["conv2_w"])
     grad = _pool_relu_backward(grad, counts, m1)
-    grad_conv1_w, grad_conv1_b = _conv_param_grads(grad, cols1)
+    grad_conv1_w, grad_conv1_b = _conv1_param_grads(grad, x)
 
     return probs, {
         "conv1_w": grad_conv1_w,
@@ -363,7 +400,7 @@ def train(
             datas = [images[i] for i in chunk]
             seeds = [derive_seed(config.seed, "crop", epoch, path) for path in paths]
             tags = [(path, epoch) for path in paths]
-            batch = crop_batch(datas, config.reducer, reducer_root, tags, config.crop, seeds)
+            batch = crop_batch(datas, config.reducer, reducer_root, tags, config.crop, seeds).astype(np.float32)
             y = np.array([entries[i].label for i in chunk], dtype=np.float64)
             probs, grads = _forward_backward(params, batch, y)
             epoch_loss += loss(probs, y) * len(chunk)
@@ -417,16 +454,26 @@ def evaluate(
     """Center-crop, reduce, and score decoded manifest images: one fake probability per entry, in entry order.
 
     Stochastic reducers derive per-image state from the image path alone,
-    so each entry's score does not depend on the manifest order.
+    so each entry's score does not depend on the manifest order. Each
+    ``_FORWARD_CHUNK`` is cropped and reduced straight into one eval batch
+    of the weights' dtype, allocated once the first chunk has passed the
+    crop checks; the head scores a whole ``_EVAL_BATCH`` block at once, as
+    :func:`forward` of ``crop_batch`` over the block would.
     """
     if not entries:
         raise PixmapError("empty-manifest", "evaluation manifest has no entries")
     scores = np.empty(len(entries))
+    batch = None
     for start in range(0, len(entries), _EVAL_BATCH):
-        stop = start + _EVAL_BATCH
-        tags = [(e.path,) for e in entries[start:stop]]
-        batch = crop_batch(images[start:stop], reducer, reducer_seed, tags, crop_size)
-        scores[start:stop] = forward(params, batch)
+        stop = min(start + _EVAL_BATCH, len(entries))
+        for lo in range(start, stop, _FORWARD_CHUNK):
+            hi = min(lo + _FORWARD_CHUNK, stop)
+            tags = [(e.path,) for e in entries[lo:hi]]
+            part = crop_batch(images[lo:hi], reducer, reducer_seed, tags, crop_size)
+            if batch is None:
+                batch = np.empty((min(_EVAL_BATCH, len(entries)), *part.shape[1:]), dtype=params["conv1_w"].dtype)
+            batch[lo - start : hi - start] = part
+        scores[start:stop] = forward(params, batch[: stop - start])
     return scores
 
 

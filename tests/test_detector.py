@@ -15,6 +15,7 @@ from pixmap.detector import (
     _conv_input_grad,
     _conv_param_grads,
     _forward_backward,
+    _im2col,
     _meanpool_forward,
     accuracy_at_half,
     adam_step,
@@ -29,11 +30,12 @@ from pixmap.detector import (
     save_params,
     train,
 )
+from pixmap.cli import REPORT_REDUCERS
 from pixmap.config import DEFAULT_NOISE_SIGMA
 from pixmap.errors import PixmapError
-from pixmap.reducers import ReducerSpec
+from pixmap.reducers import ReducerSpec, crop_batch
 from pixmap.rng import SplitMix64, derive_seed
-from pixmap.synthgen import build_benchmark, materialize, write_manifest_csv
+from pixmap.synthgen import FAMILIES, ManifestEntry, build_benchmark, materialize, write_manifest_csv
 
 
 def scalar_forward_oracle(params, x):
@@ -305,6 +307,24 @@ def test_conv_layer_matches_loop_oracle(cin, h, w):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+def sliding_window_im2col(x):
+    """The im2col the detector built before ``_im2col``, from ``sliding_window_view``."""
+    n, cin, h, w = x.shape
+    windows = np.lib.stride_tricks.sliding_window_view(x, (3, 3), axis=(2, 3))
+    return np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3)).reshape(n, cin * 9, (h - 2) * (w - 2))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n,cin,h,w", [(1, 3, 7, 7), (5, 3, 32, 32), (3, 8, 15, 15), (2, 3, 9, 12)])
+def test_im2col_equals_sliding_window_view_bit_for_bit(dtype, n, cin, h, w):
+    x = SplitMix64(derive_seed(18, n, cin, h, w)).uniforms(2 * n * cin * h * w, -1.0, 1.0)
+    x = x.astype(dtype).reshape(2 * n, cin, h, w)
+    for view in (x[:n], x[::2], x[::-1], x.transpose(0, 1, 3, 2)[:n]):  # contiguous and strided views
+        got = _im2col(view)
+        assert got.flags.c_contiguous and got.dtype == dtype
+        assert got.tobytes() == sliding_window_im2col(view).tobytes()
+
+
 def test_fused_step_matches_public_backward():
     params = init_params(12)
     x = _rand_batch(13, n=3, h=11, w=10)
@@ -363,6 +383,41 @@ def test_step_equals_full_cache_reference_bit_for_bit(n, crop):
         assert grads[name].tobytes() == want_grads[name].tobytes(), name
 
 
+@pytest.mark.parametrize("crop", [8, 31, 32])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 32])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rebuilt_conv1_gradient_equals_cached_columns_bit_for_bit(monkeypatch, dtype, n, crop):
+    # The step rebuilds conv1's columns from its input one chunk at a time;
+    # the oracle is the gradient from the whole batch's cached columns.
+    params = {name: v.astype(dtype) for name, v in init_params(derive_seed(45, n, crop)).items()}
+    x = _rand_batch(derive_seed(46, n, crop), n=n, h=crop, w=crop).astype(dtype)
+    y = (np.arange(n) % 2).astype(np.float64)
+    real = detector._conv1_param_grads
+    seen = []
+
+    def spy(grad_out, x_in):
+        seen.append((grad_out, x_in))
+        return real(grad_out, x_in)
+
+    monkeypatch.setattr(detector, "_conv1_param_grads", spy)
+    steps = {}
+    for chunk in (1, 3, 8, 64):
+        monkeypatch.setattr(detector, "_FORWARD_CHUNK", chunk)
+        steps[chunk] = _forward_backward(params, x, y)
+    for chunk, (grad_out, x_in) in zip(steps, seen):
+        assert x_in is x  # the step holds the caller's batch, not a copy
+        want_w, want_b = _conv_param_grads(grad_out, _conv_forward(x, params["conv1_w"], params["conv1_b"])[1])
+        _, grads = steps[chunk]
+        assert grads["conv1_w"].dtype == dtype
+        assert grads["conv1_w"].tobytes() == want_w.tobytes(), chunk
+        assert grads["conv1_b"].tobytes() == want_b.tobytes(), chunk
+    want_probs, want_grads = steps[8]
+    for chunk, (probs, grads) in steps.items():
+        assert probs.tobytes() == want_probs.tobytes(), chunk
+        for name in _SHAPES:
+            assert grads[name].tobytes() == want_grads[name].tobytes(), (chunk, name)
+
+
 @pytest.mark.parametrize("crop", [8, 9, 32])
 def test_float32_step_matches_float64_step(crop):
     # float32 rounds each product to about 6e-8 relative; summed over the
@@ -381,6 +436,19 @@ def test_float32_step_matches_float64_step(crop):
         np.testing.assert_allclose(grads[name], want_grads[name], rtol=0, atol=1e-4 * scale, err_msg=name)
 
 
+def traced_peak(fn):
+    """The traced numpy peak of a second ``fn()`` call, above what was held before it."""
+    fn()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - start
+
+
 def test_step_working_set_stays_small():
     # The traced numpy peak of one step at the default batch and crop. The
     # bound sits between the full-cache step's 19.5 MiB and this step's
@@ -389,15 +457,17 @@ def test_step_working_set_stays_small():
     params = init_params(3)
     x = _rand_batch(5, n=32, h=32, w=32)
     y = (np.arange(32) % 2).astype(np.float64)
-    _forward_backward(params, x, y)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        _forward_backward(params, x, y)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - start <= 12 * 2**20
+    assert traced_peak(lambda: _forward_backward(params, x, y)) <= 12 * 2**20
+
+
+def test_float32_step_working_set_stays_small():
+    # The float32 step train() runs, on the float32 batch train() hands it.
+    # Caching conv1's 3.1 MB im2col matrix read 5.40 MiB; rebuilding it one
+    # chunk at a time for the weight gradient reads 2.43 MiB.
+    params = _float32(init_params(3))
+    x = _rand_batch(5, n=32, h=32, w=32).astype(np.float32)
+    y = (np.arange(32) % 2).astype(np.float64)
+    assert traced_peak(lambda: _forward_backward(params, x, y)) <= 3.5 * 2**20
 
 
 def loop_meanpool(x):
@@ -686,6 +756,52 @@ def test_evaluate_report_fields(tiny_benchmark):
     assert isinstance(scores, np.ndarray) and scores.dtype == np.float64
     assert scores.shape == (len(test_entries),)
     assert np.all((scores > 0.0) & (scores < 1.0))
+
+
+def _eval_split(n, size=40):
+    """``n`` manifest entries and random uint8 images of side ``size``."""
+    rng = SplitMix64(derive_seed(51, n, size))
+    entries = tuple(ManifestEntry(f"real/img{k:03d}.ppm", 0, "real", FAMILIES[k % len(FAMILIES)], k) for k in range(n))
+    images = [(rng.uniforms(size * size * 3, 0.0, 256.0).astype(np.uint8)).reshape(size, size, 3) for _ in range(n)]
+    return entries, images
+
+
+@pytest.mark.parametrize("n", [1, 13, 64, 70])
+@pytest.mark.parametrize("name", REPORT_REDUCERS)
+def test_evaluate_equals_forward_of_each_block_bit_for_bit(monkeypatch, name, n):
+    # evaluate() crops and reduces one forward chunk at a time into its eval
+    # batch; the oracle crops and reduces each 64-entry block at once.
+    entries, images = _eval_split(n)
+    reducer = ReducerSpec.parse(name)
+    real_head = detector._head
+    for params in (_float32(init_params(6)), init_params(6)):
+        want = np.concatenate([
+            forward(params, crop_batch(images[k : k + 64], reducer, 9, [(e.path,) for e in entries[k : k + 64]], 32))
+            for k in range(0, n, 64)
+        ])
+        head_rows = []
+
+        def counting_head(params, g):
+            head_rows.append(len(g))
+            return real_head(params, g)
+
+        monkeypatch.setattr(detector, "_head", counting_head)
+        got = evaluate(params, entries, images, reducer, 9, 32)
+        monkeypatch.undo()
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.astype(np.float64).tobytes()
+        # BLAS may round a head row by its block position, so each block is scored at once.
+        assert head_rows == [min(64, n - k) for k in range(0, n, 64)]
+
+
+def test_evaluate_working_set_stays_small():
+    # Scoring 64 highpass entries at crop 32 with float32 weights. Reducing
+    # the whole block at once and casting it in forward() read 5.07 MiB;
+    # reducing each forward chunk straight into one float32 batch reads 2.16.
+    entries, images = _eval_split(64, size=64)
+    params = _float32(init_params(7))
+    reducer = ReducerSpec.parse("highpass")
+    assert traced_peak(lambda: evaluate(params, entries, images, reducer, 9, 32)) <= 2.5 * 2**20
 
 
 # --- weights file ----------------------------------------------------------------
